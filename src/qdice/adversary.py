@@ -8,34 +8,35 @@ so that a tilt-delta preparation wins with probability
 (sqrt(a (1-delta)) + sqrt(b delta))^2, maximized at delta* = b / (a + b)
 with value a + b. The test suite refuses to take that maximization on
 faith: ``brute_force_alice`` re-derives cheat values purely by evolving
-states through the engine and searching (a delta grid plus golden-section
-refinement, random dense preparations, random ancilla-entangled
-preparations), and the closed form must agree with it.
+states through the engine and searching (a zoomed delta grid, random dense
+preparations, random ancilla-entangled preparations), and the closed form
+must agree with it. Every batched value is linear in the four amplitudes
+that one evolution of the basis preparations yields (``_miss_amplitudes``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateParameterError, ParameterError
 from .qsim import (
-    Spin,
+    StateVector,
     apply_u_eta,
     attach_down_ancilla_qubit,
     overlap,
     projective_test,
 )
 from .wcf import (
+    BOB_WIN_PATTERN,
     AliceGeneral,
     ProtocolParams,
     delta_initial_state,
     general_initial_state,
     verification_state,
 )
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def alice_value_at_delta_via_states(params: ProtocolParams, delta: float) -> flo
         raise ParameterError(f"delta must lie in [0, 1], got {delta}")
     state = attach_down_ancilla_qubit(delta_initial_state(delta))
     state = apply_u_eta(state, params.p, params.eta)
-    _, miss = projective_test(state, {2: Spin.UP, 3: Spin.DOWN})
+    _, miss = projective_test(state, BOB_WIN_PATTERN)
     if miss.post_state is None:
         return 0.0
     xi = verification_state(params)
@@ -90,7 +91,7 @@ def general_cheat_value(params: ProtocolParams, cheat: AliceGeneral) -> float:
     """
     state = attach_down_ancilla_qubit(general_initial_state(cheat))
     state = apply_u_eta(state, params.p, params.eta)
-    _, miss = projective_test(state, {2: Spin.UP, 3: Spin.DOWN})
+    _, miss = projective_test(state, BOB_WIN_PATTERN)
     if miss.post_state is None:
         return 0.0
     passed, _ = projective_test(miss.post_state, verification_state(params))
@@ -113,47 +114,31 @@ def bob_optimal_value(params: ProtocolParams) -> CheatValue:
 # -- brute-force search -------------------------------------------------------
 
 
-def _delta_family_values(params: ProtocolParams, deltas: np.ndarray) -> np.ndarray:
-    """Vectorized state-evolution evaluation of the tilt family.
+@lru_cache(maxsize=256)
+def _miss_amplitudes(params: ProtocolParams) -> np.ndarray:
+    """Verification amplitudes r_k of the four basis preparations.
 
-    Mirrors :func:`alice_value_at_delta_via_states` over a whole array of
-    delta values at once (the agreement is pinned by a test). Uses the
-    identity |<xi|miss>|^2 * P(miss) = |<xi|unnormalized miss branch>|^2.
+    Evolves the basis preparations uu, ud, du, dd together as one state,
+    carried on a 4-dimensional ancilla the engine leaves untouched, through
+    the attach/rotate steps and Bob's miss branch, then contracts that
+    unnormalized branch with the verification state. A preparation
+    sum_k alpha_k |k>|phi_k> therefore wins and survives with probability
+    sum_d |sum_k alpha_k r_k phi_kd|^2.
     """
-    if params.p >= 1.0:
-        raise ParameterError("the cheat value diverges at p = 1")
-    if params.p + params.eta <= 0.0:
-        raise DegenerateParameterError("p + eta must be positive")
-    p, eta = params.p, params.eta
-    c = math.sqrt(p / (p + eta))
-    s = math.sqrt(eta / (p + eta))
-    # 3-qubit amplitudes per delta; only three kets can be populated.
-    a_udd = np.sqrt(1.0 - deltas)             # from |ud>|d>
-    a_dud = c * np.sqrt(deltas)               # |du>|d> rotated into |u2 d3>
-    a_ddu = s * np.sqrt(deltas)               # ... and into |d2 u3>
-    # Bob's miss branch deletes the (q2=u, q3=d) component a_dud.
-    xi_udd = math.sqrt(max(0.0, 1.0 - p - eta) / (1.0 - p))
-    xi_ddu = math.sqrt(eta / (1.0 - p))
-    ov = xi_udd * a_udd + xi_ddu * a_ddu
-    return ov**2
+    basis = StateVector(np.eye(4, dtype=complex).reshape(2, 2, 4) / 2.0)
+    state = apply_u_eta(attach_down_ancilla_qubit(basis), params.p, params.eta)
+    # the dd preparation always misses, so the miss branch is never empty
+    _, miss = projective_test(state, BOB_WIN_PATTERN)
+    xi = verification_state(params).amps[..., 0]
+    r = 2.0 * math.sqrt(miss.probability) * np.tensordot(xi.conj(), miss.post_state.amps, axes=3)
+    r.setflags(write=False)
+    return r
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
+def _tilt_values(params: ProtocolParams, deltas: np.ndarray) -> np.ndarray:
+    """Cheat values of the tilt preparations sqrt(1-delta)|ud> + sqrt(delta)|du>."""
+    r = _miss_amplitudes(params)
+    return np.abs(np.sqrt(1.0 - deltas) * r[1] + np.sqrt(deltas) * r[2]) ** 2
 
 
 def max_delta_family(
@@ -161,22 +146,25 @@ def max_delta_family(
 ) -> tuple[float, float]:
     """Grid-search the tilt family, optionally refining around the best cell.
 
-    Returns (value, delta). The refinement runs golden-section on the
-    single-state evaluator over the bracketing grid cells; the tilt value is
-    concave in delta, so the local refinement is globally valid.
+    Returns (value, delta). The refinement re-grids the two cells around the
+    best node with 2001 points, four times over (each pass narrows the
+    bracket a thousandfold), and evaluates the winning delta once through
+    :func:`alice_value_at_delta_via_states`. The tilt value is unimodal in
+    delta, so the local refinement is globally valid.
     """
     if grid_points < 1_000:
         raise ParameterError(f"need at least 1000 grid points, got {grid_points}")
     deltas = np.linspace(0.0, 1.0, grid_points)
-    values = _delta_family_values(params, deltas)
+    values = _tilt_values(params, deltas)
     best = int(np.argmax(values))
     value, delta = float(values[best]), float(deltas[best])
     if refine:
-        lo = deltas[max(best - 1, 0)]
-        hi = deltas[min(best + 1, grid_points - 1)]
-        refined_delta, refined_value = _golden_max(
-            lambda d: alice_value_at_delta_via_states(params, d), float(lo), float(hi)
-        )
+        zoom = deltas
+        for _ in range(4):
+            zoom = np.linspace(zoom[max(best - 1, 0)], zoom[min(best + 1, len(zoom) - 1)], 2001)
+            best = int(np.argmax(_tilt_values(params, zoom)))
+        refined_delta = float(zoom[best])
+        refined_value = alice_value_at_delta_via_states(params, refined_delta)
         if refined_value > value:
             value, delta = refined_value, refined_delta
     return value, delta
@@ -202,15 +190,12 @@ def sample_cheat_values(
     two branches never help, which is what the requirement probes). With
     ``ancilla_dim`` = 2 each branch gets a random unit ancilla vector;
     ``orthogonal_pair`` forces the ud/du ancillas to be orthogonal instead.
-    Evaluation follows the same unnormalized-branch identity as the tilt
-    family and is pinned against :func:`general_cheat_value` by tests.
+    Values are linear in the evolved basis amplitudes of
+    :func:`_miss_amplitudes` and are pinned against
+    :func:`general_cheat_value` by tests.
     """
     if ancilla_dim not in (1, 2):
         raise ParameterError(f"ancilla dimension must be 1 or 2, got {ancilla_dim}")
-    if params.p >= 1.0:
-        raise ParameterError("the cheat value diverges at p = 1")
-    if params.p + params.eta <= 0.0:
-        raise DegenerateParameterError("p + eta must be positive")
     rng = np.random.default_rng(seed)
     alphas = _random_unit_rows(rng, n_samples, 4)
     if min_unused_weight > 0.0:
@@ -222,9 +207,10 @@ def sample_cheat_values(
         alphas[:, [0, 3]] = np.sqrt(weight)[:, None] * pair_uu_dd
         alphas[:, [1, 2]] = np.sqrt(1.0 - weight)[:, None] * pair_ud_du
 
+    weighted = alphas * _miss_amplitudes(params)
     if ancilla_dim == 1:
-        phis = np.ones((n_samples, 4, 1), dtype=complex)
-    elif orthogonal_pair:
+        return np.abs(weighted.sum(axis=1)) ** 2
+    if orthogonal_pair:
         phis = np.empty((n_samples, 4, 2), dtype=complex)
         phi_ud = _random_unit_rows(rng, n_samples, 2)
         # An orthogonal partner of (x, y) is (-conj(y), conj(x)).
@@ -235,32 +221,7 @@ def sample_cheat_values(
         phis[:, 3] = _random_unit_rows(rng, n_samples, 2)
     else:
         phis = _random_unit_rows(rng, 4 * n_samples, 2).reshape(n_samples, 4, 2)
-
-    return _general_values(params, alphas, phis)
-
-
-def _general_values(params: ProtocolParams, alphas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Win-and-survive probabilities for batches of dense preparations."""
-    p, eta = params.p, params.eta
-    n, dim = alphas.shape[0], phis.shape[2]
-    c = math.sqrt(p / (p + eta))
-    s = math.sqrt(eta / (p + eta))
-    # state[k, q1, q2, q3, d] after attaching |d> and rotating
-    state = np.zeros((n, 2, 2, 2, dim), dtype=complex)
-    branch_index = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
-    for (i, j), k in branch_index.items():
-        state[:, i, j, 1, :] = alphas[:, k, None] * phis[:, k, :]
-    ud = state[:, :, 0, 1, :].copy()
-    du = state[:, :, 1, 0, :].copy()
-    state[:, :, 0, 1, :] = c * ud + s * du
-    state[:, :, 1, 0, :] = s * ud - c * du
-    # Miss branch: zero the (q2=u, q3=d) block, overlap with the verification
-    # state per ancilla index, sum the squared magnitudes.
-    state[:, :, 0, 1, :] = 0.0
-    xi_udd = math.sqrt(max(0.0, 1.0 - p - eta) / (1.0 - p))
-    xi_ddu = math.sqrt(eta / (1.0 - p))
-    coeff = xi_udd * state[:, 0, 1, 1, :] + xi_ddu * state[:, 1, 1, 0, :]
-    return np.sum(np.abs(coeff) ** 2, axis=1)
+    return np.sum(np.abs(np.einsum("nk,nkd->nd", weighted, phis)) ** 2, axis=1)
 
 
 def brute_force_alice(
@@ -280,6 +241,8 @@ def brute_force_alice(
     """
     if ancilla_dim not in (1, 2):
         raise ParameterError(f"ancilla dimension must be 1 or 2, got {ancilla_dim}")
+    if random_samples < 0:
+        raise ParameterError(f"random sample count must be >= 0, got {random_samples}")
     value, delta = max_delta_family(params, grid_points)
     best = CheatValue(value=value, optimizer=delta)
     if random_samples > 0:

@@ -49,9 +49,12 @@ def _parse_complex_list(text: str) -> tuple[complex, ...]:
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise ParameterError(f"cannot parse number list {text!r}: {exc}")
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(f"number list {text!r} holds a non-finite value")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=("json", "csv"))
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
         p.add_argument("--config", metavar="PATH", help="JSON file with defaults for any flag")
 
@@ -107,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: hard defaults, filled in only after an optional config file was applied so
 #: that config values beat defaults while explicit flags beat both
 _DEFAULTS = {
+    "format": "json",
     "cheat": "honest",
     "case": 1,
     "trials": 10_000,
@@ -117,17 +121,35 @@ _DEFAULTS = {
 }
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+#: JSON types a config value may take, by the argparse ``type`` of its flag
+_CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
+def _check_config_value(key: str, action: argparse.Action, value) -> None:
+    """Refuse a config value its flag could not have produced."""
+    expected = (bool,) if action.nargs == 0 else _CONFIG_TYPES[action.type]
+    # bool subclasses int, so true/false must not pass for a number
+    if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
+        names = "/".join(t.__name__ for t in expected)
+        raise ParameterError(f"config key {key!r} must be {names}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ParameterError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None):
         with open(args.config) as handle:
             overrides = json.load(handle)
         if not isinstance(overrides, dict):
             raise ParameterError("config file must hold a JSON object")
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
         for key, value in overrides.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr not in actions or not hasattr(args, attr):
                 raise ParameterError(f"unknown config key {key!r}")
-            if getattr(args, attr) in (None, False):
+            _check_config_value(key, actions[attr], value)
+            if getattr(args, attr) is None or getattr(args, attr) is False:
                 setattr(args, attr, value)
     for attr, value in _DEFAULTS.items():
         if getattr(args, attr, None) is None and hasattr(args, attr):
@@ -181,6 +203,8 @@ def _analytic_cheat_win(params: ProtocolParams, cheat: CheatSpec) -> float | Non
 def _cmd_simulate_flip(args: argparse.Namespace) -> dict:
     if args.p is None or args.eta is None:
         raise ParameterError("simulate needs --p and --eta (or --dice N)")
+    if args.honest_party is not None:
+        raise ParameterError("--honest-party applies only to a --dice ladder")
     params = ProtocolParams(args.p, args.eta)
     cheat = _cheat_spec(args)
     stats = run_trials(params, cheat, args.trials, args.seed)
@@ -211,6 +235,9 @@ def _cmd_simulate_dice(args: argparse.Namespace) -> dict:
         raise ParameterError("--honest and --honest-party are mutually exclusive")
     if n == 3:
         spec = dicer.LadderSpec.three_sided(case=args.case)
+    elif args.honest_party is not None:
+        # at eta = 0 the coalition wins every stage for certain
+        raise ParameterError(f"no secured ladder for --dice {n}; --honest-party needs --dice 3")
     else:
         spec = dicer.LadderSpec.uniform(n, eta=0.0)
     coalition = None
@@ -373,7 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         if args.command == "simulate":
             report = _cmd_simulate_dice(args) if args.dice else _cmd_simulate_flip(args)
         elif args.command == "cheat":

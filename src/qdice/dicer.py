@@ -30,6 +30,7 @@ from .fairness import (
 )
 from .wcf import (
     AliceDelta,
+    AliceGeneral,
     BobClaimWin,
     CheatSpec,
     Honest,
@@ -93,8 +94,7 @@ def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> Fracti
         raise ParameterError(
             f"party {n} of {n_parties} plays {len(stages)} stages, got {len(biases)} biases"
         )
-    losing = Fraction(0)
-    surviving = Fraction(1)
+    stage_losses = []
     for m, bias in zip(stages, biases):
         if bias < 0:
             raise ParameterError(f"stage biases must be nonnegative, got {bias}")
@@ -105,6 +105,15 @@ def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> Fracti
                 f"stage losing probability {float(stage_loss)} outside [0, 1] "
                 f"(entrant {m}, bias {bias})"
             )
+        stage_losses.append(stage_loss)
+    return _compose(stage_losses)
+
+
+def _compose(stage_losses: Sequence[float | Fraction]) -> float | Fraction:
+    """Forward composition: the chance of losing some stage, given each
+    stage's losing chance in play order (Fractions or floats alike)."""
+    losing, surviving = 0, 1
+    for stage_loss in stage_losses:
         losing += surviving * stage_loss
         surviving *= 1 - stage_loss
     return losing
@@ -245,7 +254,7 @@ def optimize_three_sided(
 
     def composed_incumbent_side(eta: float) -> float:
         values = _stage_two_values(case, eta, square_cheat_term)
-        return SQRT_HALF + (1.0 - SQRT_HALF) * values.incumbent_loses
+        return _compose((SQRT_HALF, values.incumbent_loses))
 
     def residual(eta: float) -> float:
         return _stage_two_values(case, eta, square_cheat_term).claire_loses - composed_incumbent_side(eta)
@@ -379,8 +388,7 @@ def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
 def _coalition_strategy(stage: StageParams, coalition: Coalition, honest_prepares: bool) -> CheatSpec:
     override = coalition.stage_overrides.get(stage.entrant)
     if override is not None:
-        preparer_side = isinstance(override, AliceDelta) or override.name == "alice-general"
-        if honest_prepares and preparer_side:
+        if honest_prepares and isinstance(override, (AliceDelta, AliceGeneral)):
             raise ParameterError(
                 f"stage {stage.entrant}: the honest party prepares, so the coalition "
                 f"cannot play a preparer-side strategy ({override.name})"
@@ -407,7 +415,7 @@ def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
     """Analytic losing probability of the honest party under the coalition's
     stage strategies (forward composition of per-stage losing chances)."""
     honest = coalition.honest_party
-    losing, surviving = 0.0, 1.0
+    stage_losses = []
     for stage in spec.stages:
         m = stage.entrant
         if m < max(honest, 2):
@@ -423,9 +431,8 @@ def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
             stage_loss = (m - 1) / m if honest_is_entrant else 1.0 / m
         else:
             raise ParameterError(f"no analytic stage value for strategy {cheat.name!r}")
-        losing += surviving * stage_loss
-        surviving *= 1.0 - stage_loss
-    return losing
+        stage_losses.append(stage_loss)
+    return _compose(stage_losses)
 
 
 def simulate_dice(

@@ -96,8 +96,10 @@ class AliceGeneral(CheatSpec):
     name = "alice-general"
 
     def __post_init__(self) -> None:
+        if len(self.amplitudes) != 4:
+            raise ParameterError(f"need 4 amplitudes (uu, ud, du, dd), got {len(self.amplitudes)}")
         total = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # also refuses nan
             raise ParameterError(f"cheat amplitudes are not normalized: {total!r}")
         if self.ancillas is not None:
             if len(self.ancillas) != 4:

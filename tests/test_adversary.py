@@ -23,7 +23,7 @@ from qdice import (
     brute_force_alice,
 )
 from qdice.adversary import (
-    _delta_family_values,
+    _tilt_values,
     alice_value_at_delta_via_states,
     general_cheat_value,
     max_delta_family,
@@ -77,7 +77,7 @@ def test_batch_evaluator_matches_single_state_chain():
     for _ in range(20):
         params = random_params(rng)
         deltas = rng.random(16)
-        batch = _delta_family_values(params, deltas)
+        batch = _tilt_values(params, deltas)
         singles = [alice_value_at_delta_via_states(params, d) for d in deltas]
         assert np.allclose(batch, singles, atol=1e-12)
 

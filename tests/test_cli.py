@@ -108,7 +108,7 @@ def test_bound_check(capsys):
     _assert_probabilities_in_range(report["analytic"])
 
 
-def test_csv_output(capsys):
+def test_csv_output(tmp_path, capsys):
     code, out = run_cli(
         capsys, "simulate", "--p", "0.5", "--eta", "0.2", "--trials", "2000", "--format", "csv"
     )
@@ -116,6 +116,14 @@ def test_csv_output(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "outcome,count,frequency,standard_error"
     assert len(lines) == 4  # alice, bob, abort
+    # a config file can choose the format too
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "csv"}))
+    code, from_config = run_cli(
+        capsys, "simulate", "--p", "0.5", "--eta", "0.2", "--trials", "2000", "--config", str(config)
+    )
+    assert code == EXIT_OK
+    assert from_config == out
 
 
 def test_csv_requires_monte_carlo_section(capsys):
@@ -130,6 +138,35 @@ def test_validation_exit_code(capsys):
     assert code == EXIT_VALIDATION  # missing --delta
     code, _ = run_cli(capsys, "simulate", "--p", "0.5", "--eta", "0.2", "--seed", "-1")
     assert code == EXIT_VALIDATION  # seed must be unsigned 64-bit
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["bound-check", "--dice", "3", "--party", "1", "--biases", "0.1,nan"], None),
+        (["bound-check", "--dice", "3", "--party", "1", "--biases", "0.1,inf"], None),
+        (["simulate", "--p", "0.5", "--eta", "0.2", "--cheat", "alice-general", "--alphas", "1,0,0"], None),
+        (["simulate", "--p", "0.5", "--eta", "0.2", "--cheat", "alice-general", "--alphas", "nan,0,0,0"], None),
+        (["simulate", "--p", "0.5", "--eta", "0.2"], {"trials": "100"}),
+        (["simulate", "--p", "0.5", "--eta", "0.2"], {"honest": 1}),
+        (["simulate", "--p", "0.5", "--eta", "0.2"], {"cheat": "alice"}),
+        (["simulate", "--p", "0.5", "--eta", "0.2"], {"command": "cheat"}),
+        (["cheat", "--p", "0.5", "--eta", "0.2", "--samples", "-1"], None),
+        (["simulate", "--p", "0.5", "--eta", "0.2", "--honest-party", "1"], None),
+        (["simulate", "--dice", "4", "--honest-party", "2"], None),
+    ],
+)
+def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
 
 
 def test_solver_exit_code(capsys):
@@ -150,6 +187,9 @@ def test_flags_override_config(tmp_path, capsys):
     config.write_text(json.dumps({"p": 0.5, "eta": 0.2, "trials": 2000}))
     report = run_json(capsys, "simulate", "--config", str(config), "--p", "0.25")
     assert report["inputs"]["p"] == 0.25
+    # an explicit zero is a flag too, not a missing value
+    report = run_json(capsys, "simulate", "--config", str(config), "--eta", "0")
+    assert report["inputs"]["eta"] == 0.0
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
