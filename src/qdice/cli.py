@@ -146,17 +146,45 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
         for key, value in overrides.items():
             attr = key.replace("-", "_")
+            if attr == "config":
+                raise ParameterError("a config file cannot name another config file")
             if attr not in actions or not hasattr(args, attr):
                 raise ParameterError(f"unknown config key {key!r}")
             _check_config_value(key, actions[attr], value)
             if getattr(args, attr) is None or getattr(args, attr) is False:
                 setattr(args, attr, value)
+    if args.command == "simulate":
+        _refuse_ignored_flags(args)  # before the defaults, which would hide an unset --case
     for attr, value in _DEFAULTS.items():
         if getattr(args, attr, None) is None and hasattr(args, attr):
             setattr(args, attr, value)
     seed = getattr(args, "seed", 0)
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be an unsigned 64-bit value, got {seed}")
+
+
+def _refuse_ignored_flags(args: argparse.Namespace) -> None:
+    """Refuse simulate settings, from flags or a config file, that the
+    chosen run would not use."""
+    if args.dice is None:
+        for name in ("honest", "honest_party", "case"):
+            if getattr(args, name) not in (None, False):
+                raise ParameterError(f"--{name.replace('_', '-')} applies only to a --dice ladder")
+    else:
+        for name in ("p", "eta", "cheat"):
+            if getattr(args, name) is not None:
+                raise ParameterError(f"--{name} applies only to a single flip, not a --dice ladder")
+        if args.honest and args.honest_party is not None:
+            raise ParameterError("--honest and --honest-party are mutually exclusive")
+        if args.dice != 3 and args.case is not None:
+            raise ParameterError(f"--case applies only to --dice 3, got --dice {args.dice}")
+        if args.dice != 3 and args.honest_party is not None:
+            # at eta = 0 the coalition wins every stage for certain
+            raise ParameterError(f"no secured ladder for --dice {args.dice}; --honest-party needs --dice 3")
+    if args.delta is not None and args.cheat != "alice-delta":
+        raise ParameterError("--delta applies only to --cheat alice-delta")
+    if args.alphas is not None and args.cheat != "alice-general":
+        raise ParameterError("--alphas applies only to --cheat alice-general")
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -203,8 +231,6 @@ def _analytic_cheat_win(params: ProtocolParams, cheat: CheatSpec) -> float | Non
 def _cmd_simulate_flip(args: argparse.Namespace) -> dict:
     if args.p is None or args.eta is None:
         raise ParameterError("simulate needs --p and --eta (or --dice N)")
-    if args.honest_party is not None:
-        raise ParameterError("--honest-party applies only to a --dice ladder")
     params = ProtocolParams(args.p, args.eta)
     cheat = _cheat_spec(args)
     stats = run_trials(params, cheat, args.trials, args.seed)
@@ -231,13 +257,8 @@ def _cmd_simulate_flip(args: argparse.Namespace) -> dict:
 
 def _cmd_simulate_dice(args: argparse.Namespace) -> dict:
     n = args.dice
-    if args.honest_party is not None and args.honest:
-        raise ParameterError("--honest and --honest-party are mutually exclusive")
     if n == 3:
         spec = dicer.LadderSpec.three_sided(case=args.case)
-    elif args.honest_party is not None:
-        # at eta = 0 the coalition wins every stage for certain
-        raise ParameterError(f"no secured ladder for --dice {n}; --honest-party needs --dice 3")
     else:
         spec = dicer.LadderSpec.uniform(n, eta=0.0)
     coalition = None
@@ -268,6 +289,7 @@ def _cmd_simulate_dice(args: argparse.Namespace) -> dict:
             str(i + 1): (f * (1 - f) / report_obj.trials) ** 0.5 for i, f in enumerate(frequencies)
         },
         "stage_aborts": report_obj.stage_aborts,
+        "first_transcript": [run.to_dict() for run in report_obj.first_trial],
     }
     return report
 
@@ -402,7 +424,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_config(args, parser)
         if args.command == "simulate":
-            report = _cmd_simulate_dice(args) if args.dice else _cmd_simulate_flip(args)
+            report = _cmd_simulate_flip(args) if args.dice is None else _cmd_simulate_dice(args)
         elif args.command == "cheat":
             report = _cmd_cheat(args)
         elif args.command == "solve":

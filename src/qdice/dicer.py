@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from . import adversary
 from .errors import ParameterError
 from .fairness import (
@@ -29,13 +31,19 @@ from .fairness import (
     solve_balanced,
 )
 from .wcf import (
+    DRAWS_PER_FLIP,
+    FINAL_STATE_ABORT,
     AliceDelta,
     AliceGeneral,
     BobClaimWin,
     CheatSpec,
     Honest,
+    Outcome,
     ProtocolParams,
     Winner,
+    _evolve,
+    _flip_codes,
+    _uniform_blocks,
     audited_party,
     run_protocol,
     trial_rng,
@@ -188,6 +196,7 @@ class DiceReport:
     trials: int | None = None
     win_counts: tuple[int, ...] | None = None
     stage_aborts: int | None = None
+    first_trial: tuple[StageRun, ...] | None = None
 
     def frequencies(self) -> tuple[float, ...] | None:
         if self.win_counts is None or not self.trials:
@@ -207,6 +216,7 @@ class DiceReport:
             "win_counts": list(self.win_counts) if self.win_counts else None,
             "win_frequencies": list(freqs) if freqs else None,
             "stage_aborts": self.stage_aborts,
+            "first_trial": [run.to_dict() for run in self.first_trial] if self.first_trial else None,
         }
 
 
@@ -435,6 +445,77 @@ def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
     return _compose(stage_losses)
 
 
+class StageRun(NamedTuple):
+    """One stage of one ladder trial, played through ``run_protocol``."""
+
+    entrant: int
+    preparer: int
+    responder: int
+    winner: int    # the party that goes on as incumbent
+    outcome: Outcome
+
+    def to_dict(self) -> dict:
+        return {
+            "entrant": self.entrant,
+            "preparer": self.preparer,
+            "responder": self.responder,
+            "winner": self.winner,
+            "transcript": self.outcome.transcript.to_dict(),
+        }
+
+
+def _play_trial(spec: LadderSpec, coalition: Coalition | None, rng: np.random.Generator) -> tuple[StageRun, ...]:
+    """One ladder trial, flip by flip: the scalar reference of ``simulate_dice``.
+
+    A stage abort is a loss for the caught (cheating) side, so the other
+    party advances; in an all-honest stage the audited party loses.
+    """
+    incumbent = 1
+    runs = []
+    for stage in spec.stages:
+        preparer, responder = _stage_roles(stage, incumbent)
+        cheat = _stage_cheat(stage, preparer, responder, coalition)
+        outcome = run_protocol(stage.params, cheat, rng)
+        if outcome.winner is Winner.ALICE:
+            incumbent = preparer
+        elif outcome.winner is Winner.BOB:
+            incumbent = responder
+        elif isinstance(cheat, BobClaimWin):
+            incumbent = preparer
+        elif not isinstance(cheat, Honest):
+            incumbent = responder
+        else:
+            incumbent = responder if audited_party(outcome) == "alice" else preparer
+        runs.append(StageRun(stage.entrant, preparer, responder, incumbent, outcome))
+    return tuple(runs)
+
+
+def _preparer_wins(cheat: CheatSpec) -> np.ndarray:
+    """Whether the preparer advances, indexed by flip outcome code
+    (Alice wins, Bob wins, final-state abort, first-qubit abort); the
+    same abort rule as ``_play_trial``."""
+    if isinstance(cheat, BobClaimWin):
+        return np.array([True, False, True, True])
+    if isinstance(cheat, Honest):
+        return np.array([True, False, False, True])
+    return np.array([True, False, False, False])
+
+
+def _stage_groups(stage: StageParams, coalition: Coalition | None) -> tuple[CheatSpec | None, CheatSpec]:
+    """(cheat where the honest party is the incumbent, or None if it cannot
+    be; cheat everywhere else).
+
+    The entrant is fixed per stage, so the incumbent alone decides whether
+    the honest party prepares, responds or sits the stage out.
+    """
+    honest = None if coalition is None else coalition.honest_party
+    if honest == stage.entrant:
+        return None, _coalition_strategy(stage, coalition, honest_prepares=stage.preparer == ENTRANT)
+    if honest is not None and honest < stage.entrant:
+        return _coalition_strategy(stage, coalition, honest_prepares=stage.preparer == INCUMBENT), Honest()
+    return None, Honest()
+
+
 def simulate_dice(
     spec: LadderSpec,
     trials: int,
@@ -443,42 +524,50 @@ def simulate_dice(
 ) -> DiceReport:
     """Monte Carlo over the whole ladder, one flip per stage per trial.
 
-    Each trial owns a counter-derived random substream. A stage abort is a
-    loss for the caught (cheating) side, so the other party advances.
+    Trial t reads row t % TRIAL_BLOCK of ``trial_rng(seed, t // TRIAL_BLOCK)``,
+    two uniforms per stage in play order, so the counts equal those of
+    ``_play_trial`` run trial after trial on each block's generator. All
+    trials advance together, stage by stage, with the incumbent held as an
+    array; trial 0 is replayed flip by flip for its transcripts. A stage
+    abort is a loss for the caught (cheating) side, so the other party
+    advances.
     """
     if trials < 1:
         raise ParameterError(f"trial count must be >= 1, got {trials}")
     if coalition is not None and not 1 <= coalition.honest_party <= spec.n_parties:
         raise ParameterError(f"honest party {coalition.honest_party} outside 1..{spec.n_parties}")
-    wins = [0] * spec.n_parties
+    plan = []
+    for stage in spec.stages:
+        groups = [
+            None if cheat is None else (_evolve(stage.params, cheat), _preparer_wins(cheat))
+            for cheat in _stage_groups(stage, coalition)
+        ]
+        plan.append((stage, *groups))
+    wins = np.zeros(spec.n_parties + 1, dtype=np.int64)
     stage_aborts = 0
-    for index in range(trials):
-        rng = trial_rng(seed, index)
-        incumbent = 1
-        for stage in spec.stages:
-            preparer, responder = _stage_roles(stage, incumbent)
-            cheat = _stage_cheat(stage, preparer, responder, coalition)
-            outcome = run_protocol(stage.params, cheat, rng)
-            if outcome.winner is Winner.ALICE:
-                incumbent = preparer
-            elif outcome.winner is Winner.BOB:
-                incumbent = responder
+    for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP * len(spec.stages)):
+        incumbent = np.ones(len(draws), dtype=np.int64)
+        for k, (stage, at_honest, elsewhere) in enumerate(plan):
+            flip_draws = draws[:, DRAWS_PER_FLIP * k:DRAWS_PER_FLIP * (k + 1)]
+            evolution, preparer_wins = elsewhere
+            code = _flip_codes(evolution, flip_draws)
+            advances = preparer_wins[code]
+            if at_honest is not None:
+                evolution, preparer_wins = at_honest
+                rows = incumbent == coalition.honest_party
+                code[rows] = _flip_codes(evolution, flip_draws[rows])
+                advances[rows] = preparer_wins[code[rows]]
+            stage_aborts += int(np.count_nonzero(code >= FINAL_STATE_ABORT))
+            if stage.preparer == INCUMBENT:
+                incumbent = np.where(advances, incumbent, stage.entrant)
             else:
-                # An abort is a stage loss for the cheating side; in an
-                # all-honest stage fall back to whoever the failed check
-                # was auditing.
-                stage_aborts += 1
-                if isinstance(cheat, BobClaimWin):
-                    incumbent = preparer
-                elif not isinstance(cheat, Honest):
-                    incumbent = responder
-                else:
-                    incumbent = responder if audited_party(outcome) == "alice" else preparer
-        wins[incumbent - 1] += 1
+                incumbent = np.where(advances, stage.entrant, incumbent)
+        wins += np.bincount(incumbent, minlength=spec.n_parties + 1)
     return DiceReport(
         n_parties=spec.n_parties,
         honest_probs=honest_dice_probs(spec.n_parties),
         trials=trials,
-        win_counts=tuple(wins),
+        win_counts=tuple(int(w) for w in wins[1:]),
         stage_aborts=stage_aborts,
+        first_trial=_play_trial(spec, coalition, trial_rng(seed, 0)),
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -108,7 +108,7 @@ class AliceGeneral(CheatSpec):
             if len(dims) != 1:
                 raise ShapeError("ancilla vectors must share one dimension")
             for phi in self.ancillas:
-                if abs(sum(abs(c) ** 2 for c in phi) - 1.0) > 1e-9:
+                if not abs(sum(abs(c) ** 2 for c in phi) - 1.0) <= 1e-9:  # also refuses nan
                     raise ParameterError("each ancilla vector must be normalized")
 
     @property
@@ -281,10 +281,15 @@ def _evolve(params: ProtocolParams, cheat: CheatSpec) -> _Evolution:
 def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Generator) -> Outcome:
     """Execute one run of the protocol and sample every measurement.
 
-    The returned outcome is ``Winner.ABORT`` exactly when a verification
-    test failed, with ``abort_reason`` naming the failed check.
+    This is the scalar reference of the batched samplers. It reads exactly
+    two uniforms, announcement then audit, even for ``BobClaimWin``, which
+    ignores the first, so n calls in a row on one generator consume the
+    rows of ``rng.random((n, 2))`` in order. The returned outcome is
+    ``Winner.ABORT`` exactly when a verification test failed, with
+    ``abort_reason`` naming the failed check.
     """
     evolution = _evolve(params, cheat)
+    announce_draw, audit_draw = rng.random(DRAWS_PER_FLIP).tolist()
     events: list[Event] = [
         Event("prepare", "alice", cheat.name),
         Event("send_qubit", "alice", "qubit 2"),
@@ -295,18 +300,18 @@ def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Genera
         bob_announces_win = True
         events.append(Event("announce", "bob", "win (measurement skipped)"))
     else:
-        bob_announces_win = rng.random() < evolution.bob_win_prob
+        bob_announces_win = announce_draw < evolution.bob_win_prob
         events.append(Event("measure", "bob", "qubits 2,3 against the up/down pattern"))
         events.append(Event("announce", "bob", "win" if bob_announces_win else "lose"))
 
     if bob_announces_win:
-        ok = rng.random() < evolution.first_qubit_pass
+        ok = audit_draw < evolution.first_qubit_pass
         events.append(Event("test", "alice", "first qubit is spin-down"))
         events.append(Event("verdict", "alice", "pass" if ok else "fail"))
         winner, reason = (Winner.BOB, None) if ok else (Winner.ABORT, ABORT_FIRST_QUBIT)
     else:
         events.append(Event("send_qubit", "alice", "qubit 1"))
-        ok = rng.random() < evolution.final_state_pass
+        ok = audit_draw < evolution.final_state_pass
         events.append(Event("test", "bob", "all qubits against the verification state"))
         winner, reason = (Winner.ALICE, None) if ok else (Winner.ABORT, ABORT_FINAL_STATE)
 
@@ -316,25 +321,50 @@ def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Genera
 
 # -- Monte Carlo --------------------------------------------------------------
 
+#: Trials per random block: trial t reads row t % TRIAL_BLOCK of
+#: ``trial_rng(seed, t // TRIAL_BLOCK)``.
+TRIAL_BLOCK = 1 << 14
 
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for one trial, derived from (seed, index).
+#: Uniforms one flip reads: the announcement, then the audit.
+DRAWS_PER_FLIP = 2
 
-    Streams are counter-derived, so trial results do not depend on
-    evaluation order and batches can run in parallel.
+#: Flip outcome codes of the batched sampler, ``hit + 2 * failed_audit``.
+ALICE_WINS, BOB_WINS, FINAL_STATE_ABORT, FIRST_QUBIT_ABORT = range(4)
+
+
+def trial_rng(seed: int, block: int) -> np.random.Generator:
+    """Random substream of one block of trials, derived from (seed, block).
+
+    Trial t reads row t % TRIAL_BLOCK of block t // TRIAL_BLOCK, a row of
+    ``DRAWS_PER_FLIP`` uniforms per flip it plays. Streams are counter-derived,
+    so results do not depend on evaluation order, blocks can run in
+    parallel, and the first n trials of a longer run are the n-trial run.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-@dataclass
+def _uniform_blocks(seed: int, trials: int, draws: int):
+    """The uniforms of trials 0..trials-1, one (rows, draws) array per block."""
+    for block, start in enumerate(range(0, trials, TRIAL_BLOCK)):
+        yield trial_rng(seed, block).random((min(TRIAL_BLOCK, trials - start), draws))
+
+
+def _flip_codes(evolution: _Evolution, draws: np.ndarray) -> np.ndarray:
+    """Outcome code of each row of (announce, audit) uniforms, decided as
+    ``run_protocol`` decides one run."""
+    hit = draws[:, 0] < evolution.bob_win_prob
+    passed = draws[:, 1] < np.where(hit, evolution.first_qubit_pass, evolution.final_state_pass)
+    return hit + 2 * ~passed
+
+
+@dataclass(frozen=True)
 class TrialStats:
-    """Winner tallies for a batch of protocol runs."""
+    """Winner tallies for a batch of protocol runs, and trial 0 replayed
+    through ``run_protocol`` with its transcript."""
 
     trials: int
-    counts: Counter = field(default_factory=Counter)
-
-    def record(self, winner: Winner) -> None:
-        self.counts[winner] += 1
+    counts: Counter
+    first: Outcome
 
     def frequency(self, winner: Winner) -> float:
         return self.counts[winner] / self.trials
@@ -353,6 +383,7 @@ class TrialStats:
             "counts": {w.value: self.counts[w] for w in Winner},
             "frequencies": {w.value: self.frequency(w) for w in Winner},
             "standard_errors": {w.value: self.standard_error(w) for w in Winner},
+            "first_transcript": self.first.transcript.to_dict(),
         }
 
 
@@ -362,11 +393,21 @@ def run_trials(
     trials: int,
     seed: int,
 ) -> TrialStats:
-    """Run ``trials`` independent protocol executions and tally winners."""
+    """Run ``trials`` independent protocol executions and tally winners.
+
+    All trials are decided at once from the block substreams; trial 0 is
+    replayed through ``run_protocol`` for its transcript.
+    """
     if trials < 1:
         raise ParameterError(f"trial count must be >= 1, got {trials}")
-    stats = TrialStats(trials=trials)
-    for index in range(trials):
-        outcome = run_protocol(params, cheat, trial_rng(seed, index))
-        stats.record(outcome.winner)
-    return stats
+    evolution = _evolve(params, cheat)
+    codes = sum(
+        np.bincount(_flip_codes(evolution, draws), minlength=4)
+        for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP)
+    )
+    counts = Counter({
+        Winner.ALICE: int(codes[ALICE_WINS]),
+        Winner.BOB: int(codes[BOB_WINS]),
+        Winner.ABORT: int(codes[FINAL_STATE_ABORT] + codes[FIRST_QUBIT_ABORT]),
+    })
+    return TrialStats(trials, counts, run_protocol(params, cheat, trial_rng(seed, 0)))

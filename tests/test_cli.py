@@ -44,6 +44,20 @@ def test_simulate_bob_claim_win(capsys):
     assert report["analytic"]["cheater_win"] == pytest.approx(0.5 + 0.2071068)
 
 
+def test_simulate_reports_show_trial_zero_transcripts(capsys):
+    flip = run_json(capsys, "simulate", "--p", "0.5", "--eta", "0.2071068", "--trials", "50", "--seed", "9")
+    events = flip["monte_carlo"]["first_transcript"]
+    assert events[0] == {"kind": "prepare", "actor": "alice", "detail": "honest"}
+    assert events[-1]["kind"] == "declare"
+    dice = run_json(capsys, "simulate", "--dice", "4", "--honest", "--trials", "50", "--seed", "9")
+    stages = dice["monte_carlo"]["first_transcript"]
+    assert [stage["entrant"] for stage in stages] == [2, 3, 4]
+    assert all(stage["transcript"][-1]["kind"] == "declare" for stage in stages)
+    _, table = run_cli(capsys, "simulate", "--p", "0.5", "--eta", "0.2071068", "--trials", "50",
+                       "--seed", "9", "--format", "csv")
+    assert "prepare" not in table and len(table.splitlines()) == 4
+
+
 def test_simulate_honest_dice(capsys):
     report = run_json(
         capsys, "simulate", "--dice", "3", "--honest", "--trials", "9000", "--seed", "1"
@@ -154,6 +168,18 @@ def test_validation_exit_code(capsys):
         (["cheat", "--p", "0.5", "--eta", "0.2", "--samples", "-1"], None),
         (["simulate", "--p", "0.5", "--eta", "0.2", "--honest-party", "1"], None),
         (["simulate", "--dice", "4", "--honest-party", "2"], None),
+        (["simulate", "--p", "0.5", "--eta", "0.2", "--honest"], None),
+        (["simulate", "--p", "0.5", "--eta", "0.2", "--case", "2"], None),
+        (["simulate", "--p", "0.5", "--eta", "0.2"], {"case": 1}),
+        (["simulate", "--p", "0.5", "--eta", "0.2", "--delta", "0.3"], None),
+        (["simulate", "--p", "0.5", "--eta", "0.2", "--cheat", "alice-delta", "--delta", "0.3",
+          "--alphas", "1,0,0,0"], None),
+        (["simulate", "--dice", "4", "--case", "2"], None),
+        (["simulate", "--dice", "4"], {"case": 1}),
+        (["simulate", "--p", "0.5", "--eta", "0.2"], {"config": "nowhere.json"}),
+        (["simulate", "--dice", "0"], None),
+        (["simulate", "--dice", "3", "--p", "0.9", "--cheat", "bob-claim-win"], None),
+        (["simulate", "--dice", "3"], {"eta": 0.1}),
     ],
 )
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, config):

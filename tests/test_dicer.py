@@ -18,6 +18,7 @@ from conftest import (
 )
 from qdice import (
     AliceDelta,
+    AliceGeneral,
     Coalition,
     LadderSpec,
     ParameterError,
@@ -32,7 +33,8 @@ from qdice import (
     worst_case_losing_prob,
 )
 from qdice.adversary import alice_optimal_value
-from qdice.dicer import ENTRANT, INCUMBENT, expected_coalition_losing
+from qdice.dicer import ENTRANT, INCUMBENT, _play_trial, expected_coalition_losing
+from qdice.wcf import TRIAL_BLOCK, Winner, trial_rng
 
 
 # -- honest play -----------------------------------------------------------------
@@ -266,3 +268,68 @@ def test_simulate_dice_determinism():
     first = simulate_dice(spec, 2_000, seed=3, coalition=Coalition(honest_party=1))
     second = simulate_dice(spec, 2_000, seed=3, coalition=Coalition(honest_party=1))
     assert first == second
+
+
+# -- batched ladder against the scalar reference -----------------------------------
+
+
+def scalar_ladder(spec, trials, seed, coalition=None):
+    """(win counts, stage aborts) of ``_play_trial`` run trial after trial on
+    each block's generator, as the block layout prescribes."""
+    wins = [0] * spec.n_parties
+    aborts = 0
+    for index in range(trials):
+        if index % TRIAL_BLOCK == 0:
+            rng = trial_rng(seed, index // TRIAL_BLOCK)
+        runs = _play_trial(spec, coalition, rng)
+        wins[runs[-1].winner - 1] += 1
+        aborts += sum(run.outcome.winner is Winner.ABORT for run in runs)
+    return tuple(wins), aborts
+
+
+LADDERS = {
+    "case1": LadderSpec.three_sided(case=1),
+    "case2": LadderSpec.three_sided(case=2),
+    "uniform8": LadderSpec.uniform(8, eta=0.2),
+}
+
+
+@pytest.mark.parametrize(
+    "name, honest_party",
+    [(name, party) for name, spec in LADDERS.items() for party in [None, *range(1, spec.n_parties + 1)]],
+)
+def test_batched_ladder_equals_scalar_loop(name, honest_party):
+    spec = LADDERS[name]
+    coalition = None if honest_party is None else Coalition(honest_party=honest_party)
+    trials = 300 if spec.n_parties > 3 else 1_500
+    seed = 40 + (honest_party or 0)
+    report = simulate_dice(spec, trials, seed, coalition=coalition)
+    assert (report.win_counts, report.stage_aborts) == scalar_ladder(spec, trials, seed, coalition)
+    assert report.first_trial == _play_trial(spec, coalition, trial_rng(seed, 0))
+
+
+def test_batched_ladder_equals_scalar_loop_under_a_general_override():
+    # weight on uu and dd fails both checks, so both abort kinds occur
+    coalition = Coalition(honest_party=3, stage_overrides={3: AliceGeneral((0.5, 0.5, 0.5, 0.5))})
+    spec = LADDERS["case1"]
+    report = simulate_dice(spec, 1_500, seed=7, coalition=coalition)
+    assert report.stage_aborts > 0
+    assert (report.win_counts, report.stage_aborts) == scalar_ladder(spec, 1_500, 7, coalition)
+
+
+def test_batched_ladder_crosses_a_block_boundary():
+    spec = LADDERS["case2"]
+    coalition = Coalition(honest_party=3)
+    trials = TRIAL_BLOCK + 37
+    report = simulate_dice(spec, trials, seed=6, coalition=coalition)
+    assert (report.win_counts, report.stage_aborts) == scalar_ladder(spec, trials, 6, coalition)
+
+
+def test_first_trial_reports_each_stage():
+    spec = LadderSpec.three_sided(case=1)
+    report = simulate_dice(spec, 1, seed=4, coalition=Coalition(honest_party=1))
+    assert [run.entrant for run in report.first_trial] == [2, 3]
+    assert report.win_counts[report.first_trial[-1].winner - 1] == 1
+    stage = report.to_dict()["first_trial"][0]
+    assert (stage["preparer"], stage["responder"]) == (1, 2)
+    assert stage["transcript"][0] == {"kind": "prepare", "actor": "alice", "detail": "bob-claim-win"}

@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DELTA_STAR_FAIR, ETA_FAIR, three_sigma
 from qdice import (
@@ -21,7 +25,7 @@ from qdice import (
     run_trials,
 )
 from qdice.adversary import alice_value_at_delta
-from qdice.wcf import trial_rng
+from qdice.wcf import TRIAL_BLOCK, trial_rng
 
 
 # -- parameters and analytics --------------------------------------------------
@@ -49,6 +53,12 @@ def test_cheat_spec_validation():
         AliceGeneral((1.0, 1.0, 0.0, 0.0))
     with pytest.raises(ParameterError):
         AliceGeneral((0.0, 1.0, 0.0, 0.0), ancillas=((1.0, 1.0),) * 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_alice_general_refuses_non_finite_ancilla_entries(bad):
+    with pytest.raises(ParameterError):
+        AliceGeneral((0.0, 1.0, 0.0, 0.0), ancillas=((bad, 0.0),) + ((1.0, 0.0),) * 3)
 
 
 def test_alice_verification_basics():
@@ -146,3 +156,74 @@ def test_trials_are_order_independent():
 def test_run_trials_requires_positive_count():
     with pytest.raises(ParameterError):
         run_trials(ProtocolParams(0.5, 0.0), Honest(), 0, seed=1)
+
+
+# -- batched sampler against the scalar reference ----------------------------------
+
+
+def scalar_tallies(params, cheat, trials, seed):
+    """Winner tallies of ``run_protocol`` called trial after trial on each
+    block's generator, as the block layout prescribes."""
+    counts = Counter()
+    for index in range(trials):
+        if index % TRIAL_BLOCK == 0:
+            rng = trial_rng(seed, index // TRIAL_BLOCK)
+        counts[run_protocol(params, cheat, rng).winner] += 1
+    return counts
+
+
+def unit_vector(rng, dim):
+    raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return tuple(complex(c) for c in raw / np.linalg.norm(raw))
+
+
+def make_cheat(kind, rng):
+    if kind == "honest":
+        return Honest()
+    if kind == "bob-claim-win":
+        return BobClaimWin()
+    if kind == "alice-delta":
+        return AliceDelta(float(rng.uniform()))
+    ancillas = tuple(unit_vector(rng, 2) for _ in range(4)) if rng.uniform() < 0.5 else None
+    return AliceGeneral(unit_vector(rng, 4), ancillas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.floats(0.01, 0.99),
+    eta_frac=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["honest", "bob-claim-win", "alice-delta", "alice-general"]),
+    cheat_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.integers(1, 400),
+)
+def test_batched_counts_equal_sequential_run_protocol(p, eta_frac, kind, cheat_seed, seed, trials):
+    params = ProtocolParams(p, eta_frac * (1.0 - p))
+    cheat = make_cheat(kind, np.random.default_rng(cheat_seed))
+    stats = run_trials(params, cheat, trials, seed)
+    assert +stats.counts == scalar_tallies(params, cheat, trials, seed)
+    assert sum(stats.counts.values()) == trials
+
+
+def test_batched_counts_cross_a_block_boundary_and_extend_as_a_prefix():
+    params = ProtocolParams(0.4, 0.25)
+    cheat = AliceDelta(0.3)
+    trials = TRIAL_BLOCK + 37
+    stats = run_trials(params, cheat, trials, seed=21)
+    assert +stats.counts == scalar_tallies(params, cheat, trials, seed=21)
+    # five more trials continue block 1 where the shorter run stopped
+    rng = trial_rng(21, 1)
+    for _ in range(37):
+        run_protocol(params, cheat, rng)
+    extra = Counter(run_protocol(params, cheat, rng).winner for _ in range(5))
+    assert +run_trials(params, cheat, trials + 5, seed=21).counts == stats.counts + extra
+
+
+@pytest.mark.parametrize("cheat", [Honest(), BobClaimWin(), AliceDelta(0.9)])
+def test_first_trial_replay_matches_batched_trial_zero(cheat):
+    params = ProtocolParams(0.5, ETA_FAIR)
+    for seed in range(20):
+        stats = run_trials(params, cheat, 50, seed)
+        assert stats.first == run_protocol(params, cheat, trial_rng(seed, 0))
+        assert run_trials(params, cheat, 1, seed).counts[stats.first.winner] == 1
+        assert stats.to_dict()["first_transcript"] == stats.first.transcript.to_dict()
