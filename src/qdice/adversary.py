@@ -10,8 +10,10 @@ with value a + b. The test suite refuses to take that maximization on
 faith: ``brute_force_alice`` re-derives cheat values purely by evolving
 states through the engine and searching (a zoomed delta grid, random dense
 preparations, random ancilla-entangled preparations), and the closed form
-must agree with it. Every batched value is linear in the four amplitudes
-that one evolution of the basis preparations yields (``_miss_amplitudes``).
+must agree with it. The oracle evolves states through ``wcf._evolve``, the
+same evolution the Monte Carlo samples from: a scalar value evolves its own
+preparation, and every batched value is linear in the four amplitudes that
+one evolution of the basis preparations yields (``_miss_amplitudes``).
 """
 from __future__ import annotations
 
@@ -22,21 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateParameterError, ParameterError
-from .qsim import (
-    StateVector,
-    apply_u_eta,
-    attach_down_ancilla_qubit,
-    overlap,
-    projective_test,
-)
-from .wcf import (
-    BOB_WIN_PATTERN,
-    AliceGeneral,
-    ProtocolParams,
-    delta_initial_state,
-    general_initial_state,
-    verification_state,
-)
+from .wcf import AliceDelta, AliceGeneral, ProtocolParams, _evolve
 
 
 @dataclass(frozen=True)
@@ -68,34 +56,24 @@ def alice_value_at_delta(params: ProtocolParams, delta: float) -> float:
 def alice_value_at_delta_via_states(params: ProtocolParams, delta: float) -> float:
     """Same quantity, computed by evolving the actual states.
 
-    Prepares the tilted state, runs it through the attach/rotate steps,
-    takes Bob's miss branch and multiplies its probability by the
-    verification-test pass probability. Independent of the closed form.
+    Runs the tilted preparation through the protocol's evolution
+    (``wcf._evolve``, uncached: the oracle's one-off deltas must not evict
+    the sampler's configurations) and takes the squared norm of Bob's miss
+    branch contracted with the verification state. Independent of the
+    closed form.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ParameterError(f"delta must lie in [0, 1], got {delta}")
-    state = attach_down_ancilla_qubit(delta_initial_state(delta))
-    state = apply_u_eta(state, params.p, params.eta)
-    _, miss = projective_test(state, BOB_WIN_PATTERN)
-    if miss.post_state is None:
-        return 0.0
-    xi = verification_state(params)
-    return miss.probability * abs(overlap(xi, miss.post_state)) ** 2
+    amplitudes = _evolve.__wrapped__(params, AliceDelta(delta)).miss_amplitudes
+    return float(np.sum(np.abs(amplitudes) ** 2))
 
 
 def general_cheat_value(params: ProtocolParams, cheat: AliceGeneral) -> float:
     """Win-and-survive probability for an arbitrary preparation.
 
     Evolves the declared state (with its ancilla, if any) through the
-    protocol; the verification test acts as identity on the ancilla index.
+    protocol, the same ``wcf._evolve`` the Monte Carlo samples from; the
+    verification test acts as identity on the ancilla index.
     """
-    state = attach_down_ancilla_qubit(general_initial_state(cheat))
-    state = apply_u_eta(state, params.p, params.eta)
-    _, miss = projective_test(state, BOB_WIN_PATTERN)
-    if miss.post_state is None:
-        return 0.0
-    passed, _ = projective_test(miss.post_state, verification_state(params))
-    return miss.probability * passed.probability
+    return float(np.sum(np.abs(_evolve(params, cheat).miss_amplitudes) ** 2))
 
 
 def alice_optimal_value(params: ProtocolParams) -> CheatValue:
@@ -114,23 +92,22 @@ def bob_optimal_value(params: ProtocolParams) -> CheatValue:
 # -- brute-force search -------------------------------------------------------
 
 
+#: The four basis preparations uu, ud, du, dd as one state, each branch
+#: tagged by its own index of a 4-dimensional ancilla the evolution leaves
+#: untouched.
+_BASIS = AliceGeneral((0.5,) * 4, ancillas=tuple(map(tuple, np.eye(4))))
+
+
 @lru_cache(maxsize=256)
 def _miss_amplitudes(params: ProtocolParams) -> np.ndarray:
     """Verification amplitudes r_k of the four basis preparations.
 
-    Evolves the basis preparations uu, ud, du, dd together as one state,
-    carried on a 4-dimensional ancilla the engine leaves untouched, through
-    the attach/rotate steps and Bob's miss branch, then contracts that
-    unnormalized branch with the verification state. A preparation
+    One evolution of ``_BASIS`` yields <xi|miss> per ancilla index, that is
+    per basis preparation, at amplitude 1/2 each. A preparation
     sum_k alpha_k |k>|phi_k> therefore wins and survives with probability
     sum_d |sum_k alpha_k r_k phi_kd|^2.
     """
-    basis = StateVector(np.eye(4, dtype=complex).reshape(2, 2, 4) / 2.0)
-    state = apply_u_eta(attach_down_ancilla_qubit(basis), params.p, params.eta)
-    # the dd preparation always misses, so the miss branch is never empty
-    _, miss = projective_test(state, BOB_WIN_PATTERN)
-    xi = verification_state(params).amps[..., 0]
-    r = 2.0 * math.sqrt(miss.probability) * np.tensordot(xi.conj(), miss.post_state.amps, axes=3)
+    r = 2.0 * _evolve.__wrapped__(params, _BASIS).miss_amplitudes
     r.setflags(write=False)
     return r
 
@@ -141,10 +118,8 @@ def _tilt_values(params: ProtocolParams, deltas: np.ndarray) -> np.ndarray:
     return np.abs(np.sqrt(1.0 - deltas) * r[1] + np.sqrt(deltas) * r[2]) ** 2
 
 
-def max_delta_family(
-    params: ProtocolParams, grid_points: int = 10_000, refine: bool = True
-) -> tuple[float, float]:
-    """Grid-search the tilt family, optionally refining around the best cell.
+def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple[float, float]:
+    """Grid-search the tilt family, then refine around the best cell.
 
     Returns (value, delta). The refinement re-grids the two cells around the
     best node with 2001 points, four times over (each pass narrows the
@@ -158,15 +133,14 @@ def max_delta_family(
     values = _tilt_values(params, deltas)
     best = int(np.argmax(values))
     value, delta = float(values[best]), float(deltas[best])
-    if refine:
-        zoom = deltas
-        for _ in range(4):
-            zoom = np.linspace(zoom[max(best - 1, 0)], zoom[min(best + 1, len(zoom) - 1)], 2001)
-            best = int(np.argmax(_tilt_values(params, zoom)))
-        refined_delta = float(zoom[best])
-        refined_value = alice_value_at_delta_via_states(params, refined_delta)
-        if refined_value > value:
-            value, delta = refined_value, refined_delta
+    zoom = deltas
+    for _ in range(4):
+        zoom = np.linspace(zoom[max(best - 1, 0)], zoom[min(best + 1, len(zoom) - 1)], 2001)
+        best = int(np.argmax(_tilt_values(params, zoom)))
+    refined_delta = float(zoom[best])
+    refined_value = alice_value_at_delta_via_states(params, refined_delta)
+    if refined_value > value:
+        value, delta = refined_value, refined_delta
     return value, delta
 
 
@@ -236,8 +210,7 @@ def brute_force_alice(
     Covers the tilt family on a refined grid, ``random_samples`` dense
     random preparations, and (for ``ancilla_dim`` = 2) random
     ancilla-entangled preparations. Returns the best value found with its
-    optimizer (the tilt delta, or the amplitude vector if a random sample
-    somehow won).
+    optimizer: the tilt delta, or None if a random sample somehow won.
     """
     if ancilla_dim not in (1, 2):
         raise ParameterError(f"ancilla dimension must be 1 or 2, got {ancilla_dim}")

@@ -153,8 +153,6 @@ class StageTwoValues(NamedTuple):
 
 def three_sided_case1(eta: float) -> StageTwoValues:
     """Stage two with the incumbent preparing (p = 1/3, entrant responds)."""
-    if not 0.0 <= eta <= 2.0 / 3.0:
-        raise ParameterError(f"case 1 requires 0 <= eta <= 2/3, got {eta}")
     params = ProtocolParams(1.0 / 3.0, eta)
     return StageTwoValues(
         claire_loses=adversary.alice_optimal_value(params).value,
@@ -171,8 +169,6 @@ def three_sided_case2(eta: float, square_cheat_term: bool = True) -> StageTwoVal
     probability composition and is kept only so tests can document that the
     squared form is the consistent one.
     """
-    if not 0.0 <= eta <= 1.0 / 3.0:
-        raise ParameterError(f"case 2 requires 0 <= eta <= 1/3, got {eta}")
     params = ProtocolParams(2.0 / 3.0, eta)
     cheat = adversary.alice_optimal_value(params).value
     if not square_cheat_term:
@@ -350,21 +346,11 @@ class LadderSpec:
         return cls(n_parties, stages)
 
     @classmethod
-    def three_sided(
-        cls,
-        case: int = 1,
-        stage1_eta: float | None = None,
-        stage2_eta: float | None = None,
-    ) -> "LadderSpec":
-        """The six-round three-sided ladder, fair by default.
-
-        Defaults: stage one at the balanced fair eta, stage two at the
-        requested case's optimized eta.
-        """
-        if stage1_eta is None:
-            stage1_eta = solve_balanced().eta_star
-        if stage2_eta is None:
-            stage2_eta = optimize_three_sided(case).eta_star
+    def three_sided(cls, case: int = 1) -> "LadderSpec":
+        """The fair six-round three-sided ladder: stage one at the balanced
+        fair eta, stage two at the requested case's optimized eta."""
+        stage1_eta = solve_balanced().eta_star
+        stage2_eta = optimize_three_sided(case).eta_star
         if case == 1:
             stage2 = StageParams(3, ProtocolParams(1.0 / 3.0, stage2_eta), INCUMBENT)
         elif case == 2:

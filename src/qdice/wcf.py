@@ -251,6 +251,12 @@ class _Evolution:
     bob_win_prob: float      # Bob's pattern measurement hits (1.0 when he skips it)
     first_qubit_pass: float  # audit pass probability on the win branch
     final_state_pass: float  # audit pass probability on the lose branch
+    #: <xi|miss> per ancilla index, on the unnormalized miss branch; its
+    #: squared norm is Alice's win-and-survive probability
+    miss_amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.miss_amplitudes.setflags(write=False)  # shared through the cache
 
 
 @lru_cache(maxsize=256)
@@ -258,24 +264,26 @@ def _evolve(params: ProtocolParams, cheat: CheatSpec) -> _Evolution:
     """Run the deterministic quantum evolution once per configuration.
 
     Everything up to the sampling is a pure function of (params, cheat), so
-    Monte Carlo batches only pay for the draws.
+    Monte Carlo batches only pay for the draws. This is the package's only
+    attach/rotate/test chain; ``_evolve.__wrapped__`` runs it uncached.
     """
     state = attach_down_ancilla_qubit(_prepare(params, cheat))
     state = apply_u_eta(state, params.p, params.eta)
+    amplitudes = np.zeros(state.ancilla_dim, dtype=complex)
     if isinstance(cheat, BobClaimWin):
-        return _Evolution(1.0, alice_verification(state), 0.0)
+        return _Evolution(1.0, alice_verification(state), 0.0, amplitudes)
     hit, miss = projective_test(state, BOB_WIN_PATTERN)
     first_qubit = alice_verification(hit.post_state) if hit.post_state is not None else 0.0
-    if miss.post_state is None:
-        final_state = 0.0
-    else:
+    final_state = 0.0
+    if miss.post_state is not None:
         xi = verification_state(params)
         if miss.post_state.ancilla_dim == 1:
-            final_state = min(1.0, abs(overlap(xi, miss.post_state)) ** 2)
+            amplitudes[0] = overlap(xi, miss.post_state)
         else:
-            passed, _ = projective_test(miss.post_state, xi)
-            final_state = passed.probability
-    return _Evolution(hit.probability, first_qubit, final_state)
+            amplitudes = np.tensordot(xi.amps[..., 0].conj(), miss.post_state.amps, axes=3)
+        final_state = min(1.0, float(np.sum(np.abs(amplitudes) ** 2)))
+        amplitudes = math.sqrt(miss.probability) * amplitudes
+    return _Evolution(hit.probability, first_qubit, final_state, amplitudes)
 
 
 def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Generator) -> Outcome:

@@ -1,0 +1,64 @@
+"""Golden CLI reports: ``cli.main`` output compared byte for byte with
+reports rendered once and committed under ``tests/golden/``.
+
+Regenerate them only for an intended report change, with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from qdice.cli import EXIT_OK, main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+FLIP = ["simulate", "--p", "0.5", "--eta", "0.2071068", "--trials", "20000", "--seed", "7"]
+
+GOLDEN = {
+    "cheat-fair": ["cheat", "--p", "0.5", "--eta", "0.2071068"],
+    "cheat-third-ancilla1": ["cheat", "--p", "0.3333333", "--eta", "0.1465", "--grid", "2000",
+                             "--samples", "500", "--seed", "3"],
+    "cheat-third-ancilla2": ["cheat", "--p", "0.3333333", "--eta", "0.1465", "--ancilla-dim", "2",
+                             "--samples", "500", "--seed", "3"],
+    "cheat-edge-ancilla2": ["cheat", "--p", "0.2", "--eta", "0.8", "--ancilla-dim", "2"],
+    "simulate-honest": FLIP,
+    "simulate-alice-delta": FLIP + ["--cheat", "alice-delta", "--delta", "0.1715729"],
+    "simulate-alice-general": FLIP + ["--cheat", "alice-general", "--alphas", "0.5,0.7j,0.5,-0.1"],
+    "simulate-alice-general-csv": FLIP + ["--cheat", "alice-general", "--alphas", "0,0.6,0.8,0",
+                                          "--format", "csv"],
+    "simulate-bob-claim-win": FLIP + ["--cheat", "bob-claim-win"],
+    "simulate-dice3-case1": ["simulate", "--dice", "3", "--honest-party", "1", "--case", "1",
+                             "--trials", "9000", "--seed", "5"],
+    "simulate-dice3-case2": ["simulate", "--dice", "3", "--honest-party", "3", "--case", "2",
+                             "--trials", "9000", "--seed", "5"],
+    "solve-balanced": ["solve", "balanced"],
+    "solve-dice3-case1": ["solve", "dice3-case1"],
+    "solve-dice3-case2": ["solve", "dice3-case2"],
+    "bound-check": ["bound-check", "--dice", "5", "--party", "1", "--biases", "0.2,0.1,0.05,0.15"],
+}
+
+
+def _path(name: str) -> Path:
+    return GOLDEN_DIR / (name + (".csv" if name.endswith("-csv") else ".json"))
+
+
+def render(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_report_matches_golden(name):
+    assert render(GOLDEN[name]).encode() == _path(name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in GOLDEN.items():
+        _path(name).write_bytes(render(argv).encode())
