@@ -27,6 +27,11 @@ from .errors import DegenerateParameterError, ParameterError
 from .wcf import AliceDelta, AliceGeneral, ProtocolParams, _evolve
 
 
+#: Upper bound on the oracle's grid points and random samples: its arrays
+#: grow linearly with both, so a larger request would exhaust memory.
+MAX_ORACLE_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class CheatValue:
     """A cheating probability together with the strategy achieving it."""
@@ -129,6 +134,8 @@ def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple
     """
     if grid_points < 1_000:
         raise ParameterError(f"need at least 1000 grid points, got {grid_points}")
+    if grid_points > MAX_ORACLE_POINTS:
+        raise ParameterError(f"need at most {MAX_ORACLE_POINTS} grid points, got {grid_points}")
     deltas = np.linspace(0.0, 1.0, grid_points)
     values = _tilt_values(params, deltas)
     best = int(np.argmax(values))
@@ -214,8 +221,8 @@ def brute_force_alice(
     """
     if ancilla_dim not in (1, 2):
         raise ParameterError(f"ancilla dimension must be 1 or 2, got {ancilla_dim}")
-    if random_samples < 0:
-        raise ParameterError(f"random sample count must be >= 0, got {random_samples}")
+    if not 0 <= random_samples <= MAX_ORACLE_POINTS:
+        raise ParameterError(f"random sample count must lie in [0, {MAX_ORACLE_POINTS}], got {random_samples}")
     value, delta = max_delta_family(params, grid_points)
     best = CheatValue(value=value, optimizer=delta)
     if random_samples > 0:

@@ -57,6 +57,23 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+#: options that take a comma-separated number list, which may start with "-"
+_LIST_FLAGS = ("--alphas", "--biases", "--bracket")
+
+
+def _attach_list_values(argv: Sequence[str]) -> list[str]:
+    """Join each list flag to a following value that starts with a minus
+    sign (``--alphas -0.5,...`` -> ``--alphas=-0.5,...``), which argparse
+    would otherwise take for a flag; a following long option stays one."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _LIST_FLAGS and token.startswith("-") and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdice",
@@ -138,8 +155,11 @@ def _check_config_value(key: str, action: argparse.Action, value) -> None:
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None):
-        with open(args.config) as handle:
-            overrides = json.load(handle)
+        with open(args.config, encoding="utf-8") as handle:
+            try:
+                overrides = json.load(handle)
+            except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
+                raise ParameterError(f"config file {args.config!r} is not valid UTF-8 JSON: {exc}")
         if not isinstance(overrides, dict):
             raise ParameterError("config file must hold a JSON object")
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -420,7 +440,7 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         _apply_config(args, parser)
         if args.command == "simulate":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -58,11 +59,13 @@ ENTRANT = "entrant"
 # -- honest play and composition ----------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def honest_dice_probs(n_parties: int) -> tuple[Fraction, ...]:
     """Exact per-party winning probabilities under all-honest play.
 
     Party n wins its entry stage with probability 1/n and survives each
-    later entrant m with probability (m-1)/m, telescoping to 1/N.
+    later entrant m with probability (m-1)/m, telescoping to 1/N. The
+    result is an immutable tuple, cached per N.
     """
     if n_parties < 2:
         raise ParameterError(f"need at least 2 parties, got {n_parties}")
@@ -181,7 +184,8 @@ def three_sided_case2(eta: float, square_cheat_term: bool = True) -> StageTwoVal
 
 @dataclass(frozen=True)
 class DiceReport:
-    """Analytic and/or Monte Carlo summary of one dice-rolling setup."""
+    """Analytic and/or Monte Carlo summary of one dice-rolling setup; a
+    Monte Carlo report keeps the (spec, coalition, seed) of its run."""
 
     n_parties: int
     honest_probs: tuple[Fraction, ...]
@@ -192,7 +196,16 @@ class DiceReport:
     trials: int | None = None
     win_counts: tuple[int, ...] | None = None
     stage_aborts: int | None = None
-    first_trial: tuple[StageRun, ...] | None = None
+    run: tuple[LadderSpec, Coalition | None, int] | None = None
+
+    @cached_property
+    def first_trial(self) -> tuple[StageRun, ...] | None:
+        """Trial 0 replayed flip by flip through ``_play_trial`` when first
+        read, one ``StageRun`` per stage; None for an analytic report."""
+        if self.run is None:
+            return None
+        spec, coalition, seed = self.run
+        return _play_trial(spec, coalition, trial_rng(seed, 0))
 
     def frequencies(self) -> tuple[float, ...] | None:
         if self.win_counts is None or not self.trials:
@@ -476,15 +489,24 @@ def _play_trial(spec: LadderSpec, coalition: Coalition | None, rng: np.random.Ge
     return tuple(runs)
 
 
+#: Whether the preparer advances, indexed by flip outcome code (Alice wins,
+#: Bob wins, final-state abort, first-qubit abort), one row per kind of
+#: stage; the same abort rule as ``_play_trial``. Built once, read-only.
+_ADVANCES = np.array([
+    [True, False, True, True],    # the responder claims a win: caught, it loses
+    [True, False, False, True],   # all honest: the audited party loses
+    [True, False, False, False],  # the preparer cheats: caught, it loses
+])
+_ADVANCES.setflags(write=False)
+
+
 def _preparer_wins(cheat: CheatSpec) -> np.ndarray:
-    """Whether the preparer advances, indexed by flip outcome code
-    (Alice wins, Bob wins, final-state abort, first-qubit abort); the
-    same abort rule as ``_play_trial``."""
+    """The advance table row of a stage strategy."""
     if isinstance(cheat, BobClaimWin):
-        return np.array([True, False, True, True])
+        return _ADVANCES[0]
     if isinstance(cheat, Honest):
-        return np.array([True, False, False, True])
-    return np.array([True, False, False, False])
+        return _ADVANCES[1]
+    return _ADVANCES[2]
 
 
 def _stage_groups(stage: StageParams, coalition: Coalition | None) -> tuple[CheatSpec | None, CheatSpec]:
@@ -514,9 +536,9 @@ def simulate_dice(
     two uniforms per stage in play order, so the counts equal those of
     ``_play_trial`` run trial after trial on each block's generator. All
     trials advance together, stage by stage, with the incumbent held as an
-    array; trial 0 is replayed flip by flip for its transcripts. A stage
-    abort is a loss for the caught (cheating) side, so the other party
-    advances.
+    array. Trial 0 is replayed flip by flip for its transcripts when
+    ``DiceReport.first_trial`` is first read. A stage abort is a loss for
+    the caught (cheating) side, so the other party advances.
     """
     if trials < 1:
         raise ParameterError(f"trial count must be >= 1, got {trials}")
@@ -555,5 +577,5 @@ def simulate_dice(
         trials=trials,
         win_counts=tuple(int(w) for w in wins[1:]),
         stage_aborts=stage_aborts,
-        first_trial=_play_trial(spec, coalition, trial_rng(seed, 0)),
+        run=(spec, coalition, seed),
     )

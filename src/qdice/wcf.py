@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -367,12 +367,18 @@ def _flip_codes(evolution: _Evolution, draws: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrialStats:
-    """Winner tallies for a batch of protocol runs, and trial 0 replayed
-    through ``run_protocol`` with its transcript."""
+    """Winner tallies for a batch of protocol runs, and the (params, cheat,
+    seed) of the run, from which trial 0 is replayed when first read."""
 
     trials: int
     counts: Counter
-    first: Outcome
+    run: tuple[ProtocolParams, CheatSpec, int]
+
+    @cached_property
+    def first(self) -> Outcome:
+        """Trial 0 replayed through ``run_protocol``, with its transcript."""
+        params, cheat, seed = self.run
+        return run_protocol(params, cheat, trial_rng(seed, 0))
 
     def frequency(self, winner: Winner) -> float:
         return self.counts[winner] / self.trials
@@ -404,7 +410,8 @@ def run_trials(
     """Run ``trials`` independent protocol executions and tally winners.
 
     All trials are decided at once from the block substreams; trial 0 is
-    replayed through ``run_protocol`` for its transcript.
+    replayed through ``run_protocol`` for its transcript when
+    ``TrialStats.first`` is first read.
     """
     if trials < 1:
         raise ParameterError(f"trial count must be >= 1, got {trials}")
@@ -418,4 +425,4 @@ def run_trials(
         Winner.BOB: int(codes[BOB_WINS]),
         Winner.ABORT: int(codes[FINAL_STATE_ABORT] + codes[FIRST_QUBIT_ABORT]),
     })
-    return TrialStats(trials, counts, run_protocol(params, cheat, trial_rng(seed, 0)))
+    return TrialStats(trials, counts, (params, cheat, seed))

@@ -180,12 +180,20 @@ def test_validation_exit_code(capsys):
         (["simulate", "--dice", "0"], None),
         (["simulate", "--dice", "3", "--p", "0.9", "--cheat", "bob-claim-win"], None),
         (["simulate", "--dice", "3"], {"eta": 0.1}),
+        (["bound-check", "--dice", "3", "--party", "1", "--biases", "-0.1,0.1"], None),
+        (["solve", "balanced", "--bracket", "-0.1,0.5"], None),
+        pytest.param(["simulate", "--p", "0.5", "--eta", "0.2"], b'{"trials": 5,', id="config-not-json"),
+        pytest.param(["simulate", "--p", "0.5", "--eta", "0.2"], b'{"seed": "\xff"}', id="config-not-utf8"),
+        pytest.param(["simulate", "--p", "0.5", "--eta", "0.2"], b"[" * 100_000, id="config-too-deep"),
+        (["cheat", "--p", "0.5", "--eta", "0.2", "--grid", "100000000000", "--samples", "1"], None),
+        (["cheat", "--p", "0.5", "--eta", "0.2", "--samples", "100000000000"], None),
     ],
 )
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
+        # bytes are written as they are, anything else as JSON
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         argv = argv + ["--config", str(path)]
     code = main(argv)
     captured = capsys.readouterr()
@@ -193,6 +201,14 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_negative_leading_list_value_is_a_value(capsys):
+    argv = ["simulate", "--p", "0.5", "--eta", "0.2", "--cheat", "alice-general", "--trials", "50"]
+    separate = run_json(capsys, *argv, "--alphas", "-0.5,0.5,0.5,0.5")
+    attached = run_json(capsys, *argv, "--alphas=-0.5,0.5,0.5,0.5")
+    assert separate == attached
+    assert separate["inputs"]["alphas"] == "-0.5,0.5,0.5,0.5"
 
 
 def test_solver_exit_code(capsys):

@@ -32,9 +32,10 @@ from qdice import (
     three_sided_case2,
     worst_case_losing_prob,
 )
+from qdice import dicer
 from qdice.adversary import alice_optimal_value
 from qdice.dicer import ENTRANT, INCUMBENT, _play_trial, expected_coalition_losing
-from qdice.wcf import TRIAL_BLOCK, Winner, trial_rng
+from qdice.wcf import TRIAL_BLOCK, Winner, run_protocol, trial_rng
 
 
 # -- honest play -----------------------------------------------------------------
@@ -333,3 +334,25 @@ def test_first_trial_reports_each_stage():
     stage = report.to_dict()["first_trial"][0]
     assert (stage["preparer"], stage["responder"]) == (1, 2)
     assert stage["transcript"][0] == {"kind": "prepare", "actor": "alice", "detail": "bob-claim-win"}
+
+
+def _counting(calls: list, fn):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
+
+
+def test_first_trial_is_replayed_only_when_first_read(monkeypatch):
+    played, flips = [], []
+    monkeypatch.setattr(dicer, "_play_trial", _counting(played, _play_trial))
+    monkeypatch.setattr(dicer, "run_protocol", _counting(flips, run_protocol))
+    report = simulate_dice(LADDERS["case2"], 100, seed=8, coalition=Coalition(honest_party=2))
+    assert (len(played), len(flips)) == (0, 0)
+    first = report.first_trial
+    assert (len(played), len(flips)) == (1, 2)
+    assert report.first_trial is first
+    assert report.to_dict()["first_trial"] == [run.to_dict() for run in first]
+    assert (len(played), len(flips)) == (1, 2)
+    assert optimize_three_sided(1).report.first_trial is None

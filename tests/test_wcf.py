@@ -24,6 +24,7 @@ from qdice import (
     run_protocol,
     run_trials,
 )
+from qdice import wcf
 from qdice.adversary import alice_value_at_delta
 from qdice.wcf import TRIAL_BLOCK, trial_rng
 
@@ -227,3 +228,21 @@ def test_first_trial_replay_matches_batched_trial_zero(cheat):
         assert stats.first == run_protocol(params, cheat, trial_rng(seed, 0))
         assert run_trials(params, cheat, 1, seed).counts[stats.first.winner] == 1
         assert stats.to_dict()["first_transcript"] == stats.first.transcript.to_dict()
+
+
+def test_trial_zero_is_replayed_only_when_first_read(monkeypatch):
+    calls = []
+
+    def counting_run_protocol(*args):
+        calls.append(args)
+        return run_protocol(*args)
+
+    monkeypatch.setattr(wcf, "run_protocol", counting_run_protocol)
+    params = ProtocolParams(0.5, ETA_FAIR)
+    stats = run_trials(params, BobClaimWin(), 50, seed=3)
+    assert calls == []
+    first = stats.first
+    assert len(calls) == 1
+    assert stats.first is first
+    assert stats.to_dict()["first_transcript"] == first.transcript.to_dict()
+    assert len(calls) == 1
