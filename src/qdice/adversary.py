@@ -23,8 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateParameterError, ParameterError
-from .wcf import AliceDelta, AliceGeneral, ProtocolParams, _evolve
+from .errors import ParameterError
+from .qsim import _check_rotation_defined
+from .wcf import AliceDelta, AliceGeneral, ProtocolParams, _check_p_below_one, _evolve
 
 
 #: Upper bound on the oracle's grid points and random samples: its arrays
@@ -41,10 +42,8 @@ class CheatValue:
 
 
 def _coefficients(params: ProtocolParams) -> tuple[float, float]:
-    if params.p >= 1.0:
-        raise ParameterError("the cheat value diverges at p = 1 (division by 1-p)")
-    if params.p + params.eta <= 0.0:
-        raise DegenerateParameterError("p + eta must be positive")
+    _check_p_below_one(params.p)
+    _check_rotation_defined(params.p, params.eta)
     a = (1.0 - params.p - params.eta) / (1.0 - params.p)
     b = params.eta**2 / ((1.0 - params.p) * (params.p + params.eta))
     return max(0.0, a), b

@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dice", type=int, metavar="N", help="simulate the N-party ladder instead")
     sim.add_argument("--honest", action="store_true", help="all ladder parties play honestly")
     sim.add_argument("--honest-party", type=int, help="sole honest party; the rest collude")
-    sim.add_argument("--case", type=int, choices=(1, 2), help="stage-two layout for --dice 3")
+    sim.add_argument("--case", type=int, choices=(1, 2),
+                     help="ladder layout for --dice N >= 3: 1 the incumbent prepares, 2 the entrant prepares")
     sim.add_argument("--trials", type=int)
     sim.add_argument("--seed", type=int)
     add_common(sim)
@@ -196,11 +197,8 @@ def _refuse_ignored_flags(args: argparse.Namespace) -> None:
                 raise ParameterError(f"--{name} applies only to a single flip, not a --dice ladder")
         if args.honest and args.honest_party is not None:
             raise ParameterError("--honest and --honest-party are mutually exclusive")
-        if args.dice != 3 and args.case is not None:
-            raise ParameterError(f"--case applies only to --dice 3, got --dice {args.dice}")
-        if args.dice != 3 and args.honest_party is not None:
-            # at eta = 0 the coalition wins every stage for certain
-            raise ParameterError(f"no secured ladder for --dice {args.dice}; --honest-party needs --dice 3")
+        if args.dice == 2 and args.case is not None:
+            raise ParameterError("--case has no effect with --dice 2: both layouts are the same balanced coin")
     if args.delta is not None and args.cheat != "alice-delta":
         raise ParameterError("--delta applies only to --cheat alice-delta")
     if args.alphas is not None and args.cheat != "alice-general":
@@ -277,19 +275,14 @@ def _cmd_simulate_flip(args: argparse.Namespace) -> dict:
 
 def _cmd_simulate_dice(args: argparse.Namespace) -> dict:
     n = args.dice
-    if n == 3:
-        spec = dicer.LadderSpec.three_sided(case=args.case)
-    else:
-        spec = dicer.LadderSpec.uniform(n, eta=0.0)
-    coalition = None
-    if args.honest_party is not None:
-        coalition = dicer.Coalition(honest_party=args.honest_party)
+    spec = dicer.LadderSpec.fair(n, case=args.case)
+    coalition = None if args.honest_party is None else dicer.Coalition(honest_party=args.honest_party)
     report_obj = dicer.simulate_dice(spec, args.trials, args.seed, coalition=coalition)
     report = _base_report(
         {
             "command": "simulate",
             "dice": n,
-            "case": args.case if n == 3 else None,
+            "case": args.case if n > 2 else None,
             "honest_party": args.honest_party,
             "trials": args.trials,
             "seed": args.seed,
@@ -299,18 +292,7 @@ def _cmd_simulate_dice(args: argparse.Namespace) -> dict:
     if coalition is not None:
         analytic["expected_honest_losing"] = dicer.expected_coalition_losing(spec, coalition)
     report["analytic"] = analytic
-    frequencies = report_obj.frequencies()
-    report["monte_carlo"] = {
-        "trials": report_obj.trials,
-        "seed": args.seed,
-        "counts": {str(i + 1): c for i, c in enumerate(report_obj.win_counts)},
-        "frequencies": {str(i + 1): f for i, f in enumerate(frequencies)},
-        "standard_errors": {
-            str(i + 1): (f * (1 - f) / report_obj.trials) ** 0.5 for i, f in enumerate(frequencies)
-        },
-        "stage_aborts": report_obj.stage_aborts,
-        "first_transcript": [run.to_dict() for run in report_obj.first_trial],
-    }
+    report["monte_carlo"] = report_obj.to_dict()
     return report
 
 

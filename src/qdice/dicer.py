@@ -8,9 +8,13 @@ parties but one collude; per-stage excess losing probabilities ("stage
 biases") compose by an exact forward recursion, and the honest party's
 total bias stays below N times the largest stage bias.
 
-The six-round three-sided instance admits two stage-two layouts (leader
-prepares, or entrant prepares); both are solved here by equalizing the
-honest parties' worst-case losing probabilities.
+Stage m is the flip that party m enters. Every stage from m = 3 on has
+two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
+A fair ladder, for any N and either layout, is solved stage by stage: each
+eta equalizes the entrant's worst-case losing probability with that of the
+parties already in, so all N parties end with the same worst case. The
+six-round three-sided protocol is its N = 3 instance (biases 0.181 and
+0.199).
 """
 from __future__ import annotations
 
@@ -55,8 +59,17 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 INCUMBENT = "incumbent"
 ENTRANT = "entrant"
 
+#: Upper bound on a ladder's party count: ``honest_dice_probs`` is quadratic
+#: in N, and a Monte Carlo block holds 2 (N-1) uniforms per trial.
+MAX_PARTIES = 256
+
 
 # -- honest play and composition ----------------------------------------------
+
+
+def _check_party_count(n_parties: int) -> None:
+    if not 2 <= n_parties <= MAX_PARTIES:
+        raise ParameterError(f"party count must lie in 2..{MAX_PARTIES}, got {n_parties}")
 
 
 @lru_cache(maxsize=64)
@@ -67,8 +80,7 @@ def honest_dice_probs(n_parties: int) -> tuple[Fraction, ...]:
     later entrant m with probability (m-1)/m, telescoping to 1/N. The
     result is an immutable tuple, cached per N.
     """
-    if n_parties < 2:
-        raise ParameterError(f"need at least 2 parties, got {n_parties}")
+    _check_party_count(n_parties)
     probs = []
     for n in range(1, n_parties + 1):
         win = Fraction(1, max(n, 2))
@@ -76,11 +88,6 @@ def honest_dice_probs(n_parties: int) -> tuple[Fraction, ...]:
             win *= Fraction(m - 1, m)
         probs.append(win)
     return tuple(probs)
-
-
-def _party_stages(n: int, n_parties: int) -> range:
-    """Entrant indices of the stages party n plays (its entry onward)."""
-    return range(max(n, 2), n_parties + 1)
 
 
 def worst_case_losing_prob(
@@ -96,11 +103,10 @@ def worst_case_losing_prob(
 
 
 def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> Fraction:
-    if n_parties < 2:
-        raise ParameterError(f"need at least 2 parties, got {n_parties}")
+    _check_party_count(n_parties)
     if not 1 <= n <= n_parties:
         raise ParameterError(f"party index {n} outside 1..{n_parties}")
-    stages = _party_stages(n, n_parties)
+    stages = range(max(n, 2), n_parties + 1)  # the entrants party n meets, its own entry onward
     if len(biases) != len(stages):
         raise ParameterError(
             f"party {n} of {n_parties} plays {len(stages)} stages, got {len(biases)} biases"
@@ -144,42 +150,75 @@ def bias_bound_check(n: int, n_parties: int, biases: Sequence[float]) -> BoundCh
     return BoundCheck(float(epsilon), float(bound), epsilon <= bound)
 
 
-# -- the six-round three-sided protocol ----------------------------------------
+# -- fair ladders -------------------------------------------------------------
 
 
-class StageTwoValues(NamedTuple):
-    """Worst-case stage-two losing probabilities at a given eta."""
-
-    claire_loses: float      # the entrant (honest winning chance 1/3)
-    incumbent_loses: float   # the stage-one winner (honest winning chance 2/3)
-
-
-def three_sided_case1(eta: float) -> StageTwoValues:
-    """Stage two with the incumbent preparing (p = 1/3, entrant responds)."""
-    params = ProtocolParams(1.0 / 3.0, eta)
-    return StageTwoValues(
-        claire_loses=adversary.alice_optimal_value(params).value,
-        incumbent_loses=adversary.bob_optimal_value(params).value,
-    )
+def _layout_p(m: int, case: int) -> float:
+    """The responder's honest winning chance p at entrant m: in case 1 the
+    incumbent prepares and the entrant responds (p = 1/m), in case 2 the
+    entrant prepares and the incumbent responds (p = (m-1)/m)."""
+    return 1 / m if case == 1 else (m - 1) / m
 
 
-def three_sided_case2(eta: float, square_cheat_term: bool = True) -> StageTwoValues:
-    """Stage two with the entrant preparing (p = 2/3, incumbent responds).
+def _stage_losses(m: int, case: int, eta: float, square_cheat_term: bool = True) -> tuple[float, float]:
+    """Worst-case stage losing probabilities (entrant, incumbent) at entrant m.
 
-    The incumbent's losing probability is the preparer's optimal cheat
-    value, a squared amplitude sum. ``square_cheat_term=False`` substitutes
-    the raw (unsquared) amplitude sum instead; that reading breaks the
-    probability composition and is kept only so tests can document that the
-    squared form is the consistent one.
+    The responder loses to the preparer's optimal preparation, the preparer
+    to the responder's claim-win. ``square_cheat_term=False`` substitutes,
+    in case 2, the raw (unsquared) amplitude sum for the incumbent's loss;
+    that reading breaks the probability composition and is kept only so
+    tests can document that the squared form is the consistent one.
     """
-    params = ProtocolParams(2.0 / 3.0, eta)
-    cheat = adversary.alice_optimal_value(params).value
-    if not square_cheat_term:
-        cheat = math.sqrt(cheat)
-    return StageTwoValues(
-        claire_loses=adversary.bob_optimal_value(params).value,
-        incumbent_loses=cheat,
-    )
+    params = ProtocolParams(_layout_p(m, case), eta)
+    responder = adversary.alice_optimal_value(params).value
+    preparer = adversary.bob_optimal_value(params).value
+    if case == 1:
+        return responder, preparer
+    return preparer, responder if square_cheat_term else math.sqrt(responder)
+
+
+class _FairStage(NamedTuple):
+    """One solved stage: its eta, the entrant's and the incumbent's
+    worst-case stage losses there, and the survivors' composed loss."""
+
+    eta: float
+    entrant: float
+    incumbent: float
+    survivors: float
+
+
+def _fair_stages(
+    n_parties: int, case: int, bracket: tuple[float, float] | None = None, square_cheat_term: bool = True,
+    tol: float = 1e-12,
+) -> tuple[_FairStage, ...]:
+    """Solve entrants 3..N of a fair ladder, one stage at a time.
+
+    After the balanced coin of entrant 2 both parties share the worst-case
+    loss W = 1/sqrt(2). Stage m picks eta with one ``find_root`` on the
+    entrant's worst-case loss minus the survivors' ``_compose((W,
+    incumbent's loss))``, and the entrant's loss at the root is the next W.
+    Stage three searches ``bracket`` (by default the case's three-sided
+    bracket), later stages [0, 1-p].
+    """
+    if case not in (1, 2):
+        raise ParameterError(f"case must be 1 or 2, got {case}")
+    survivors = SQRT_HALF
+    stages = []
+    for m in range(3, n_parties + 1):
+        if m > 3:
+            stage_bracket = (0.0, 1.0 - _layout_p(m, case))
+        else:
+            stage_bracket = bracket or (THREE_SIDED_CASE1_BRACKET if case == 1 else THREE_SIDED_CASE2_BRACKET)
+
+        def residual(eta: float) -> float:  # called only within this iteration
+            entrant, incumbent = _stage_losses(m, case, eta, square_cheat_term)
+            return entrant - _compose((survivors, incumbent))
+
+        eta = find_root(residual, stage_bracket, tol)
+        entrant, incumbent = _stage_losses(m, case, eta, square_cheat_term)
+        stages.append(_FairStage(eta, entrant, incumbent, _compose((survivors, incumbent))))
+        survivors = entrant
+    return tuple(stages)
 
 
 @dataclass(frozen=True)
@@ -213,19 +252,18 @@ class DiceReport:
         return tuple(c / self.trials for c in self.win_counts)
 
     def to_dict(self) -> dict:
+        """The Monte Carlo section of a report, keyed by party number."""
+        if self.run is None:
+            raise ParameterError("an analytic dice report has no Monte Carlo section")
         freqs = self.frequencies()
         return {
-            "n_parties": self.n_parties,
-            "honest_probs": [float(p) for p in self.honest_probs],
-            "worst_case_losing": list(self.worst_case_losing) if self.worst_case_losing else None,
-            "biases": list(self.biases) if self.biases else None,
-            "bound": self.bound,
-            "bound_holds": self.bound_holds,
             "trials": self.trials,
-            "win_counts": list(self.win_counts) if self.win_counts else None,
-            "win_frequencies": list(freqs) if freqs else None,
+            "seed": self.run[2],
+            "counts": {str(i + 1): c for i, c in enumerate(self.win_counts)},
+            "frequencies": {str(i + 1): f for i, f in enumerate(freqs)},
+            "standard_errors": {str(i + 1): (f * (1 - f) / self.trials) ** 0.5 for i, f in enumerate(freqs)},
             "stage_aborts": self.stage_aborts,
-            "first_trial": [run.to_dict() for run in self.first_trial] if self.first_trial else None,
+            "first_transcript": [run.to_dict() for run in self.first_trial],
         }
 
 
@@ -248,51 +286,24 @@ class ThreeSidedOptimum:
         return self.worst_case - 2.0 / 3.0
 
 
-def _stage_two_values(case: int, eta: float, square_cheat_term: bool) -> StageTwoValues:
-    if case == 1:
-        return three_sided_case1(eta)
-    if case == 2:
-        return three_sided_case2(eta, square_cheat_term=square_cheat_term)
-    raise ParameterError(f"case must be 1 or 2, got {case}")
-
-
 def optimize_three_sided(
     case: int,
     bracket: tuple[float, float] | None = None,
     square_cheat_term: bool = True,
     tol: float = 1e-12,
 ) -> ThreeSidedOptimum:
-    """Equalize all three parties' worst-case losing probabilities.
-
-    The entrant's worst case must match the stage-one survivors' composed
-    worst case 1/sqrt(2) + (1 - 1/sqrt(2)) * (incumbent stage-two loss);
-    bisection on that residual gives eta*, the common value and the bias.
-    """
-    if bracket is None:
-        bracket = THREE_SIDED_CASE1_BRACKET if case == 1 else THREE_SIDED_CASE2_BRACKET
-
-    def composed_incumbent_side(eta: float) -> float:
-        values = _stage_two_values(case, eta, square_cheat_term)
-        return _compose((SQRT_HALF, values.incumbent_loses))
-
-    def residual(eta: float) -> float:
-        return _stage_two_values(case, eta, square_cheat_term).claire_loses - composed_incumbent_side(eta)
-
-    eta_star = find_root(residual, bracket, tol)
-    values = _stage_two_values(case, eta_star, square_cheat_term)
-    claire = values.claire_loses
-    composed = composed_incumbent_side(eta_star)
-    solution = FairnessSolution(
-        eta_star=eta_star,
-        achieved_values=(claire, composed),
-        residual=abs(claire - composed),
-    )
-    # parties ordered (Alice, Bob, Claire); Claire is the stage-two entrant
+    """Equalize all three parties' worst-case losing probabilities: the one
+    solved stage of the fair three-party ladder (see ``_fair_stages``),
+    with eta*, the common value and the bias."""
+    (stage,) = _fair_stages(3, case, bracket, square_cheat_term, tol)
+    claire, composed = stage.entrant, stage.survivors
+    solution = FairnessSolution(stage.eta, (claire, composed), residual=abs(claire - composed))
+    # parties ordered (Alice, Bob, Claire); Claire is entrant 3
     worst_by_party = (composed, composed, claire)
     biases = tuple(v - 2.0 / 3.0 for v in worst_by_party)
     stage_bias_max = max(
-        SQRT_HALF - 0.5,  # stage one at the balanced fair point
-        values.incumbent_loses - 1.0 / 3.0,
+        SQRT_HALF - 0.5,  # entrant 2's balanced coin at its fair point
+        stage.incumbent - 1.0 / 3.0,
         claire - 2.0 / 3.0,
     )
     bound = 3.0 * stage_bias_max
@@ -343,8 +354,7 @@ class LadderSpec:
     stages: tuple[StageParams, ...]
 
     def __post_init__(self) -> None:
-        if self.n_parties < 2:
-            raise ParameterError(f"need at least 2 parties, got {self.n_parties}")
+        _check_party_count(self.n_parties)
         expected = tuple(range(2, self.n_parties + 1))
         if tuple(s.entrant for s in self.stages) != expected:
             raise ParameterError(f"stages must cover entrants {expected} in order")
@@ -359,19 +369,21 @@ class LadderSpec:
         return cls(n_parties, stages)
 
     @classmethod
+    def fair(cls, n_parties: int, case: int = 1) -> "LadderSpec":
+        """The fair N-party ladder: entrant 2 at the balanced fair eta, each
+        later entrant at the eta ``_fair_stages`` solves for the layout
+        (case 1, the incumbent prepares; case 2, the entrant prepares)."""
+        _check_party_count(n_parties)
+        preparer = INCUMBENT if case == 1 else ENTRANT
+        stages = [StageParams(2, ProtocolParams(0.5, solve_balanced().eta_star), INCUMBENT)]
+        for m, stage in enumerate(_fair_stages(n_parties, case), start=3):
+            stages.append(StageParams(m, ProtocolParams(_layout_p(m, case), stage.eta), preparer))
+        return cls(n_parties, tuple(stages))
+
+    @classmethod
     def three_sided(cls, case: int = 1) -> "LadderSpec":
-        """The fair six-round three-sided ladder: stage one at the balanced
-        fair eta, stage two at the requested case's optimized eta."""
-        stage1_eta = solve_balanced().eta_star
-        stage2_eta = optimize_three_sided(case).eta_star
-        if case == 1:
-            stage2 = StageParams(3, ProtocolParams(1.0 / 3.0, stage2_eta), INCUMBENT)
-        elif case == 2:
-            stage2 = StageParams(3, ProtocolParams(2.0 / 3.0, stage2_eta), ENTRANT)
-        else:
-            raise ParameterError(f"case must be 1 or 2, got {case}")
-        stage1 = StageParams(2, ProtocolParams(0.5, stage1_eta), INCUMBENT)
-        return cls(3, (stage1, stage2))
+        """The fair six-round three-sided ladder, ``fair(3, case)``."""
+        return cls.fair(3, case)
 
 
 @dataclass(frozen=True)

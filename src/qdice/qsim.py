@@ -167,6 +167,20 @@ class TestOutcome:
     post_state: StateVector | None
 
 
+def _check_p_eta(p: float, eta: float) -> None:
+    """Refuse (p, eta) outside 0 <= p <= 1, 0 <= eta <= 1-p."""
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"p must lie in [0, 1], got {p}")
+    if not 0.0 <= eta <= 1.0 - p + 1e-12:
+        raise ParameterError(f"eta must lie in [0, 1-p], got eta={eta}, p={p}")
+
+
+def _check_rotation_defined(p: float, eta: float) -> None:
+    """Refuse p + eta = 0, where the rotation (and the cheat value) divide by zero."""
+    if p + eta <= 0.0:
+        raise DegenerateParameterError("p + eta must be positive")
+
+
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
@@ -210,10 +224,8 @@ def apply_u_eta(state: StateVector, p: float, eta: float) -> StateVector:
     """
     if state.n_qubits != 3:
         raise ShapeError("the rotation acts on qubits 2 and 3 of a 3-qubit register")
-    if not (0.0 <= p <= 1.0) or not (0.0 <= eta <= 1.0 - p + 1e-12):
-        raise ParameterError(f"require 0 <= p <= 1 and 0 <= eta <= 1-p, got p={p}, eta={eta}")
-    if p + eta <= 0.0:
-        raise DegenerateParameterError("p + eta must be positive")
+    _check_p_eta(p, eta)
+    _check_rotation_defined(p, eta)
     c = math.sqrt(p / (p + eta))
     s = math.sqrt(eta / (p + eta))
     amps = np.array(state.amps)

@@ -26,6 +26,7 @@ from .errors import ParameterError, ShapeError
 from .qsim import (
     Spin,
     StateVector,
+    _check_p_eta,
     apply_u_eta,
     attach_down_ancilla_qubit,
     overlap,
@@ -44,10 +45,14 @@ class ProtocolParams:
     eta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ParameterError(f"p must lie in [0, 1], got {self.p}")
-        if not 0.0 <= self.eta <= 1.0 - self.p + 1e-12:
-            raise ParameterError(f"eta must lie in [0, 1-p], got eta={self.eta}, p={self.p}")
+        _check_p_eta(self.p, self.eta)
+
+
+def _check_p_below_one(p: float) -> None:
+    """Refuse p = 1, where the verification state and Alice's cheat value
+    divide by 1-p."""
+    if p >= 1.0:
+        raise ParameterError("p must be below 1: the verification state and the cheat value divide by 1-p")
 
 
 def honest_win_prob(params: ProtocolParams) -> float:
@@ -153,8 +158,7 @@ def general_initial_state(cheat: AliceGeneral) -> StateVector:
 
 def verification_state(params: ProtocolParams) -> StateVector:
     """Three-qubit state Bob tests for when he loses."""
-    if params.p >= 1.0:
-        raise ParameterError("the verification state is undefined at p = 1")
+    _check_p_below_one(params.p)
     weight = max(0.0, 1.0 - params.p - params.eta)  # guard float dust at eta = 1-p
     return StateVector.from_terms(
         {
@@ -209,13 +213,6 @@ class Outcome:
     winner: Winner
     abort_reason: str | None
     transcript: Transcript
-
-    def to_dict(self) -> dict:
-        return {
-            "winner": self.winner.value,
-            "abort_reason": self.abort_reason,
-            "transcript": self.transcript.to_dict(),
-        }
 
 
 def audited_party(outcome: Outcome) -> str | None:

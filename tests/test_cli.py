@@ -1,12 +1,16 @@
 """Command-line integration tests: reports, schemas, exit codes."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import ETA_FAIR, SQRT_HALF, three_sigma
-from qdice.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
+from qdice.cli import CHEAT_CHOICES, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, SOLVE_TARGETS, main
 
 SCHEMA_KEYS = {"version", "inputs", "analytic", "monte_carlo", "bounds"}
 
@@ -76,6 +80,20 @@ def test_simulate_coalition_dice(capsys):
     expected = report["analytic"]["expected_honest_losing"]
     losing = 1.0 - report["monte_carlo"]["frequencies"]["1"]
     assert abs(losing - expected) <= three_sigma(expected, 9000)
+
+
+def test_every_ladder_takes_case_and_honest_party(tmp_path, capsys):
+    report = run_json(capsys, "simulate", "--dice", "4", "--honest-party", "2", "--case", "2",
+                      "--trials", "2000", "--seed", "3")
+    assert report["inputs"]["case"] == 2
+    assert report["analytic"]["expected_honest_losing"] == pytest.approx(0.75 + 0.1740, abs=1e-4)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"case": 1}))
+    report = run_json(capsys, "simulate", "--dice", "4", "--honest", "--trials", "50", "--config", str(config))
+    assert report["inputs"]["case"] == 1
+    # both layouts of a two-party ladder are the same balanced coin
+    report = run_json(capsys, "simulate", "--dice", "2", "--honest-party", "1", "--trials", "50")
+    assert report["inputs"]["case"] is None
 
 
 def test_cheat_report_values(capsys):
@@ -167,15 +185,15 @@ def test_validation_exit_code(capsys):
         (["simulate", "--p", "0.5", "--eta", "0.2"], {"command": "cheat"}),
         (["cheat", "--p", "0.5", "--eta", "0.2", "--samples", "-1"], None),
         (["simulate", "--p", "0.5", "--eta", "0.2", "--honest-party", "1"], None),
-        (["simulate", "--dice", "4", "--honest-party", "2"], None),
+        (["simulate", "--dice", "2", "--case", "2"], None),
         (["simulate", "--p", "0.5", "--eta", "0.2", "--honest"], None),
         (["simulate", "--p", "0.5", "--eta", "0.2", "--case", "2"], None),
         (["simulate", "--p", "0.5", "--eta", "0.2"], {"case": 1}),
         (["simulate", "--p", "0.5", "--eta", "0.2", "--delta", "0.3"], None),
         (["simulate", "--p", "0.5", "--eta", "0.2", "--cheat", "alice-delta", "--delta", "0.3",
           "--alphas", "1,0,0,0"], None),
-        (["simulate", "--dice", "4", "--case", "2"], None),
-        (["simulate", "--dice", "4"], {"case": 1}),
+        (["simulate", "--dice", "257"], None),
+        (["simulate", "--dice", "2"], {"case": 2}),
         (["simulate", "--p", "0.5", "--eta", "0.2"], {"config": "nowhere.json"}),
         (["simulate", "--dice", "0"], None),
         (["simulate", "--dice", "3", "--p", "0.9", "--cheat", "bob-claim-win"], None),
@@ -187,6 +205,7 @@ def test_validation_exit_code(capsys):
         pytest.param(["simulate", "--p", "0.5", "--eta", "0.2"], b"[" * 100_000, id="config-too-deep"),
         (["cheat", "--p", "0.5", "--eta", "0.2", "--grid", "100000000000", "--samples", "1"], None),
         (["cheat", "--p", "0.5", "--eta", "0.2", "--samples", "100000000000"], None),
+        (["bound-check", "--dice", "257", "--party", "1", "--biases", "0.1"], None),
     ],
 )
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
@@ -252,3 +271,67 @@ def test_unwritable_output_path(capsys):
     )
     capsys.readouterr()
     assert code == 1
+
+
+# -- fuzzed argv and config files ------------------------------------------------
+
+#: valid runs the fuzz mutates: (subcommand words, flag -> value)
+_FUZZ_BASES = [
+    (["simulate"], {"p": 0.5, "eta": 0.2, "cheat": "alice-delta", "delta": 0.17, "seed": 1}),
+    (["simulate"], {"p": 0.3, "eta": 0.15, "cheat": "alice-general", "alphas": "0.5,0.5,0.5,-0.5"}),
+    (["simulate"], {"p": 0.6, "eta": 0.1, "cheat": "bob-claim-win"}),
+    (["simulate"], {"dice": 4, "honest-party": 2, "case": 2, "seed": 3}),
+    (["simulate"], {"dice": 3, "honest": True}),
+    (["cheat"], {"p": 0.3, "eta": 0.2, "grid": 1000, "samples": 20, "ancilla-dim": 2}),
+    (["solve", "dice3-case1"], {"bracket": "0.1,0.2"}),
+    (["solve", "balanced"], {}),
+    (["bound-check"], {"dice": 3, "party": 1, "biases": "0.1,0.05"}),
+]
+#: replacement values, by the type of the value they replace
+_FUZZ_VALUES = {
+    float: st.floats(-0.5, 1.5) | st.integers(-1, 2) | st.sampled_from([float("nan"), float("inf"), -1e308]),
+    int: st.integers(-2, 9) | st.sampled_from([255, 257, 10**9, 2**64]),
+    str: st.text("-,.0123456789ejx", max_size=12) | st.sampled_from(CHEAT_CHOICES + SOLVE_TARGETS),
+    bool: st.booleans(),
+}
+_FUZZ_TYPES = {name: type(value) for _, flags in _FUZZ_BASES for name, value in flags.items()}
+_ANY_JSON = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(), max_size=2)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_argv_and_config_exit_cleanly(tmp_path_factory, data):
+    words, base = data.draw(st.sampled_from(_FUZZ_BASES))
+    flags = dict(base)
+    if data.draw(st.sampled_from([True, False, False])):  # a flag this kind of run may not take
+        name = data.draw(st.sampled_from(sorted(_FUZZ_TYPES)))
+        flags[name] = data.draw(_FUZZ_VALUES[_FUZZ_TYPES[name]])
+    argv, config = list(words), {}
+    if words[0] == "simulate":  # a few trials, never the slow default of 10^4
+        flags["trials"] = data.draw(st.integers(-1, 30))
+    for name, value in flags.items():
+        move = data.draw(st.sampled_from(["keep"] * 9 + ["drop", "replace", "retype"]))
+        if move == "drop" and name != "trials":
+            continue
+        if move == "replace":
+            value = data.draw(_FUZZ_VALUES[type(value)]) if name != "trials" else value
+        if move == "retype" or data.draw(st.booleans()):
+            config[name] = data.draw(_ANY_JSON) if move == "retype" else value
+        elif value is True:
+            argv.append(f"--{name}")
+        elif value is not False:
+            argv += data.draw(st.sampled_from([[f"--{name}", str(value)], [f"--{name}={value}"]]))
+    if data.draw(st.sampled_from([True] + [False] * 7)):
+        config[data.draw(st.sampled_from(["format", "colour", "config", "target", "command"]))] = "csv"
+    path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+    path.write_text(json.dumps(config))
+    missing = data.draw(st.sampled_from([True] + [False] * 9))
+    argv += ["--config", str(path.with_name("missing.json") if missing else path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv itself
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER) or (missing and code == EXIT_IO), (argv, config)
+    assert "Traceback" not in err.getvalue()

@@ -28,13 +28,19 @@ from qdice import (
     honest_dice_probs,
     optimize_three_sided,
     simulate_dice,
-    three_sided_case1,
-    three_sided_case2,
     worst_case_losing_prob,
 )
 from qdice import dicer
 from qdice.adversary import alice_optimal_value
-from qdice.dicer import ENTRANT, INCUMBENT, _play_trial, expected_coalition_losing
+from qdice.dicer import (
+    ENTRANT,
+    INCUMBENT,
+    MAX_PARTIES,
+    _fair_stages,
+    _play_trial,
+    _stage_losses,
+    expected_coalition_losing,
+)
 from qdice.wcf import TRIAL_BLOCK, Winner, run_protocol, trial_rng
 
 
@@ -58,6 +64,20 @@ def test_honest_probs_telescoping_entry():
 def test_honest_probs_rejects_small_n():
     with pytest.raises(ParameterError):
         honest_dice_probs(1)
+
+
+def test_party_count_is_capped_everywhere():
+    assert len(honest_dice_probs(MAX_PARTIES)) == MAX_PARTIES
+    with pytest.raises(ParameterError):
+        honest_dice_probs(MAX_PARTIES + 1)
+    with pytest.raises(ParameterError):
+        worst_case_losing_prob(MAX_PARTIES, MAX_PARTIES + 1, [0.0, 0.0])
+    with pytest.raises(ParameterError):
+        LadderSpec.uniform(MAX_PARTIES + 1)
+    with pytest.raises(ParameterError):
+        LadderSpec.fair(MAX_PARTIES + 1)
+    with pytest.raises(ParameterError):
+        LadderSpec.fair(1)
 
 
 # -- worst-case composition --------------------------------------------------------
@@ -128,14 +148,14 @@ def test_bias_bound_holds_on_random_instances():
 
 
 def test_case1_at_eta_zero():
-    values = three_sided_case1(0.0)
-    assert values.claire_loses == pytest.approx(1.0, abs=1e-12)
-    assert values.incumbent_loses == pytest.approx(1 / 3, abs=1e-12)
+    entrant, incumbent = _stage_losses(3, 1, 0.0)
+    assert entrant == pytest.approx(1.0, abs=1e-12)
+    assert incumbent == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_case2_at_eta_zero():
-    values = three_sided_case2(0.0)
-    assert values.claire_loses == pytest.approx(2 / 3, abs=1e-12)
+    entrant, _ = _stage_losses(3, 2, 0.0)
+    assert entrant == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_stage_values_match_printed_forms():
@@ -144,29 +164,29 @@ def test_stage_values_match_printed_forms():
     rng = np.random.default_rng(55)
     for eta in rng.uniform(0.0, 2 / 3, size=100):
         expected = (2 - 3 * eta) / 2 + 9 * eta**2 / (2 * (1 + 3 * eta))
-        assert three_sided_case1(eta).claire_loses == pytest.approx(expected, abs=1e-9)
+        assert _stage_losses(3, 1, eta)[0] == pytest.approx(expected, abs=1e-9)
     for eta in rng.uniform(0.0, 1 / 3, size=100):
         expected = (1 - 3 * eta) + 9 * eta**2 / (2 + 3 * eta)
-        assert three_sided_case2(eta).incumbent_loses == pytest.approx(expected, abs=1e-9)
+        assert _stage_losses(3, 2, eta)[1] == pytest.approx(expected, abs=1e-9)
 
 
 def test_stage_values_match_generic_cheat_values():
     rng = np.random.default_rng(56)
     for eta in rng.uniform(0.0, 2 / 3, size=100):
-        assert three_sided_case1(eta).claire_loses == pytest.approx(
+        assert _stage_losses(3, 1, eta)[0] == pytest.approx(
             alice_optimal_value(ProtocolParams(1 / 3, eta)).value, abs=1e-12
         )
     for eta in rng.uniform(0.0, 1 / 3, size=100):
-        assert three_sided_case2(eta).incumbent_loses == pytest.approx(
+        assert _stage_losses(3, 2, eta)[1] == pytest.approx(
             alice_optimal_value(ProtocolParams(2 / 3, eta)).value, abs=1e-12
         )
 
 
 def test_stage_values_domain_errors():
     with pytest.raises(ParameterError):
-        three_sided_case1(0.7)
+        _stage_losses(3, 1, 0.7)
     with pytest.raises(ParameterError):
-        three_sided_case2(0.4)
+        _stage_losses(3, 2, 0.4)
 
 
 # -- the optimizations ----------------------------------------------------------------
@@ -200,6 +220,69 @@ def test_case1_beats_case2():
 def test_optimize_rejects_unknown_case():
     with pytest.raises(ParameterError):
         optimize_three_sided(3)
+
+
+# -- fair ladders for any N --------------------------------------------------------------
+
+
+FAIR = {(n, case): LadderSpec.fair(n, case) for n in range(2, 17) for case in (1, 2)}
+
+
+def _worst_case(n_parties, case):
+    """The last entrant's worst-case loss: the balanced coin's 1/sqrt(2)
+    for N = 2, else the entrant value of the last solved stage."""
+    stages = _fair_stages(n_parties, case)
+    return stages[-1].entrant if stages else SQRT_HALF
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_fair_ladder_equalizes_every_party(case):
+    for n_parties in range(2, 17):
+        spec, worst = FAIR[n_parties, case], _worst_case(n_parties, case)
+        for party in range(1, n_parties + 1):
+            losing = expected_coalition_losing(spec, Coalition(honest_party=party))
+            assert losing == pytest.approx(worst, abs=1e-10), (n_parties, party)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_fair_ladder_bias_stays_below_the_bound(case):
+    for n_parties in range(2, 17):
+        spec, worst = FAIR[n_parties, case], _worst_case(n_parties, case)
+        for party in range(1, n_parties + 1):
+            biases = []
+            for stage in spec.stages[max(party, 2) - 2:]:
+                m = stage.entrant
+                entrant, incumbent = _stage_losses(m, case, stage.params.eta)
+                biases.append(entrant - (m - 1) / m if m == max(party, 2) else incumbent - 1 / m)
+            check = bias_bound_check(party, n_parties, biases)
+            assert check.holds
+            assert check.epsilon == pytest.approx(worst - (n_parties - 1) / n_parties, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_fair_ladder_extends_the_shorter_one(case):
+    for n_parties in range(3, 17):
+        assert FAIR[n_parties, case].stages[:-1] == FAIR[n_parties - 1, case].stages
+    assert FAIR[3, case] == LadderSpec.three_sided(case)
+    assert FAIR[3, case].stages[1].params.eta == optimize_three_sided(case).eta_star
+
+
+def test_fair_ladder_biases_fall_with_n():
+    # worst case minus (N-1)/N, incumbent prepares / entrant prepares
+    table = {4: (0.1516, 0.1740), 8: (0.0884, 0.1065), 16: (0.0479, 0.0581), 32: (0.0252, 0.0302)}
+    for n_parties, biases in table.items():
+        for case, bias in zip((1, 2), biases):
+            assert _worst_case(n_parties, case) - (n_parties - 1) / n_parties == pytest.approx(bias, abs=5e-5)
+
+
+def test_fair_six_party_coalition_monte_carlo():
+    trials = 40_000
+    spec = FAIR[6, 2]
+    coalition = Coalition(honest_party=4)
+    expected = expected_coalition_losing(spec, coalition)
+    report = simulate_dice(spec, trials, seed=61, coalition=coalition)
+    losing = 1.0 - report.frequencies()[3]
+    assert abs(losing - expected) <= three_sigma(expected, trials)
 
 
 # -- ladders and Monte Carlo -----------------------------------------------------------
@@ -331,7 +414,7 @@ def test_first_trial_reports_each_stage():
     report = simulate_dice(spec, 1, seed=4, coalition=Coalition(honest_party=1))
     assert [run.entrant for run in report.first_trial] == [2, 3]
     assert report.win_counts[report.first_trial[-1].winner - 1] == 1
-    stage = report.to_dict()["first_trial"][0]
+    stage = report.to_dict()["first_transcript"][0]
     assert (stage["preparer"], stage["responder"]) == (1, 2)
     assert stage["transcript"][0] == {"kind": "prepare", "actor": "alice", "detail": "bob-claim-win"}
 
@@ -353,6 +436,6 @@ def test_first_trial_is_replayed_only_when_first_read(monkeypatch):
     first = report.first_trial
     assert (len(played), len(flips)) == (1, 2)
     assert report.first_trial is first
-    assert report.to_dict()["first_trial"] == [run.to_dict() for run in first]
+    assert report.to_dict()["first_transcript"] == [run.to_dict() for run in first]
     assert (len(played), len(flips)) == (1, 2)
     assert optimize_three_sided(1).report.first_trial is None

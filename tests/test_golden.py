@@ -35,6 +35,8 @@ GOLDEN = {
                              "--trials", "9000", "--seed", "5"],
     "simulate-dice3-case2": ["simulate", "--dice", "3", "--honest-party", "3", "--case", "2",
                              "--trials", "9000", "--seed", "5"],
+    "simulate-dice5-case2": ["simulate", "--dice", "5", "--honest-party", "2", "--case", "2"],
+    "simulate-dice8-honest": ["simulate", "--dice", "8", "--honest"],
     "solve-balanced": ["solve", "balanced"],
     "solve-dice3-case1": ["solve", "dice3-case1"],
     "solve-dice3-case2": ["solve", "dice3-case2"],
