@@ -288,7 +288,7 @@ def _cmd_simulate_dice(args: argparse.Namespace) -> dict:
             "seed": args.seed,
         }
     )
-    analytic: dict = {"honest_probs": [float(f) for f in report_obj.honest_probs]}
+    analytic: dict = {"honest_probs": [float(f) for f in dicer.honest_dice_probs(n)]}
     if coalition is not None:
         analytic["expected_honest_losing"] = dicer.expected_coalition_losing(spec, coalition)
     report["analytic"] = analytic
@@ -354,12 +354,12 @@ def _cmd_solve(args: argparse.Namespace) -> dict:
             "worst_case": optimum.worst_case,
             "bias": optimum.bias,
             "residual": optimum.solution.residual,
-            "per_party_losing": list(optimum.report.worst_case_losing),
+            "per_party_losing": list(optimum.worst_case_losing),
         }
         report["bounds"] = {
-            "epsilon": max(optimum.report.biases),
-            "bound": optimum.report.bound,
-            "holds": optimum.report.bound_holds,
+            "epsilon": max(optimum.biases),
+            "bound": optimum.bound,
+            "holds": optimum.bound_holds,
         }
     return report
 

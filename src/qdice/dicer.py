@@ -8,6 +8,11 @@ parties but one collude; per-stage excess losing probabilities ("stage
 biases") compose by an exact forward recursion, and the honest party's
 total bias stays below N times the largest stage bias.
 
+The coalition claims a win against an honest preparer and plays the
+optimal tilt delta* against an honest responder. That one rule,
+``_stage_cheat``, drives ``expected_coalition_losing``, ``_play_trial`` and
+``simulate_dice``, whose ``DiceReport`` holds Monte Carlo tallies only.
+
 Stage m is the flip that party m enters. Every stage from m = 3 on has
 two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
 A fair ladder, for any N and either layout, is solved stage by stage: each
@@ -19,10 +24,10 @@ six-round three-sided protocol is its N = 3 instance (biases 0.181 and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,13 +44,13 @@ from .wcf import (
     DRAWS_PER_FLIP,
     FINAL_STATE_ABORT,
     AliceDelta,
-    AliceGeneral,
     BobClaimWin,
     CheatSpec,
     Honest,
     Outcome,
     ProtocolParams,
     Winner,
+    _check_trials,
     _evolve,
     _flip_codes,
     _uniform_blocks,
@@ -70,6 +75,11 @@ MAX_PARTIES = 256
 def _check_party_count(n_parties: int) -> None:
     if not 2 <= n_parties <= MAX_PARTIES:
         raise ParameterError(f"party count must lie in 2..{MAX_PARTIES}, got {n_parties}")
+
+
+def _check_party(party: int, n_parties: int) -> None:
+    if not 1 <= party <= n_parties:
+        raise ParameterError(f"party {party} outside 1..{n_parties}")
 
 
 @lru_cache(maxsize=64)
@@ -104,8 +114,7 @@ def worst_case_losing_prob(
 
 def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> Fraction:
     _check_party_count(n_parties)
-    if not 1 <= n <= n_parties:
-        raise ParameterError(f"party index {n} outside 1..{n_parties}")
+    _check_party(n, n_parties)
     stages = range(max(n, 2), n_parties + 1)  # the entrants party n meets, its own entry onward
     if len(biases) != len(stages):
         raise ParameterError(
@@ -188,8 +197,7 @@ class _FairStage(NamedTuple):
 
 
 def _fair_stages(
-    n_parties: int, case: int, bracket: tuple[float, float] | None = None, square_cheat_term: bool = True,
-    tol: float = 1e-12,
+    n_parties: int, case: int, bracket: tuple[float, float] | None = None, square_cheat_term: bool = True
 ) -> tuple[_FairStage, ...]:
     """Solve entrants 3..N of a fair ladder, one stage at a time.
 
@@ -198,10 +206,13 @@ def _fair_stages(
     entrant's worst-case loss minus the survivors' ``_compose((W,
     incumbent's loss))``, and the entrant's loss at the root is the next W.
     Stage three searches ``bracket`` (by default the case's three-sided
-    bracket), later stages [0, 1-p].
+    bracket), later stages [0, 1-p]. ``square_cheat_term`` reaches only case
+    2's incumbent (see ``_stage_losses``), so case 1 refuses False.
     """
     if case not in (1, 2):
         raise ParameterError(f"case must be 1 or 2, got {case}")
+    if case == 1 and not square_cheat_term:
+        raise ParameterError("the unsquared cheat term is a case-2 reading; case 1 has no term to square")
     survivors = SQRT_HALF
     stages = []
     for m in range(3, n_parties + 1):
@@ -214,7 +225,7 @@ def _fair_stages(
             entrant, incumbent = _stage_losses(m, case, eta, square_cheat_term)
             return entrant - _compose((survivors, incumbent))
 
-        eta = find_root(residual, stage_bracket, tol)
+        eta = find_root(residual, stage_bracket)
         entrant, incumbent = _stage_losses(m, case, eta, square_cheat_term)
         stages.append(_FairStage(eta, entrant, incumbent, _compose((survivors, incumbent))))
         survivors = entrant
@@ -222,56 +233,16 @@ def _fair_stages(
 
 
 @dataclass(frozen=True)
-class DiceReport:
-    """Analytic and/or Monte Carlo summary of one dice-rolling setup; a
-    Monte Carlo report keeps the (spec, coalition, seed) of its run."""
-
-    n_parties: int
-    honest_probs: tuple[Fraction, ...]
-    worst_case_losing: tuple[float, ...] | None = None
-    biases: tuple[float, ...] | None = None
-    bound: float | None = None
-    bound_holds: bool | None = None
-    trials: int | None = None
-    win_counts: tuple[int, ...] | None = None
-    stage_aborts: int | None = None
-    run: tuple[LadderSpec, Coalition | None, int] | None = None
-
-    @cached_property
-    def first_trial(self) -> tuple[StageRun, ...] | None:
-        """Trial 0 replayed flip by flip through ``_play_trial`` when first
-        read, one ``StageRun`` per stage; None for an analytic report."""
-        if self.run is None:
-            return None
-        spec, coalition, seed = self.run
-        return _play_trial(spec, coalition, trial_rng(seed, 0))
-
-    def frequencies(self) -> tuple[float, ...] | None:
-        if self.win_counts is None or not self.trials:
-            return None
-        return tuple(c / self.trials for c in self.win_counts)
-
-    def to_dict(self) -> dict:
-        """The Monte Carlo section of a report, keyed by party number."""
-        if self.run is None:
-            raise ParameterError("an analytic dice report has no Monte Carlo section")
-        freqs = self.frequencies()
-        return {
-            "trials": self.trials,
-            "seed": self.run[2],
-            "counts": {str(i + 1): c for i, c in enumerate(self.win_counts)},
-            "frequencies": {str(i + 1): f for i, f in enumerate(freqs)},
-            "standard_errors": {str(i + 1): (f * (1 - f) / self.trials) ** 0.5 for i, f in enumerate(freqs)},
-            "stage_aborts": self.stage_aborts,
-            "first_transcript": [run.to_dict() for run in self.first_trial],
-        }
-
-
-@dataclass(frozen=True)
 class ThreeSidedOptimum:
+    """The one solved stage of the fair three-party ladder, with every
+    party's worst-case losing probability and the bias bound check."""
+
     case: int
     solution: FairnessSolution
-    report: DiceReport
+    worst_case_losing: tuple[float, float, float]
+    biases: tuple[float, float, float]
+    bound: float
+    bound_holds: bool
 
     @property
     def eta_star(self) -> float:
@@ -287,35 +258,20 @@ class ThreeSidedOptimum:
 
 
 def optimize_three_sided(
-    case: int,
-    bracket: tuple[float, float] | None = None,
-    square_cheat_term: bool = True,
-    tol: float = 1e-12,
+    case: int, bracket: tuple[float, float] | None = None, square_cheat_term: bool = True
 ) -> ThreeSidedOptimum:
     """Equalize all three parties' worst-case losing probabilities: the one
     solved stage of the fair three-party ladder (see ``_fair_stages``),
     with eta*, the common value and the bias."""
-    (stage,) = _fair_stages(3, case, bracket, square_cheat_term, tol)
+    (stage,) = _fair_stages(3, case, bracket, square_cheat_term)
     claire, composed = stage.entrant, stage.survivors
     solution = FairnessSolution(stage.eta, (claire, composed), residual=abs(claire - composed))
     # parties ordered (Alice, Bob, Claire); Claire is entrant 3
     worst_by_party = (composed, composed, claire)
     biases = tuple(v - 2.0 / 3.0 for v in worst_by_party)
-    stage_bias_max = max(
-        SQRT_HALF - 0.5,  # entrant 2's balanced coin at its fair point
-        stage.incumbent - 1.0 / 3.0,
-        claire - 2.0 / 3.0,
-    )
-    bound = 3.0 * stage_bias_max
-    report = DiceReport(
-        n_parties=3,
-        honest_probs=honest_dice_probs(3),
-        worst_case_losing=worst_by_party,
-        biases=biases,
-        bound=bound,
-        bound_holds=max(biases) <= bound,
-    )
-    return ThreeSidedOptimum(case=case, solution=solution, report=report)
+    # stage biases: entrant 2's balanced coin at its fair point, then stage 3's incumbent and entrant
+    bound = 3.0 * max(SQRT_HALF - 0.5, stage.incumbent - 1.0 / 3.0, claire - 2.0 / 3.0)
+    return ThreeSidedOptimum(case, solution, worst_by_party, biases, bound, max(biases) <= bound)
 
 
 # -- concrete ladders and Monte Carlo ------------------------------------------
@@ -388,15 +344,15 @@ class LadderSpec:
 
 @dataclass(frozen=True)
 class Coalition:
-    """All parties but one collude against ``honest_party``.
-
-    Per-stage strategies default to the modeled optima (claim-win against a
-    preparing honest party, the optimal tilt against a responding honest
-    party) and can be overridden per entrant index.
-    """
+    """All parties but one collude against ``honest_party``; at every stage
+    the coalition plays its optimal cheat (see ``_stage_cheat``)."""
 
     honest_party: int
-    stage_overrides: Mapping[int, CheatSpec] = field(default_factory=dict)
+
+
+#: Stands in for an incumbent from the coalition, whichever party it is:
+#: parties are numbered from 1, so it is never the honest party.
+_COLLUDER = 0
 
 
 def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
@@ -406,53 +362,33 @@ def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
     return stage.entrant, incumbent
 
 
-def _coalition_strategy(stage: StageParams, coalition: Coalition, honest_prepares: bool) -> CheatSpec:
-    override = coalition.stage_overrides.get(stage.entrant)
-    if override is not None:
-        if honest_prepares and isinstance(override, (AliceDelta, AliceGeneral)):
-            raise ParameterError(
-                f"stage {stage.entrant}: the honest party prepares, so the coalition "
-                f"cannot play a preparer-side strategy ({override.name})"
-            )
-        if not honest_prepares and isinstance(override, BobClaimWin):
-            raise ParameterError(
-                f"stage {stage.entrant}: the honest party responds, so the coalition "
-                f"cannot play a responder-side strategy ({override.name})"
-            )
-        return override
-    if honest_prepares:
-        return BobClaimWin()
-    delta_star = adversary.alice_optimal_value(stage.params).optimizer
-    return AliceDelta(delta_star)
+def _stage_cheat(stage: StageParams, incumbent: int, coalition: Coalition | None) -> CheatSpec:
+    """The strategy played at a stage whose incumbent is ``incumbent``.
 
-
-def _stage_cheat(stage: StageParams, preparer: int, responder: int, coalition: Coalition | None) -> CheatSpec:
-    if coalition is None or coalition.honest_party not in (preparer, responder):
+    Against a preparing honest party the coalition claims a win, against a
+    responding one it plays the optimal tilt delta*; a flip without the
+    honest party (or without a coalition) is played honestly.
+    """
+    if coalition is None or coalition.honest_party not in (incumbent, stage.entrant):
         return Honest()
-    return _coalition_strategy(stage, coalition, honest_prepares=coalition.honest_party == preparer)
+    preparer, _ = _stage_roles(stage, incumbent)
+    if coalition.honest_party == preparer:
+        return BobClaimWin()
+    return AliceDelta(adversary.alice_optimal_value(stage.params).optimizer)
 
 
 def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
     """Analytic losing probability of the honest party under the coalition's
     stage strategies (forward composition of per-stage losing chances)."""
     honest = coalition.honest_party
+    _check_party(honest, spec.n_parties)
     stage_losses = []
-    for stage in spec.stages:
-        m = stage.entrant
-        if m < max(honest, 2):
-            continue  # honest party has not entered the ladder yet
-        honest_is_entrant = m == honest
-        honest_prepares = (stage.preparer == ENTRANT) == honest_is_entrant
-        cheat = _coalition_strategy(stage, coalition, honest_prepares)
+    for stage in spec.stages[max(honest, 2) - 2:]:  # the honest party's entry stage onward
+        cheat = _stage_cheat(stage, honest if honest < stage.entrant else _COLLUDER, coalition)
         if isinstance(cheat, BobClaimWin):
-            stage_loss = stage.params.p + stage.params.eta
-        elif isinstance(cheat, AliceDelta):
-            stage_loss = adversary.alice_value_at_delta(stage.params, cheat.delta)
-        elif isinstance(cheat, Honest):
-            stage_loss = (m - 1) / m if honest_is_entrant else 1.0 / m
+            stage_losses.append(stage.params.p + stage.params.eta)
         else:
-            raise ParameterError(f"no analytic stage value for strategy {cheat.name!r}")
-        stage_losses.append(stage_loss)
+            stage_losses.append(adversary.alice_value_at_delta(stage.params, cheat.delta))
     return _compose(stage_losses)
 
 
@@ -485,7 +421,7 @@ def _play_trial(spec: LadderSpec, coalition: Coalition | None, rng: np.random.Ge
     runs = []
     for stage in spec.stages:
         preparer, responder = _stage_roles(stage, incumbent)
-        cheat = _stage_cheat(stage, preparer, responder, coalition)
+        cheat = _stage_cheat(stage, incumbent, coalition)
         outcome = run_protocol(stage.params, cheat, rng)
         if outcome.winner is Winner.ALICE:
             incumbent = preparer
@@ -523,17 +459,47 @@ def _preparer_wins(cheat: CheatSpec) -> np.ndarray:
 
 def _stage_groups(stage: StageParams, coalition: Coalition | None) -> tuple[CheatSpec | None, CheatSpec]:
     """(cheat where the honest party is the incumbent, or None if it cannot
-    be; cheat everywhere else).
+    be; cheat where a colluder is): the entrant is fixed per stage, so the
+    incumbent alone decides the honest party's role in its flip."""
+    elsewhere = _stage_cheat(stage, _COLLUDER, coalition)
+    if coalition is None or coalition.honest_party >= stage.entrant:
+        return None, elsewhere
+    return _stage_cheat(stage, coalition.honest_party, coalition), elsewhere
 
-    The entrant is fixed per stage, so the incumbent alone decides whether
-    the honest party prepares, responds or sits the stage out.
-    """
-    honest = None if coalition is None else coalition.honest_party
-    if honest == stage.entrant:
-        return None, _coalition_strategy(stage, coalition, honest_prepares=stage.preparer == ENTRANT)
-    if honest is not None and honest < stage.entrant:
-        return _coalition_strategy(stage, coalition, honest_prepares=stage.preparer == INCUMBENT), Honest()
-    return None, Honest()
+
+@dataclass(frozen=True)
+class DiceReport:
+    """Monte Carlo tallies of one ladder run, with the (spec, coalition,
+    seed) from which trial 0 is replayed."""
+
+    n_parties: int
+    trials: int
+    win_counts: tuple[int, ...]
+    stage_aborts: int
+    run: tuple[LadderSpec, Coalition | None, int]
+
+    @cached_property
+    def first_trial(self) -> tuple[StageRun, ...]:
+        """Trial 0 replayed flip by flip through ``_play_trial`` when first
+        read, one ``StageRun`` per stage."""
+        spec, coalition, seed = self.run
+        return _play_trial(spec, coalition, trial_rng(seed, 0))
+
+    def frequencies(self) -> tuple[float, ...]:
+        return tuple(c / self.trials for c in self.win_counts)
+
+    def to_dict(self) -> dict:
+        """The Monte Carlo section of a report, keyed by party number."""
+        freqs = self.frequencies()
+        return {
+            "trials": self.trials,
+            "seed": self.run[2],
+            "counts": {str(i + 1): c for i, c in enumerate(self.win_counts)},
+            "frequencies": {str(i + 1): f for i, f in enumerate(freqs)},
+            "standard_errors": {str(i + 1): (f * (1 - f) / self.trials) ** 0.5 for i, f in enumerate(freqs)},
+            "stage_aborts": self.stage_aborts,
+            "first_transcript": [run.to_dict() for run in self.first_trial],
+        }
 
 
 def simulate_dice(
@@ -552,10 +518,9 @@ def simulate_dice(
     ``DiceReport.first_trial`` is first read. A stage abort is a loss for
     the caught (cheating) side, so the other party advances.
     """
-    if trials < 1:
-        raise ParameterError(f"trial count must be >= 1, got {trials}")
-    if coalition is not None and not 1 <= coalition.honest_party <= spec.n_parties:
-        raise ParameterError(f"honest party {coalition.honest_party} outside 1..{spec.n_parties}")
+    _check_trials(trials)
+    if coalition is not None:
+        _check_party(coalition.honest_party, spec.n_parties)
     plan = []
     for stage in spec.stages:
         groups = [
@@ -585,7 +550,6 @@ def simulate_dice(
         wins += np.bincount(incumbent, minlength=spec.n_parties + 1)
     return DiceReport(
         n_parties=spec.n_parties,
-        honest_probs=honest_dice_probs(spec.n_parties),
         trials=trials,
         win_counts=tuple(int(w) for w in wins[1:]),
         stage_aborts=stage_aborts,

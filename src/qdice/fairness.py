@@ -67,16 +67,14 @@ def find_root(
     return 0.5 * (lo + hi)
 
 
-def solve_balanced(
-    bracket: tuple[float, float] = BALANCED_BRACKET, tol: float = 1e-12
-) -> FairnessSolution:
+def solve_balanced(bracket: tuple[float, float] = BALANCED_BRACKET) -> FairnessSolution:
     """Eta equalizing both cheat values for the balanced coin (p = 1/2)."""
 
     def residual(eta: float) -> float:
         params = ProtocolParams(0.5, eta)
         return alice_optimal_value(params).value - bob_optimal_value(params).value
 
-    eta_star = find_root(residual, bracket, tol)
+    eta_star = find_root(residual, bracket)
     params = ProtocolParams(0.5, eta_star)
     alice = alice_optimal_value(params).value
     bob = bob_optimal_value(params).value

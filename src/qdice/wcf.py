@@ -330,6 +330,10 @@ def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Genera
 #: ``trial_rng(seed, t // TRIAL_BLOCK)``.
 TRIAL_BLOCK = 1 << 14
 
+#: Upper bound on a Monte Carlo run's trial count: flips run at about 5e7
+#: trials a second (2-core machine), so 10**12 trials would take hours.
+MAX_TRIALS = 10**8
+
 #: Uniforms one flip reads: the announcement, then the audit.
 DRAWS_PER_FLIP = 2
 
@@ -346,6 +350,11 @@ def trial_rng(seed: int, block: int) -> np.random.Generator:
     parallel, and the first n trials of a longer run are the n-trial run.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+
+
+def _check_trials(trials: int) -> None:
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ParameterError(f"trial count must lie in 1..{MAX_TRIALS}, got {trials}")
 
 
 def _uniform_blocks(seed: int, trials: int, draws: int):
@@ -410,8 +419,7 @@ def run_trials(
     replayed through ``run_protocol`` for its transcript when
     ``TrialStats.first`` is first read.
     """
-    if trials < 1:
-        raise ParameterError(f"trial count must be >= 1, got {trials}")
+    _check_trials(trials)
     evolution = _evolve(params, cheat)
     codes = sum(
         np.bincount(_flip_codes(evolution, draws), minlength=4)

@@ -206,6 +206,10 @@ def test_validation_exit_code(capsys):
         (["cheat", "--p", "0.5", "--eta", "0.2", "--grid", "100000000000", "--samples", "1"], None),
         (["cheat", "--p", "0.5", "--eta", "0.2", "--samples", "100000000000"], None),
         (["bound-check", "--dice", "257", "--party", "1", "--biases", "0.1"], None),
+        (["simulate", "--p", "0.5", "--eta", "0.2", "--trials", "100000001"], None),
+        (["simulate", "--dice", "3", "--trials", "100000001"], None),
+        (["simulate", "--p", "0.5", "--eta", "0.2"], {"trials": 100_000_001}),
+        (["simulate", "--dice", "3"], {"trials": 100_000_001}),
     ],
 )
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, config):

@@ -17,8 +17,6 @@ from conftest import (
     three_sigma,
 )
 from qdice import (
-    AliceDelta,
-    AliceGeneral,
     Coalition,
     LadderSpec,
     ParameterError,
@@ -198,7 +196,7 @@ def test_optimize_case1():
     assert optimum.worst_case == pytest.approx(CASE1_WORST_CASE, abs=1e-9)
     assert optimum.bias == pytest.approx(CASE1_BIAS, abs=1e-9)
     assert optimum.solution.residual < 1e-10
-    assert optimum.report.bound_holds
+    assert optimum.bound_holds
 
 
 def test_optimize_case2():
@@ -220,6 +218,14 @@ def test_case1_beats_case2():
 def test_optimize_rejects_unknown_case():
     with pytest.raises(ParameterError):
         optimize_three_sided(3)
+
+
+def test_unsquared_reading_is_refused_for_case1():
+    # only case 2's incumbent has a cheat term to leave unsquared
+    with pytest.raises(ParameterError):
+        optimize_three_sided(1, square_cheat_term=False)
+    with pytest.raises(ParameterError):
+        _fair_stages(5, 1, square_cheat_term=False)
 
 
 # -- fair ladders for any N --------------------------------------------------------------
@@ -340,11 +346,14 @@ def test_case1_coalition_losing_frequencies(honest_party):
     assert abs(losing - expected) <= three_sigma(expected, trials)
 
 
-def test_coalition_override_side_validation():
+@pytest.mark.parametrize("honest_party", [0, -1, 4])
+def test_honest_party_must_be_a_party(honest_party):
     spec = LadderSpec.three_sided(case=1)
-    bad = Coalition(honest_party=1, stage_overrides={2: AliceDelta(0.3)})
+    coalition = Coalition(honest_party=honest_party)
     with pytest.raises(ParameterError):
-        simulate_dice(spec, 10, seed=0, coalition=bad)
+        expected_coalition_losing(spec, coalition)
+    with pytest.raises(ParameterError):
+        simulate_dice(spec, 10, seed=0, coalition=coalition)
 
 
 def test_simulate_dice_determinism():
@@ -392,15 +401,6 @@ def test_batched_ladder_equals_scalar_loop(name, honest_party):
     assert report.first_trial == _play_trial(spec, coalition, trial_rng(seed, 0))
 
 
-def test_batched_ladder_equals_scalar_loop_under_a_general_override():
-    # weight on uu and dd fails both checks, so both abort kinds occur
-    coalition = Coalition(honest_party=3, stage_overrides={3: AliceGeneral((0.5, 0.5, 0.5, 0.5))})
-    spec = LADDERS["case1"]
-    report = simulate_dice(spec, 1_500, seed=7, coalition=coalition)
-    assert report.stage_aborts > 0
-    assert (report.win_counts, report.stage_aborts) == scalar_ladder(spec, 1_500, 7, coalition)
-
-
 def test_batched_ladder_crosses_a_block_boundary():
     spec = LADDERS["case2"]
     coalition = Coalition(honest_party=3)
@@ -438,4 +438,3 @@ def test_first_trial_is_replayed_only_when_first_read(monkeypatch):
     assert report.first_trial is first
     assert report.to_dict()["first_transcript"] == [run.to_dict() for run in first]
     assert (len(played), len(flips)) == (1, 2)
-    assert optimize_three_sided(1).report.first_trial is None

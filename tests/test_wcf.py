@@ -15,6 +15,7 @@ from qdice import (
     AliceGeneral,
     BobClaimWin,
     Honest,
+    LadderSpec,
     ParameterError,
     ProtocolParams,
     Winner,
@@ -23,6 +24,7 @@ from qdice import (
     ket,
     run_protocol,
     run_trials,
+    simulate_dice,
 )
 from qdice import wcf
 from qdice.adversary import alice_value_at_delta
@@ -157,6 +159,14 @@ def test_trials_are_order_independent():
 def test_run_trials_requires_positive_count():
     with pytest.raises(ParameterError):
         run_trials(ProtocolParams(0.5, 0.0), Honest(), 0, seed=1)
+
+
+@pytest.mark.parametrize("trials", [0, -1, wcf.MAX_TRIALS + 1])
+def test_trial_count_lies_in_range_for_flips_and_ladders(trials):
+    with pytest.raises(ParameterError):
+        run_trials(ProtocolParams(0.5, 0.0), Honest(), trials, seed=1)
+    with pytest.raises(ParameterError):
+        simulate_dice(LadderSpec.three_sided(1), trials, seed=1)
 
 
 # -- batched sampler against the scalar reference ----------------------------------
