@@ -14,6 +14,8 @@ must agree with it. The oracle evolves states through ``wcf._evolve``, the
 same evolution the Monte Carlo samples from: a scalar value evolves its own
 preparation, and every batched value is linear in the four amplitudes that
 one evolution of the basis preparations yields (``_miss_amplitudes``).
+``cheater_win_prob`` maps any declared strategy to its cheater's winning
+chance, for the CLI reports and the ladders' coalition values alike.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .qsim import _check_rotation_defined
-from .wcf import AliceDelta, AliceGeneral, ProtocolParams, _check_p_below_one, _evolve
+from .wcf import AliceDelta, AliceGeneral, BobClaimWin, CheatSpec, ProtocolParams, _check_p_below_one, _evolve
 
 
 #: Upper bound on the oracle's grid points and random samples: its arrays
@@ -91,6 +93,19 @@ def alice_optimal_value(params: ProtocolParams) -> CheatValue:
 def bob_optimal_value(params: ProtocolParams) -> CheatValue:
     """Bob's optimum, attained by always claiming the win: p + eta."""
     return CheatValue(value=params.p + params.eta, optimizer=None)
+
+
+def cheater_win_prob(params: ProtocolParams, cheat: CheatSpec) -> float | None:
+    """Winning probability of the declared cheater, or None for honest play:
+    closed forms for a tilt and a claimed win, one evolution for a general
+    preparation (``general_cheat_value``)."""
+    if isinstance(cheat, AliceDelta):
+        return alice_value_at_delta(params, cheat.delta)
+    if isinstance(cheat, AliceGeneral):
+        return general_cheat_value(params, cheat)
+    if isinstance(cheat, BobClaimWin):
+        return bob_optimal_value(params).value
+    return None
 
 
 # -- brute-force search -------------------------------------------------------

@@ -235,17 +235,6 @@ def _cheat_spec(args: argparse.Namespace) -> CheatSpec:
     return AliceGeneral(_parse_complex_list(args.alphas))
 
 
-def _analytic_cheat_win(params: ProtocolParams, cheat: CheatSpec) -> float | None:
-    """Expected winning probability of the declared cheater, if any."""
-    if isinstance(cheat, AliceDelta):
-        return adversary.alice_value_at_delta(params, cheat.delta)
-    if isinstance(cheat, AliceGeneral):
-        return adversary.general_cheat_value(params, cheat)
-    if isinstance(cheat, BobClaimWin):
-        return adversary.bob_optimal_value(params).value
-    return None
-
-
 def _cmd_simulate_flip(args: argparse.Namespace) -> dict:
     if args.p is None or args.eta is None:
         raise ParameterError("simulate needs --p and --eta (or --dice N)")
@@ -267,7 +256,7 @@ def _cmd_simulate_flip(args: argparse.Namespace) -> dict:
     report["analytic"] = {
         "honest_alice": honest_win_prob(params),
         "honest_bob": params.p,
-        "cheater_win": _analytic_cheat_win(params, cheat),
+        "cheater_win": adversary.cheater_win_prob(params, cheat),
     }
     report["monte_carlo"] = stats.to_dict()
     return report
@@ -402,7 +391,7 @@ def _round_floats(node):
         return {key: _round_floats(value) for key, value in node.items()}
     if isinstance(node, list):
         return [_round_floats(value) for value in node]
-    if isinstance(node, float) and not isinstance(node, bool) and math.isfinite(node):
+    if isinstance(node, float) and math.isfinite(node):
         return float(f"{node:.7g}")
     return node
 
@@ -437,7 +426,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BracketError as exc:
         print(f"qdice: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ParameterError, QdiceError) as exc:
+    except QdiceError as exc:
         print(f"qdice: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

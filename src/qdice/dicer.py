@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -82,13 +82,11 @@ def _check_party(party: int, n_parties: int) -> None:
         raise ParameterError(f"party {party} outside 1..{n_parties}")
 
 
-@lru_cache(maxsize=64)
 def honest_dice_probs(n_parties: int) -> tuple[Fraction, ...]:
     """Exact per-party winning probabilities under all-honest play.
 
     Party n wins its entry stage with probability 1/n and survives each
-    later entrant m with probability (m-1)/m, telescoping to 1/N. The
-    result is an immutable tuple, cached per N.
+    later entrant m with probability (m-1)/m, telescoping to 1/N.
     """
     _check_party_count(n_parties)
     probs = []
@@ -385,10 +383,7 @@ def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
     stage_losses = []
     for stage in spec.stages[max(honest, 2) - 2:]:  # the honest party's entry stage onward
         cheat = _stage_cheat(stage, honest if honest < stage.entrant else _COLLUDER, coalition)
-        if isinstance(cheat, BobClaimWin):
-            stage_losses.append(stage.params.p + stage.params.eta)
-        else:
-            stage_losses.append(adversary.alice_value_at_delta(stage.params, cheat.delta))
+        stage_losses.append(adversary.cheater_win_prob(stage.params, cheat))
     return _compose(stage_losses)
 
 

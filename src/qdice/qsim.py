@@ -195,11 +195,16 @@ def _branch(raw: np.ndarray, probability: float) -> TestOutcome:
 # -- operations --------------------------------------------------------------
 
 
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>; |overlap|^2 is the transition probability."""
-    if a.amps.shape != b.amps.shape:
+def overlap(a: StateVector, b: StateVector) -> complex | np.ndarray:
+    """Inner product <a|b>; |overlap|^2 is the transition probability.
+
+    When only ``b`` carries an ancilla, <a| acts as the identity on it: the
+    result is one amplitude per ancilla index, of squared norm the probability."""
+    if a.amps.shape == b.amps.shape:
+        return complex(np.vdot(a.amps, b.amps))
+    if a.ancilla_dim != 1 or a.n_qubits != b.n_qubits:
         raise ShapeError(f"register shapes differ: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a.amps, b.amps))
+    return np.tensordot(a.amps[..., 0].conj(), b.amps, axes=a.n_qubits)
 
 
 def attach_down_ancilla_qubit(state: StateVector) -> StateVector:
@@ -261,21 +266,7 @@ def _test_pattern(state: StateVector, pattern: Pattern) -> tuple[TestOutcome, Te
 
 
 def _test_pure_state(state: StateVector, target: StateVector) -> tuple[TestOutcome, TestOutcome]:
-    if target.n_qubits != state.n_qubits:
-        raise ShapeError(f"target has {target.n_qubits} qubits, state has {state.n_qubits}")
-    if target.ancilla_dim == state.ancilla_dim:
-        coeff = np.vdot(target.amps, state.amps)
-        projected = coeff * target.amps
-    elif target.ancilla_dim == 1:
-        # Project onto |target> on the qubits, identity on the ancilla index.
-        qubit_axes = tuple(range(state.n_qubits))
-        coeff = np.tensordot(np.conj(target.amps[..., 0]), state.amps, axes=(qubit_axes, qubit_axes))
-        projected = np.multiply.outer(target.amps[..., 0], coeff)
-    else:
-        raise ShapeError(
-            f"target ancilla dimension {target.ancilla_dim} matches neither 1 "
-            f"nor the state's {state.ancilla_dim}"
-        )
+    projected = overlap(target, state) * target.amps
     p_pass = float(np.sum(np.abs(projected) ** 2))
     failed = state.amps - projected
     p_fail = float(np.sum(np.abs(failed) ** 2))

@@ -6,7 +6,9 @@ rotation and measures qubits 2,3 against the up/down pattern. A hit means
 Bob wins, which Alice audits by checking her qubit is spin-down; a miss
 means Alice wins, which Bob audits by testing all three qubits against the
 verification state. Alice wins with probability 1-p, Bob with p, and honest
-runs never fail an audit.
+runs never fail an audit. Every preparation, honest or not, comes from one
+builder (``_preparation``) and runs through one evolution (``_evolve``),
+whose final audit is one ``qsim.overlap`` with the verification state.
 
 Cheating strategies are declared through :class:`CheatSpec` variants; a
 failed audit ends the run with winner ``Winner.ABORT``, which bias
@@ -86,6 +88,14 @@ class AliceDelta(CheatSpec):
             raise ParameterError(f"delta must lie in [0, 1], got {self.delta}")
 
 
+def _squared_norm(vector) -> float:
+    """sum |c|^2 of a vector; inf when a component is too large to square."""
+    try:
+        return sum(abs(c) ** 2 for c in vector)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class AliceGeneral(CheatSpec):
     """Alice prepares an arbitrary two-qubit state, optionally entangled
@@ -103,7 +113,7 @@ class AliceGeneral(CheatSpec):
     def __post_init__(self) -> None:
         if len(self.amplitudes) != 4:
             raise ParameterError(f"need 4 amplitudes (uu, ud, du, dd), got {len(self.amplitudes)}")
-        total = sum(abs(a) ** 2 for a in self.amplitudes)
+        total = _squared_norm(self.amplitudes)
         if not abs(total - 1.0) <= 1e-9:  # also refuses nan
             raise ParameterError(f"cheat amplitudes are not normalized: {total!r}")
         if self.ancillas is not None:
@@ -113,12 +123,8 @@ class AliceGeneral(CheatSpec):
             if len(dims) != 1:
                 raise ShapeError("ancilla vectors must share one dimension")
             for phi in self.ancillas:
-                if not abs(sum(abs(c) ** 2 for c in phi) - 1.0) <= 1e-9:  # also refuses nan
+                if not abs(_squared_norm(phi) - 1.0) <= 1e-9:  # also refuses nan
                     raise ParameterError("each ancilla vector must be normalized")
-
-    @property
-    def ancilla_dim(self) -> int:
-        return 1 if self.ancillas is None else len(self.ancillas[0])
 
 
 @dataclass(frozen=True)
@@ -131,29 +137,16 @@ class BobClaimWin(CheatSpec):
 # -- state preparation --------------------------------------------------------
 
 
+def _preparation(amplitudes, ancillas=None) -> StateVector:
+    """Alice's two-qubit state sum_k amplitudes[k] |k>|phi_k> over k = uu, ud, du, dd;
+    without ``ancillas`` (the unit vectors phi_k) it carries no ancilla."""
+    phis = np.ones((4, 1), dtype=complex) if ancillas is None else np.asarray(ancillas, dtype=complex)
+    return StateVector((np.asarray(amplitudes, dtype=complex)[:, None] * phis).reshape(2, 2, -1))
+
+
 def honest_initial_state(params: ProtocolParams) -> StateVector:
-    return StateVector.from_terms(
-        {
-            "ud": math.sqrt(max(0.0, 1.0 - params.p - params.eta)),
-            "du": math.sqrt(params.p + params.eta),
-        }
-    )
-
-
-def delta_initial_state(delta: float) -> StateVector:
-    return StateVector.from_terms(
-        {"ud": math.sqrt(1.0 - delta), "du": math.sqrt(delta)}
-    )
-
-
-def general_initial_state(cheat: AliceGeneral) -> StateVector:
-    dim = cheat.ancilla_dim
-    amps = np.zeros((2, 2, dim), dtype=complex)
-    branches = [(0, 0), (0, 1), (1, 0), (1, 1)]  # uu, ud, du, dd
-    for k, (i, j) in enumerate(branches):
-        phi = np.ones(1, dtype=complex) if cheat.ancillas is None else np.asarray(cheat.ancillas[k], dtype=complex)
-        amps[i, j, :] = cheat.amplitudes[k] * phi
-    return StateVector(amps)
+    weight = max(0.0, 1.0 - params.p - params.eta)
+    return _preparation((0.0, math.sqrt(weight), math.sqrt(params.p + params.eta), 0.0))
 
 
 def verification_state(params: ProtocolParams) -> StateVector:
@@ -233,9 +226,9 @@ def audited_party(outcome: Outcome) -> str | None:
 
 def _prepare(params: ProtocolParams, cheat: CheatSpec) -> StateVector:
     if isinstance(cheat, AliceDelta):
-        return delta_initial_state(cheat.delta)
+        return _preparation((0.0, math.sqrt(1.0 - cheat.delta), math.sqrt(cheat.delta), 0.0))
     if isinstance(cheat, AliceGeneral):
-        return general_initial_state(cheat)
+        return _preparation(cheat.amplitudes, cheat.ancillas)
     if isinstance(cheat, (Honest, BobClaimWin)):
         return honest_initial_state(params)
     raise ParameterError(f"unknown cheat spec: {cheat!r}")
@@ -273,11 +266,7 @@ def _evolve(params: ProtocolParams, cheat: CheatSpec) -> _Evolution:
     first_qubit = alice_verification(hit.post_state) if hit.post_state is not None else 0.0
     final_state = 0.0
     if miss.post_state is not None:
-        xi = verification_state(params)
-        if miss.post_state.ancilla_dim == 1:
-            amplitudes[0] = overlap(xi, miss.post_state)
-        else:
-            amplitudes = np.tensordot(xi.amps[..., 0].conj(), miss.post_state.amps, axes=3)
+        amplitudes = np.atleast_1d(overlap(verification_state(params), miss.post_state))
         final_state = min(1.0, float(np.sum(np.abs(amplitudes) ** 2)))
         amplitudes = math.sqrt(miss.probability) * amplitudes
     return _Evolution(hit.probability, first_qubit, final_state, amplitudes)

@@ -14,7 +14,10 @@ from conftest import (
     random_params,
 )
 from qdice import (
+    AliceDelta,
     AliceGeneral,
+    BobClaimWin,
+    Honest,
     ParameterError,
     ProtocolParams,
     alice_optimal_value,
@@ -25,6 +28,7 @@ from qdice import (
 from qdice.adversary import (
     _tilt_values,
     alice_value_at_delta_via_states,
+    cheater_win_prob,
     general_cheat_value,
     sample_cheat_values,
 )
@@ -127,6 +131,15 @@ def test_bob_optimal_values():
     assert bob_optimal_value(FAIR).value == pytest.approx(SQRT_HALF, abs=1e-12)
     assert bob_optimal_value(ProtocolParams(0.37, 0.0)).value == 0.37
     assert bob_optimal_value(ProtocolParams(1 / 3, 1 / 3)).value == pytest.approx(2 / 3)
+
+
+def test_cheater_win_prob_reads_the_declared_strategy():
+    params = ProtocolParams(0.37, 0.21)
+    general = AliceGeneral((0.5, 0.5, 0.5, -0.5), ancillas=((1.0, 0.0), (0.0, 1.0)) * 2)
+    assert cheater_win_prob(params, Honest()) is None
+    assert cheater_win_prob(params, BobClaimWin()) == bob_optimal_value(params).value
+    assert cheater_win_prob(params, AliceDelta(0.3)) == alice_value_at_delta(params, 0.3)
+    assert cheater_win_prob(params, general) == general_cheat_value(params, general)
 
 
 def test_cheating_never_hurts_on_grid():

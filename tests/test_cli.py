@@ -210,6 +210,7 @@ def test_validation_exit_code(capsys):
         (["simulate", "--dice", "3", "--trials", "100000001"], None),
         (["simulate", "--p", "0.5", "--eta", "0.2"], {"trials": 100_000_001}),
         (["simulate", "--dice", "3"], {"trials": 100_000_001}),
+        (["simulate", "--p", "0.5", "--eta", "0.1", "--cheat", "alice-general", "--alphas", "1e200,0,0,0"], None),
     ],
 )
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
@@ -293,9 +294,9 @@ _FUZZ_BASES = [
 ]
 #: replacement values, by the type of the value they replace
 _FUZZ_VALUES = {
-    float: st.floats(-0.5, 1.5) | st.integers(-1, 2) | st.sampled_from([float("nan"), float("inf"), -1e308]),
+    float: st.floats(-0.5, 1.5) | st.integers(-1, 2) | st.sampled_from([float("nan"), float("inf"), -1e308, 1e200]),
     int: st.integers(-2, 9) | st.sampled_from([255, 257, 10**9, 2**64]),
-    str: st.text("-,.0123456789ejx", max_size=12) | st.sampled_from(CHEAT_CHOICES + SOLVE_TARGETS),
+    str: st.text("-,.0123456789ejx", max_size=12) | st.sampled_from(CHEAT_CHOICES + SOLVE_TARGETS + ("1e200,0,0,0",)),
     bool: st.booleans(),
 }
 _FUZZ_TYPES = {name: type(value) for _, flags in _FUZZ_BASES for name, value in flags.items()}

@@ -230,3 +230,25 @@ def test_overlap_of_orthogonal_kets_is_zero():
 def test_overlap_shape_mismatch():
     with pytest.raises(ShapeError):
         overlap(ket("ud"), ket("udd"))
+    with pytest.raises(ShapeError):  # the ancilla mode needs a bra without one
+        overlap(ket("ud", ancilla_dim=2), ket("ud", ancilla_dim=3))
+    with pytest.raises(ShapeError):
+        overlap(ket("ud", ancilla_dim=2), ket("ud"))
+
+
+@pytest.mark.parametrize("ancilla_dim", [1, 2, 3])
+def test_overlap_is_one_vdot_per_ancilla_index(ancilla_dim):
+    rng = np.random.default_rng(ancilla_dim)
+    bra, state = random_state(rng), random_state(rng, ancilla_dim=ancilla_dim)
+    expected = [np.vdot(bra.amps[..., 0], state.amps[..., d]) for d in range(ancilla_dim)]
+    assert np.allclose(np.atleast_1d(overlap(bra, state)), expected, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("ancilla_dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_pure_state_pass_probability_is_the_overlap_norm(ancilla_dim, seed):
+    rng = np.random.default_rng(seed)
+    state, target = random_state(rng, ancilla_dim=ancilla_dim), random_state(rng)
+    passed, _ = projective_test(state, target)
+    expected = float(np.sum(np.abs(overlap(target, state)) ** 2))
+    assert passed.probability == pytest.approx(expected, abs=1e-12)

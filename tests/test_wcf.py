@@ -64,6 +64,19 @@ def test_alice_general_refuses_non_finite_ancilla_entries(bad):
         AliceGeneral((0.0, 1.0, 0.0, 0.0), ancillas=((bad, 0.0),) + ((1.0, 0.0),) * 3)
 
 
+@pytest.mark.parametrize(
+    "amplitudes, ancillas",
+    [
+        ((1e200, 0.0, 0.0, 0.0), None),
+        ((complex(1e308, 1e308), 0.0, 0.0, 0.0), None),
+        ((0.0, 1.0, 0.0, 0.0), ((1e200, 0.0),) + ((1.0, 0.0),) * 3),
+    ],
+)
+def test_alice_general_refuses_entries_too_large_to_square(amplitudes, ancillas):
+    with pytest.raises(ParameterError):
+        AliceGeneral(amplitudes, ancillas)
+
+
 def test_alice_verification_basics():
     assert alice_verification(ket("d")) == pytest.approx(1.0)
     assert alice_verification(ket("u")) == pytest.approx(0.0)
@@ -137,6 +150,19 @@ def test_alice_general_with_ancilla_runs():
     stats = run_trials(params, cheat, 20_000, seed=2)
     expected = alice_value_at_delta(params, DELTA_STAR_FAIR)
     assert abs(stats.frequency(Winner.ALICE) - expected) <= three_sigma(expected, 20_000)
+
+
+@pytest.mark.parametrize("delta", [0.0, DELTA_STAR_FAIR, 0.5, 1.0])
+def test_tilt_evolves_exactly_as_its_general_preparation(delta):
+    params = ProtocolParams(0.37, 0.21)
+    tilt = wcf._evolve.__wrapped__(params, AliceDelta(delta))
+    general = wcf._evolve.__wrapped__(
+        params, AliceGeneral((0.0, math.sqrt(1.0 - delta), math.sqrt(delta), 0.0))
+    )
+    assert (tilt.bob_win_prob, tilt.first_qubit_pass, tilt.final_state_pass) == (
+        general.bob_win_prob, general.first_qubit_pass, general.final_state_pass
+    )
+    assert np.array_equal(tilt.miss_amplitudes, general.miss_amplitudes)
 
 
 # -- determinism -----------------------------------------------------------------
