@@ -378,7 +378,8 @@ def _render_csv(report: dict) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["outcome", "count", "frequency", "standard_error"])
-    for key in sorted(mc["counts"]):
+    # party numbers in numeric order; the flip's outcomes read abort, alice, bob
+    for key in sorted(mc["counts"], key=lambda key: int(key) if key.isdigit() else key):
         writer.writerow(
             [key, mc["counts"][key], mc["frequencies"][key], mc["standard_errors"][key]]
         )

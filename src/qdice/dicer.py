@@ -11,7 +11,8 @@ total bias stays below N times the largest stage bias.
 The coalition claims a win against an honest preparer and plays the
 optimal tilt delta* against an honest responder. That one rule,
 ``_stage_cheat``, drives ``expected_coalition_losing``, ``_play_trial`` and
-``simulate_dice``, whose ``DiceReport`` holds Monte Carlo tallies only.
+``simulate_dice``, whose ``DiceReport`` holds Monte Carlo tallies only. One
+abort rule, ``_preparer_wins``, advances a stage in both samplers.
 
 Stage m is the flip that party m enters. Every stage from m = 3 on has
 two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
@@ -49,12 +50,11 @@ from .wcf import (
     Honest,
     Outcome,
     ProtocolParams,
-    Winner,
+    _OUTCOMES,
     _check_trials,
     _evolve,
     _flip_codes,
     _uniform_blocks,
-    audited_party,
     run_protocol,
     trial_rng,
 )
@@ -64,8 +64,8 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 INCUMBENT = "incumbent"
 ENTRANT = "entrant"
 
-#: Upper bound on a ladder's party count: ``honest_dice_probs`` is quadratic
-#: in N, and a Monte Carlo block holds 2 (N-1) uniforms per trial.
+#: Upper bound on a ladder's party count: a Monte Carlo block holds 2 (N-1)
+#: uniforms per trial, 67 MB of draws at N = 256.
 MAX_PARTIES = 256
 
 
@@ -89,13 +89,7 @@ def honest_dice_probs(n_parties: int) -> tuple[Fraction, ...]:
     later entrant m with probability (m-1)/m, telescoping to 1/N.
     """
     _check_party_count(n_parties)
-    probs = []
-    for n in range(1, n_parties + 1):
-        win = Fraction(1, max(n, 2))
-        for m in range(max(n, 2) + 1, n_parties + 1):
-            win *= Fraction(m - 1, m)
-        probs.append(win)
-    return tuple(probs)
+    return (Fraction(1, n_parties),) * n_parties
 
 
 def worst_case_losing_prob(
@@ -406,35 +400,9 @@ class StageRun(NamedTuple):
         }
 
 
-def _play_trial(spec: LadderSpec, coalition: Coalition | None, rng: np.random.Generator) -> tuple[StageRun, ...]:
-    """One ladder trial, flip by flip: the scalar reference of ``simulate_dice``.
-
-    A stage abort is a loss for the caught (cheating) side, so the other
-    party advances; in an all-honest stage the audited party loses.
-    """
-    incumbent = 1
-    runs = []
-    for stage in spec.stages:
-        preparer, responder = _stage_roles(stage, incumbent)
-        cheat = _stage_cheat(stage, incumbent, coalition)
-        outcome = run_protocol(stage.params, cheat, rng)
-        if outcome.winner is Winner.ALICE:
-            incumbent = preparer
-        elif outcome.winner is Winner.BOB:
-            incumbent = responder
-        elif isinstance(cheat, BobClaimWin):
-            incumbent = preparer
-        elif not isinstance(cheat, Honest):
-            incumbent = responder
-        else:
-            incumbent = responder if audited_party(outcome) == "alice" else preparer
-        runs.append(StageRun(stage.entrant, preparer, responder, incumbent, outcome))
-    return tuple(runs)
-
-
-#: Whether the preparer advances, indexed by flip outcome code (Alice wins,
-#: Bob wins, final-state abort, first-qubit abort), one row per kind of
-#: stage; the same abort rule as ``_play_trial``. Built once, read-only.
+#: Whether the preparer advances, by flip outcome code (Alice wins, Bob wins,
+#: final-state abort, first-qubit abort) and kind of stage: the one abort rule.
+#: A caught cheater loses; in an all-honest flip the audited party loses.
 _ADVANCES = np.array([
     [True, False, True, True],    # the responder claims a win: caught, it loses
     [True, False, False, True],   # all honest: the audited party loses
@@ -450,6 +418,20 @@ def _preparer_wins(cheat: CheatSpec) -> np.ndarray:
     if isinstance(cheat, Honest):
         return _ADVANCES[1]
     return _ADVANCES[2]
+
+
+def _play_trial(spec: LadderSpec, coalition: Coalition | None, rng: np.random.Generator) -> tuple[StageRun, ...]:
+    """One ladder trial, flip by flip: the scalar reference of ``simulate_dice``."""
+    incumbent = 1
+    runs = []
+    for stage in spec.stages:
+        preparer, responder = _stage_roles(stage, incumbent)
+        cheat = _stage_cheat(stage, incumbent, coalition)
+        outcome = run_protocol(stage.params, cheat, rng)
+        code = _OUTCOMES.index((outcome.winner, outcome.abort_reason))
+        incumbent = preparer if _preparer_wins(cheat)[code] else responder
+        runs.append(StageRun(stage.entrant, preparer, responder, incumbent, outcome))
+    return tuple(runs)
 
 
 def _stage_groups(stage: StageParams, coalition: Coalition | None) -> tuple[CheatSpec | None, CheatSpec]:
@@ -510,8 +492,8 @@ def simulate_dice(
     ``_play_trial`` run trial after trial on each block's generator. All
     trials advance together, stage by stage, with the incumbent held as an
     array. Trial 0 is replayed flip by flip for its transcripts when
-    ``DiceReport.first_trial`` is first read. A stage abort is a loss for
-    the caught (cheating) side, so the other party advances.
+    ``DiceReport.first_trial`` is first read. Each stage advances by
+    ``_preparer_wins``, the abort rule ``_play_trial`` reads too.
     """
     _check_trials(trials)
     if coalition is not None:

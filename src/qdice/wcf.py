@@ -6,13 +6,15 @@ rotation and measures qubits 2,3 against the up/down pattern. A hit means
 Bob wins, which Alice audits by checking her qubit is spin-down; a miss
 means Alice wins, which Bob audits by testing all three qubits against the
 verification state. Alice wins with probability 1-p, Bob with p, and honest
-runs never fail an audit. Every preparation, honest or not, comes from one
-builder (``_preparation``) and runs through one evolution (``_evolve``),
-whose final audit is one ``qsim.overlap`` with the verification state.
+runs fail an audit only by float rounding. Every preparation, honest or
+not, comes from one builder (``_preparation``) and runs through one
+evolution (``_evolve``), whose final audit is one ``qsim.overlap`` with the
+verification state.
 
 Cheating strategies are declared through :class:`CheatSpec` variants; a
 failed audit ends the run with winner ``Winner.ABORT``, which bias
-accounting treats as a loss for the cheating side.
+accounting treats as a loss for the cheating side. ``_OUTCOMES`` gives each
+outcome code, ``hit + 2 * failed_audit``, its winner and abort reason.
 """
 from __future__ import annotations
 
@@ -179,6 +181,17 @@ class Winner(str, Enum):
 ABORT_FIRST_QUBIT = "first-qubit check failed"
 ABORT_FINAL_STATE = "final-state check failed"
 
+#: Flip outcome codes, ``hit + 2 * failed_audit``.
+ALICE_WINS, BOB_WINS, FINAL_STATE_ABORT, FIRST_QUBIT_ABORT = range(4)
+
+#: The (winner, abort reason) of each outcome code.
+_OUTCOMES = (
+    (Winner.ALICE, None),
+    (Winner.BOB, None),
+    (Winner.ABORT, ABORT_FINAL_STATE),
+    (Winner.ABORT, ABORT_FIRST_QUBIT),
+)
+
 _COMM_KINDS = frozenset({"send_qubit", "announce", "verdict"})
 
 
@@ -206,19 +219,6 @@ class Outcome:
     winner: Winner
     abort_reason: str | None
     transcript: Transcript
-
-
-def audited_party(outcome: Outcome) -> str | None:
-    """Whose claim the failed check was auditing, if the run aborted.
-
-    The first-qubit check audits Bob's announced win; the final-state check
-    audits the state Alice handed over.
-    """
-    if outcome.abort_reason == ABORT_FIRST_QUBIT:
-        return "bob"
-    if outcome.abort_reason == ABORT_FINAL_STATE:
-        return "alice"
-    return None
 
 
 # -- the state machine --------------------------------------------------------
@@ -278,9 +278,8 @@ def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Genera
     This is the scalar reference of the batched samplers. It reads exactly
     two uniforms, announcement then audit, even for ``BobClaimWin``, which
     ignores the first, so n calls in a row on one generator consume the
-    rows of ``rng.random((n, 2))`` in order. The returned outcome is
-    ``Winner.ABORT`` exactly when a verification test failed, with
-    ``abort_reason`` naming the failed check.
+    rows of ``rng.random((n, 2))`` in order. Its own comparisons decide hit
+    and audit; ``_OUTCOMES`` names the winner and abort reason of their code.
     """
     evolution = _evolve(params, cheat)
     announce_draw, audit_draw = rng.random(DRAWS_PER_FLIP).tolist()
@@ -302,13 +301,12 @@ def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Genera
         ok = audit_draw < evolution.first_qubit_pass
         events.append(Event("test", "alice", "first qubit is spin-down"))
         events.append(Event("verdict", "alice", "pass" if ok else "fail"))
-        winner, reason = (Winner.BOB, None) if ok else (Winner.ABORT, ABORT_FIRST_QUBIT)
     else:
         events.append(Event("send_qubit", "alice", "qubit 1"))
         ok = audit_draw < evolution.final_state_pass
         events.append(Event("test", "bob", "all qubits against the verification state"))
-        winner, reason = (Winner.ALICE, None) if ok else (Winner.ABORT, ABORT_FINAL_STATE)
 
+    winner, reason = _OUTCOMES[bob_announces_win + 2 * (not ok)]
     events.append(Event("declare", "both", winner.value))
     return Outcome(winner, reason, Transcript(tuple(events)))
 
@@ -325,9 +323,6 @@ MAX_TRIALS = 10**8
 
 #: Uniforms one flip reads: the announcement, then the audit.
 DRAWS_PER_FLIP = 2
-
-#: Flip outcome codes of the batched sampler, ``hit + 2 * failed_audit``.
-ALICE_WINS, BOB_WINS, FINAL_STATE_ABORT, FIRST_QUBIT_ABORT = range(4)
 
 
 def trial_rng(seed: int, block: int) -> np.random.Generator:

@@ -158,6 +158,13 @@ def test_csv_output(tmp_path, capsys):
     assert from_config == out
 
 
+def test_dice_csv_rows_follow_party_order(capsys):
+    code, out = run_cli(capsys, "simulate", "--dice", "12", "--trials", "2000", "--format", "csv")
+    assert code == EXIT_OK
+    rows = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+    assert rows == [str(party) for party in range(1, 13)]
+
+
 def test_csv_requires_monte_carlo_section(capsys):
     code, _ = run_cli(capsys, "cheat", "--p", "0.5", "--eta", "0.2", "--format", "csv")
     assert code == EXIT_VALIDATION

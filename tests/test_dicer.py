@@ -36,10 +36,23 @@ from qdice.dicer import (
     MAX_PARTIES,
     _fair_stages,
     _play_trial,
+    _preparer_wins,
     _stage_losses,
     expected_coalition_losing,
 )
-from qdice.wcf import TRIAL_BLOCK, Winner, run_protocol, trial_rng
+from qdice.wcf import (
+    ALICE_WINS,
+    BOB_WINS,
+    FINAL_STATE_ABORT,
+    FIRST_QUBIT_ABORT,
+    TRIAL_BLOCK,
+    AliceDelta,
+    BobClaimWin,
+    Honest,
+    Winner,
+    run_protocol,
+    trial_rng,
+)
 
 
 # -- honest play -----------------------------------------------------------------
@@ -438,3 +451,37 @@ def test_first_trial_is_replayed_only_when_first_read(monkeypatch):
     assert report.first_trial is first
     assert report.to_dict()["first_transcript"] == [run.to_dict() for run in first]
     assert (len(played), len(flips)) == (1, 2)
+
+
+# -- the abort rule ----------------------------------------------------------------------
+
+
+class _FailingAudits:
+    """Generator stand-in whose every uniform is the largest ``random`` can
+    return: Bob's measurement misses, and every audit with a pass chance
+    below 1 fails."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_caught_cheater_advances_the_honest_party(case):
+    for n_parties in range(3, 9):
+        for honest in range(1, n_parties + 1):
+            runs = _play_trial(FAIR[n_parties, case], Coalition(honest_party=honest), _FailingAudits())
+            played = [run for run in runs if honest in (run.preparer, run.responder)]
+            assert len(played) == n_parties - max(honest, 2) + 1, (n_parties, honest)
+            for run in played:
+                assert run.outcome.winner is Winner.ABORT, (n_parties, honest, run.entrant)
+                assert run.winner == honest, (n_parties, honest, run.entrant)
+
+
+def test_advance_table_rows_in_role_terms():
+    claim_win, honest, tilt = (_preparer_wins(cheat) for cheat in (BobClaimWin(), Honest(), AliceDelta(0.3)))
+    for row in (claim_win, honest, tilt):
+        assert row[ALICE_WINS] and not row[BOB_WINS]
+    assert claim_win[FIRST_QUBIT_ABORT]    # a caught claim-win: the preparer advances
+    assert not tilt[FINAL_STATE_ABORT]     # a tilt caught at the final state: the responder advances
+    assert not honest[FINAL_STATE_ABORT]   # honest play: the audited preparer loses
+    assert honest[FIRST_QUBIT_ABORT]       # honest play: the audited responder loses
