@@ -23,11 +23,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import ParameterError
 from .qsim import _check_rotation_defined
 from .wcf import AliceDelta, AliceGeneral, BobClaimWin, CheatSpec, ProtocolParams, _check_p_below_one, _evolve
+
+np = lazy_import("numpy")
 
 
 #: Upper bound on the oracle's grid points and random samples: its arrays
@@ -114,7 +115,7 @@ def cheater_win_prob(params: ProtocolParams, cheat: CheatSpec) -> float | None:
 #: The four basis preparations uu, ud, du, dd as one state, each branch
 #: tagged by its own index of a 4-dimensional ancilla the evolution leaves
 #: untouched.
-_BASIS = AliceGeneral((0.5,) * 4, ancillas=tuple(map(tuple, np.eye(4))))
+_BASIS = AliceGeneral((0.5,) * 4, ancillas=tuple(tuple(float(i == k) for i in range(4)) for k in range(4)))
 
 
 @lru_cache(maxsize=256)

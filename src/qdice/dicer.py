@@ -27,12 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from . import adversary
+from ._lazy import lazy_import
 from .errors import ParameterError
 from .fairness import (
     THREE_SIDED_CASE1_BRACKET,
@@ -59,13 +58,15 @@ from .wcf import (
     trial_rng,
 )
 
+np = lazy_import("numpy")
+
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 INCUMBENT = "incumbent"
 ENTRANT = "entrant"
 
-#: Upper bound on a ladder's party count: a Monte Carlo block holds 2 (N-1)
-#: uniforms per trial, 67 MB of draws at N = 256.
+#: Upper bound on a ladder's party count: a trial plays N - 1 flips on
+#: 2 (N-1) uniforms, so a run's time grows with N.
 MAX_PARTIES = 256
 
 
@@ -403,21 +404,25 @@ class StageRun(NamedTuple):
 #: Whether the preparer advances, by flip outcome code (Alice wins, Bob wins,
 #: final-state abort, first-qubit abort) and kind of stage: the one abort rule.
 #: A caught cheater loses; in an all-honest flip the audited party loses.
-_ADVANCES = np.array([
-    [True, False, True, True],    # the responder claims a win: caught, it loses
-    [True, False, False, True],   # all honest: the audited party loses
-    [True, False, False, False],  # the preparer cheats: caught, it loses
-])
-_ADVANCES.setflags(write=False)
+_ADVANCES = (
+    (True, False, True, True),    # the responder claims a win: caught, it loses
+    (True, False, False, True),   # all honest: the audited party loses
+    (True, False, False, False),  # the preparer cheats: caught, it loses
+)
+
+
+@cache
+def _advance_table() -> np.ndarray:
+    """``_ADVANCES`` as a read-only array, built on first use."""
+    table = np.array(_ADVANCES)
+    table.setflags(write=False)
+    return table
 
 
 def _preparer_wins(cheat: CheatSpec) -> np.ndarray:
     """The advance table row of a stage strategy."""
-    if isinstance(cheat, BobClaimWin):
-        return _ADVANCES[0]
-    if isinstance(cheat, Honest):
-        return _ADVANCES[1]
-    return _ADVANCES[2]
+    row = 0 if isinstance(cheat, BobClaimWin) else 1 if isinstance(cheat, Honest) else 2
+    return _advance_table()[row]
 
 
 def _play_trial(spec: LadderSpec, coalition: Coalition | None, rng: np.random.Generator) -> tuple[StageRun, ...]:
@@ -489,11 +494,12 @@ def simulate_dice(
 
     Trial t reads row t % TRIAL_BLOCK of ``trial_rng(seed, t // TRIAL_BLOCK)``,
     two uniforms per stage in play order, so the counts equal those of
-    ``_play_trial`` run trial after trial on each block's generator. All
-    trials advance together, stage by stage, with the incumbent held as an
-    array. Trial 0 is replayed flip by flip for its transcripts when
-    ``DiceReport.first_trial`` is first read. Each stage advances by
-    ``_preparer_wins``, the abort rule ``_play_trial`` reads too.
+    ``_play_trial`` run trial after trial on each block's generator. The
+    trials of one chunk of draws (``wcf._uniform_blocks``) advance together,
+    stage by stage, with the incumbent held as an array. Trial 0 is replayed
+    flip by flip for its transcripts when ``DiceReport.first_trial`` is
+    first read. Each stage advances by ``_preparer_wins``, the abort rule
+    ``_play_trial`` reads too.
     """
     _check_trials(trials)
     if coalition is not None:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping, Union
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import DegenerateParameterError, ParameterError, ShapeError
+
+np = lazy_import("numpy")
 
 #: absolute tolerance for normalization / unitarity checks
 NORM_TOL = 1e-9

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import ParameterError, ShapeError
 from .qsim import (
     Spin,
@@ -36,6 +35,8 @@ from .qsim import (
     overlap,
     projective_test,
 )
+
+np = lazy_import("numpy")
 
 BOB_WIN_PATTERN = {2: Spin.UP, 3: Spin.DOWN}
 
@@ -324,6 +325,10 @@ MAX_TRIALS = 10**8
 #: Uniforms one flip reads: the announcement, then the audit.
 DRAWS_PER_FLIP = 2
 
+#: Upper bound on the uniforms drawn at once (8 MB): a flip's block is one
+#: draw, a wide ladder's block several, since it holds 2 (N-1) per trial.
+DRAW_CHUNK = 1 << 20
+
 
 def trial_rng(seed: int, block: int) -> np.random.Generator:
     """Random substream of one block of trials, derived from (seed, block).
@@ -342,9 +347,15 @@ def _check_trials(trials: int) -> None:
 
 
 def _uniform_blocks(seed: int, trials: int, draws: int):
-    """The uniforms of trials 0..trials-1, one (rows, draws) array per block."""
+    """The uniforms of trials 0..trials-1 as (rows, draws) arrays, in trial
+    order: each block in row chunks of at most ``DRAW_CHUNK`` uniforms (at
+    least one row). ``Generator.random`` fills in order, so a block's chunks
+    concatenate to the block drawn at once."""
+    step = max(1, DRAW_CHUNK // draws)
     for block, start in enumerate(range(0, trials, TRIAL_BLOCK)):
-        yield trial_rng(seed, block).random((min(TRIAL_BLOCK, trials - start), draws))
+        rng, rows = trial_rng(seed, block), min(TRIAL_BLOCK, trials - start)
+        for done in range(0, rows, step):
+            yield rng.random((min(step, rows - done), draws))
 
 
 def _flip_codes(evolution: _Evolution, draws: np.ndarray) -> np.ndarray:

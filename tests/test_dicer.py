@@ -1,6 +1,7 @@
 """Ladder composition, the three-sided optimizations and dice Monte Carlo."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -421,6 +422,15 @@ def test_batched_ladder_crosses_a_block_boundary():
     report = simulate_dice(spec, trials, seed=6, coalition=coalition)
     assert (report.win_counts, report.stage_aborts) == scalar_ladder(spec, trials, 6, coalition)
 
+
+
+def test_widest_ladder_counts_across_a_block_boundary_are_unchanged_by_chunked_draws():
+    # frozen from the sampler that drew each block of 2 * 255 uniforms per trial at once
+    report = simulate_dice(LadderSpec.fair(MAX_PARTIES, case=2), TRIAL_BLOCK + 37, seed=3,
+                           coalition=Coalition(honest_party=200))
+    assert report.win_counts[:8] == (69, 63, 44, 43, 59, 74, 61, 70)
+    assert (report.win_counts[199], report.stage_aborts, sum(report.win_counts)) == (1, 26, TRIAL_BLOCK + 37)
+    assert hashlib.sha256(str(report.win_counts).encode()).hexdigest()[:16] == "725f5cf5095a9327"
 
 def test_first_trial_reports_each_stage():
     spec = LadderSpec.three_sided(case=1)

@@ -256,6 +256,23 @@ def test_batched_counts_cross_a_block_boundary_and_extend_as_a_prefix():
     assert +run_trials(params, cheat, trials + 5, seed=21).counts == stats.counts + extra
 
 
+
+def test_wide_blocks_are_drawn_in_chunks_that_concatenate_to_one_draw():
+    draws = 2 * 255  # one trial of the 256-party ladder
+    trials = TRIAL_BLOCK + 37
+    offset, blocks = 0, []
+    for chunk in wcf._uniform_blocks(8, trials, draws):
+        assert chunk.shape[1] == draws and chunk.size <= wcf.DRAW_CHUNK
+        block, row = divmod(offset, TRIAL_BLOCK)
+        if row == 0:
+            whole = trial_rng(8, block).random((min(TRIAL_BLOCK, trials - offset), draws))
+            blocks.append(0)
+        assert np.array_equal(chunk, whole[row:row + len(chunk)])
+        offset += len(chunk)
+        blocks[-1] += 1
+    assert offset == trials
+    assert blocks[0] > 1 and len(blocks) == 2
+
 @pytest.mark.parametrize("cheat", [Honest(), BobClaimWin(), AliceDelta(0.9)])
 def test_first_trial_replay_matches_batched_trial_zero(cheat):
     params = ProtocolParams(0.5, ETA_FAIR)
