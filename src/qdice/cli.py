@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Sequence
 
-from . import __version__, adversary, dicer, fairness
+from . import __version__, adversary, dicer
 from .errors import BracketError, ParameterError, QdiceError
 from .wcf import (
     AliceDelta,
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="fairness optimizations")
     solve.add_argument("target", choices=SOLVE_TARGETS)
-    solve.add_argument("--bracket", help="override bracket as lo,hi")
+    solve.add_argument("--bracket", help="lo,hi eta bracket of the solved stage: stage 2 (the coin) for balanced, stage 3 for dice3-*")
     add_common(solve)
 
     bound = sub.add_parser("bound-check", help="ladder bias composition bound")
@@ -327,7 +327,7 @@ def _cmd_solve(args: argparse.Namespace) -> dict:
         bracket = (parts[0], parts[1])
     report = _base_report({"command": "solve", "target": args.target, "bracket": list(bracket) if bracket else None})
     if args.target == "balanced":
-        solution = fairness.solve_balanced(bracket or fairness.BALANCED_BRACKET)
+        solution = dicer.solve_balanced(bracket)
         report["analytic"] = {
             "eta_star": solution.eta_star,
             "alice_optimal": solution.achieved_values[0],

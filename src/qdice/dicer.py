@@ -16,11 +16,13 @@ abort rule, ``_preparer_wins``, advances a stage in both samplers.
 
 Stage m is the flip that party m enters. Every stage from m = 3 on has
 two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
-A fair ladder, for any N and either layout, is solved stage by stage: each
-eta equalizes the entrant's worst-case losing probability with that of the
+At stage 2 (p = 1/2) both layouts are the same coin. A fair ladder, for any
+N and either layout, is solved stage by stage from that coin on: each eta
+equalizes the entrant's worst-case losing probability with that of the
 parties already in, so all N parties end with the same worst case. The
-six-round three-sided protocol is its N = 3 instance (biases 0.181 and
-0.199).
+balanced coin (W = 1/sqrt(2) at eta* = (sqrt(2) - 1) / 2) is its N = 2
+instance, the six-round three-sided protocol its N = 3 instance (biases
+0.181 and 0.199).
 """
 from __future__ import annotations
 
@@ -33,13 +35,7 @@ from typing import NamedTuple, Sequence
 from . import adversary
 from ._lazy import lazy_import
 from .errors import ParameterError
-from .fairness import (
-    THREE_SIDED_CASE1_BRACKET,
-    THREE_SIDED_CASE2_BRACKET,
-    FairnessSolution,
-    find_root,
-    solve_balanced,
-)
+from .fairness import FairnessSolution, find_root
 from .wcf import (
     DRAWS_PER_FLIP,
     FINAL_STATE_ABORT,
@@ -59,8 +55,6 @@ from .wcf import (
 )
 
 np = lazy_import("numpy")
-
-SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 INCUMBENT = "incumbent"
 ENTRANT = "entrant"
@@ -179,56 +173,80 @@ def _stage_losses(m: int, case: int, eta: float, square_cheat_term: bool = True)
     return preparer, responder if square_cheat_term else math.sqrt(responder)
 
 
+#: stage 3's default brackets by case, narrower than its [0, 1-p]: bisecting
+#: [0, 1-p] instead moves the last bits of its eta*, which reports print
+_THREE_SIDED_BRACKETS = {1: (0.10, 0.20), 2: (0.15, 0.25)}
+
+
 class _FairStage(NamedTuple):
-    """One solved stage: its eta, the entrant's and the incumbent's
+    """One solved stage: its flip, the entrant's and the incumbent's
     worst-case stage losses there, and the survivors' composed loss."""
 
-    eta: float
+    stage: StageParams
     entrant: float
     incumbent: float
     survivors: float
+
+    def solution(self) -> FairnessSolution:
+        """The stage's eta with the two losses it equalizes."""
+        return FairnessSolution(
+            self.stage.params.eta, (self.entrant, self.survivors), abs(self.entrant - self.survivors)
+        )
 
 
 def _fair_stages(
     n_parties: int, case: int, bracket: tuple[float, float] | None = None, square_cheat_term: bool = True
 ) -> tuple[_FairStage, ...]:
-    """Solve entrants 3..N of a fair ladder, one stage at a time.
+    """Solve entrants 2..N of a fair ladder, one stage at a time.
 
-    After the balanced coin of entrant 2 both parties share the worst-case
-    loss W = 1/sqrt(2). Stage m picks eta with one ``find_root`` on the
-    entrant's worst-case loss minus the survivors' ``_compose((W,
-    incumbent's loss))``, and the entrant's loss at the root is the next W.
-    Stage three searches ``bracket`` (by default the case's three-sided
-    bracket), later stages [0, 1-p]. ``square_cheat_term`` reaches only case
-    2's incumbent (see ``_stage_losses``), so case 1 refuses False.
+    Before stage 2 no party is in, so the survivors' loss starts at 0.
+    Stage m picks eta with one ``find_root`` on the entrant's worst-case
+    loss minus the survivors' ``_compose((survivors, incumbent's loss))``,
+    and the entrant's loss at the root is the next survivors' loss. Stage 2,
+    the balanced coin, is the same flip in either layout and is played in
+    layout 1, the incumbent preparing. Stages search [0, 1-p], stage 3 its
+    case's narrower default; ``bracket`` replaces the last stage's interval.
+    ``square_cheat_term`` reaches only case 2's incumbent (see
+    ``_stage_losses``), so case 1 refuses False.
     """
     if case not in (1, 2):
         raise ParameterError(f"case must be 1 or 2, got {case}")
     if case == 1 and not square_cheat_term:
         raise ParameterError("the unsquared cheat term is a case-2 reading; case 1 has no term to square")
-    survivors = SQRT_HALF
+    survivors = 0.0
     stages = []
-    for m in range(3, n_parties + 1):
-        if m > 3:
-            stage_bracket = (0.0, 1.0 - _layout_p(m, case))
+    for m in range(2, n_parties + 1):
+        layout = 1 if m == 2 else case
+        p = _layout_p(m, layout)
+        if bracket and m == n_parties:
+            stage_bracket = bracket
         else:
-            stage_bracket = bracket or (THREE_SIDED_CASE1_BRACKET if case == 1 else THREE_SIDED_CASE2_BRACKET)
+            stage_bracket = _THREE_SIDED_BRACKETS[case] if m == 3 else (0.0, 1.0 - p)
 
         def residual(eta: float) -> float:  # called only within this iteration
-            entrant, incumbent = _stage_losses(m, case, eta, square_cheat_term)
+            entrant, incumbent = _stage_losses(m, layout, eta, square_cheat_term)
             return entrant - _compose((survivors, incumbent))
 
         eta = find_root(residual, stage_bracket)
-        entrant, incumbent = _stage_losses(m, case, eta, square_cheat_term)
-        stages.append(_FairStage(eta, entrant, incumbent, _compose((survivors, incumbent))))
+        entrant, incumbent = _stage_losses(m, layout, eta, square_cheat_term)
+        stage = StageParams(m, ProtocolParams(p, eta), INCUMBENT if layout == 1 else ENTRANT)
+        stages.append(_FairStage(stage, entrant, incumbent, _compose((survivors, incumbent))))
         survivors = entrant
     return tuple(stages)
 
 
+def solve_balanced(bracket: tuple[float, float] | None = None) -> FairnessSolution:
+    """The balanced coin (p = 1/2): the single stage of the fair two-party
+    ladder, whose eta equalizes Alice's and Bob's cheat values. ``bracket``
+    replaces its default [0, 1/2]."""
+    (coin,) = _fair_stages(2, 1, bracket)
+    return coin.solution()
+
+
 @dataclass(frozen=True)
 class ThreeSidedOptimum:
-    """The one solved stage of the fair three-party ladder, with every
-    party's worst-case losing probability and the bias bound check."""
+    """Stage 3 of the solved fair three-party ladder, with every party's
+    worst-case losing probability and the bias bound check."""
 
     case: int
     solution: FairnessSolution
@@ -253,17 +271,17 @@ class ThreeSidedOptimum:
 def optimize_three_sided(
     case: int, bracket: tuple[float, float] | None = None, square_cheat_term: bool = True
 ) -> ThreeSidedOptimum:
-    """Equalize all three parties' worst-case losing probabilities: the one
-    solved stage of the fair three-party ladder (see ``_fair_stages``),
-    with eta*, the common value and the bias."""
-    (stage,) = _fair_stages(3, case, bracket, square_cheat_term)
-    claire, composed = stage.entrant, stage.survivors
-    solution = FairnessSolution(stage.eta, (claire, composed), residual=abs(claire - composed))
+    """Equalize all three parties' worst-case losing probabilities: stage 3
+    of the solved fair three-party ladder (see ``_fair_stages``; ``bracket``
+    replaces stage 3's), with eta*, the common value and the bias."""
+    coin, stage = _fair_stages(3, case, bracket, square_cheat_term)
+    solution = stage.solution()
+    claire, composed = solution.achieved_values
     # parties ordered (Alice, Bob, Claire); Claire is entrant 3
     worst_by_party = (composed, composed, claire)
     biases = tuple(v - 2.0 / 3.0 for v in worst_by_party)
-    # stage biases: entrant 2's balanced coin at its fair point, then stage 3's incumbent and entrant
-    bound = 3.0 * max(SQRT_HALF - 0.5, stage.incumbent - 1.0 / 3.0, claire - 2.0 / 3.0)
+    # stage biases: entrant 2's balanced coin, then stage 3's incumbent and entrant
+    bound = 3.0 * max(coin.entrant - 0.5, stage.incumbent - 1.0 / 3.0, claire - 2.0 / 3.0)
     return ThreeSidedOptimum(case, solution, worst_by_party, biases, bound, max(biases) <= bound)
 
 
@@ -319,15 +337,11 @@ class LadderSpec:
 
     @classmethod
     def fair(cls, n_parties: int, case: int = 1) -> "LadderSpec":
-        """The fair N-party ladder: entrant 2 at the balanced fair eta, each
-        later entrant at the eta ``_fair_stages`` solves for the layout
-        (case 1, the incumbent prepares; case 2, the entrant prepares)."""
+        """The fair N-party ladder: every stage, the balanced coin of entrant
+        2 included, as ``_fair_stages`` solves it for the layout (case 1, the
+        incumbent prepares; case 2, the entrant prepares)."""
         _check_party_count(n_parties)
-        preparer = INCUMBENT if case == 1 else ENTRANT
-        stages = [StageParams(2, ProtocolParams(0.5, solve_balanced().eta_star), INCUMBENT)]
-        for m, stage in enumerate(_fair_stages(n_parties, case), start=3):
-            stages.append(StageParams(m, ProtocolParams(_layout_p(m, case), stage.eta), preparer))
-        return cls(n_parties, tuple(stages))
+        return cls(n_parties, tuple(solved.stage for solved in _fair_stages(n_parties, case)))
 
     @classmethod
     def three_sided(cls, case: int = 1) -> "LadderSpec":

@@ -1,10 +1,9 @@
-"""Fairness conditions and the shared bracketed root finder.
+"""The shared bracketed root finder and the shape of a fairness solution.
 
-A protocol instance is fair when both parties' optimal cheating
-probabilities coincide; for the balanced coin (p = 1/2) that pins eta at
-(sqrt(2) - 1) / 2 with common value 1/sqrt(2). Every optimization in the
-toolkit reduces to a 1-D maximization plus a 1-D root solve, so bisection
-is all the machinery needed.
+A protocol instance is fair when the parties' worst-case losing
+probabilities coincide. Every fair solve in the toolkit (``dicer``'s
+ladders, the balanced coin among them) reduces to a 1-D maximization plus a
+1-D root solve, so bisection is all the machinery needed.
 """
 from __future__ import annotations
 
@@ -12,18 +11,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .adversary import alice_optimal_value, bob_optimal_value
 from .errors import BracketError, ParameterError
-from .wcf import ProtocolParams
-
-#: default brackets for the toolkit's three named solves
-BALANCED_BRACKET = (0.0, 0.5)
-THREE_SIDED_CASE1_BRACKET = (0.10, 0.20)
-THREE_SIDED_CASE2_BRACKET = (0.15, 0.25)
 
 
 @dataclass(frozen=True)
 class FairnessSolution:
+    """A solved eta, the two values it equalizes, and their gap."""
+
     eta_star: float
     achieved_values: tuple[float, float]
     residual: float
@@ -66,18 +60,3 @@ def find_root(
             break
     return 0.5 * (lo + hi)
 
-
-def solve_balanced(bracket: tuple[float, float] = BALANCED_BRACKET) -> FairnessSolution:
-    """Eta equalizing both cheat values for the balanced coin (p = 1/2)."""
-
-    def residual(eta: float) -> float:
-        params = ProtocolParams(0.5, eta)
-        return alice_optimal_value(params).value - bob_optimal_value(params).value
-
-    eta_star = find_root(residual, bracket)
-    params = ProtocolParams(0.5, eta_star)
-    alice = alice_optimal_value(params).value
-    bob = bob_optimal_value(params).value
-    return FairnessSolution(
-        eta_star=eta_star, achieved_values=(alice, bob), residual=abs(alice - bob)
-    )

@@ -18,6 +18,7 @@ from conftest import (
     three_sigma,
 )
 from qdice import (
+    BracketError,
     Coalition,
     LadderSpec,
     ParameterError,
@@ -27,6 +28,7 @@ from qdice import (
     honest_dice_probs,
     optimize_three_sided,
     simulate_dice,
+    solve_balanced,
     worst_case_losing_prob,
 )
 from qdice import dicer
@@ -249,10 +251,24 @@ FAIR = {(n, case): LadderSpec.fair(n, case) for n in range(2, 17) for case in (1
 
 
 def _worst_case(n_parties, case):
-    """The last entrant's worst-case loss: the balanced coin's 1/sqrt(2)
-    for N = 2, else the entrant value of the last solved stage."""
-    stages = _fair_stages(n_parties, case)
-    return stages[-1].entrant if stages else SQRT_HALF
+    """The last entrant's worst-case loss: the entrant value of the last
+    solved stage (the balanced coin's for N = 2)."""
+    return _fair_stages(n_parties, case)[-1].entrant
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_the_coin_is_stage_2_of_every_fair_ladder(case):
+    coin = _fair_stages(2, 1)[0]
+    balanced = StageParams(2, ProtocolParams(0.5, solve_balanced().eta_star), INCUMBENT)
+    for n_parties in range(2, 17):
+        assert _fair_stages(n_parties, case)[0] == coin, n_parties
+        assert FAIR[n_parties, case].stages[0] == balanced, n_parties
+
+
+def test_solve_balanced_bracket_reaches_stage_2():
+    # the fair eta (sqrt(2) - 1) / 2 lies outside (0.3, 0.4)
+    with pytest.raises(BracketError):
+        solve_balanced((0.3, 0.4))
 
 
 @pytest.mark.parametrize("case", [1, 2])
