@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -74,7 +75,12 @@ def _attach_list_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qdice`` argument parser, built on first use and shared by every
+    later call in the process, since building it costs about 20 times what
+    parsing one argv does. Parsing never mutates it: each call's state lives
+    in the ``Namespace`` it returns, so callers must not change the parser."""
     parser = argparse.ArgumentParser(
         prog="qdice",
         description="Weak imbalanced coin flipping and N-sided dice rolling toolkit",
@@ -357,7 +363,6 @@ def _cmd_bound_check(args: argparse.Namespace) -> dict:
     _require(args, "dice", "party", "biases")
     biases = _parse_float_list(args.biases)
     check = dicer.bias_bound_check(args.party, args.dice, biases)
-    losing = dicer.worst_case_losing_prob(args.party, args.dice, biases)
     report = _base_report(
         {
             "command": "bound-check",
@@ -366,7 +371,7 @@ def _cmd_bound_check(args: argparse.Namespace) -> dict:
             "biases": list(biases),
         }
     )
-    report["analytic"] = {"worst_case_losing": losing}
+    report["analytic"] = {"worst_case_losing": check.worst_case_losing}
     report["bounds"] = {"epsilon": check.epsilon, "bound": check.bound, "holds": check.holds}
     return report
 
@@ -411,6 +416,11 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command on ``argv`` (default ``sys.argv[1:]``), write its
+    report and return the exit code: 0, or 1, 2, 3 with a one-line message
+    on stderr. Argparse refusals (code 2), ``--help`` and ``--version``
+    (code 0) raise ``SystemExit`` instead. It may be called any number of
+    times in one process; every call reuses the parser ``build_parser`` built."""
     parser = build_parser()
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:

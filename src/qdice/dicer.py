@@ -136,6 +136,8 @@ class BoundCheck(NamedTuple):
     epsilon: float
     bound: float
     holds: bool
+    #: party n's overall losing probability, ``worst_case_losing_prob``'s value
+    worst_case_losing: float
 
 
 def bias_bound_check(n: int, n_parties: int, biases: Sequence[float]) -> BoundCheck:
@@ -143,7 +145,7 @@ def bias_bound_check(n: int, n_parties: int, biases: Sequence[float]) -> BoundCh
     losing = _losing_recursion(n, n_parties, biases)
     epsilon = losing - Fraction(n_parties - 1, n_parties)
     bound = n_parties * max(Fraction(b) for b in biases)
-    return BoundCheck(float(epsilon), float(bound), epsilon <= bound)
+    return BoundCheck(float(epsilon), float(bound), epsilon <= bound, float(losing))
 
 
 # -- fair ladders -------------------------------------------------------------

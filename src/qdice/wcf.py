@@ -6,10 +6,12 @@ rotation and measures qubits 2,3 against the up/down pattern. A hit means
 Bob wins, which Alice audits by checking her qubit is spin-down; a miss
 means Alice wins, which Bob audits by testing all three qubits against the
 verification state. Alice wins with probability 1-p, Bob with p, and honest
-runs fail an audit only by float rounding. Every preparation, honest or
-not, comes from one builder (``_preparation``) and runs through one
-evolution (``_evolve``), whose final audit is one ``qsim.overlap`` with the
-verification state.
+runs pass both audits with probability exactly 1: each audit's pass
+probability is w_pass / (w_pass + w_fail), both weights summed from the
+branch amplitudes, and honest play leaves the fail branch at (or within
+rounding of) zero. Every preparation, honest or not, comes from one builder
+(``_preparation``) and runs through one evolution (``_evolve``), whose final
+audit is one ``qsim.overlap`` with the verification state.
 
 Cheating strategies are declared through :class:`CheatSpec` variants; a
 failed audit ends the run with winner ``Winner.ABORT``, which bias
@@ -164,10 +166,17 @@ def verification_state(params: ProtocolParams) -> StateVector:
     )
 
 
+def _pass_share(passed, failed) -> float:
+    """An audit's pass probability w_pass / (w_pass + w_fail), both weights
+    summed from branch amplitudes; taking 1 - w_pass instead would leave an
+    audit nothing can fail at rounding distance below 1."""
+    w_pass = float(np.sum(np.abs(passed) ** 2))
+    return w_pass / (w_pass + float(np.sum(np.abs(failed) ** 2)))
+
+
 def alice_verification(state: StateVector) -> float:
     """Probability that qubit 1 of ``state`` is found spin-down."""
-    passed, _ = projective_test(state, {1: Spin.DOWN})
-    return passed.probability
+    return _pass_share(state.amps[int(Spin.DOWN)], state.amps[int(Spin.UP)])
 
 
 # -- transcripts and outcomes -------------------------------------------------
@@ -267,8 +276,9 @@ def _evolve(params: ProtocolParams, cheat: CheatSpec) -> _Evolution:
     first_qubit = alice_verification(hit.post_state) if hit.post_state is not None else 0.0
     final_state = 0.0
     if miss.post_state is not None:
-        amplitudes = np.atleast_1d(overlap(verification_state(params), miss.post_state))
-        final_state = min(1.0, float(np.sum(np.abs(amplitudes) ** 2)))
+        xi = verification_state(params)
+        amplitudes = np.atleast_1d(overlap(xi, miss.post_state))
+        final_state = _pass_share(amplitudes, miss.post_state.amps - amplitudes * xi.amps)
         amplitudes = math.sqrt(miss.probability) * amplitudes
     return _Evolution(hit.probability, first_qubit, final_state, amplitudes)
 

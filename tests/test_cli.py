@@ -10,7 +10,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import ETA_FAIR, SQRT_HALF, three_sigma
-from qdice.cli import CHEAT_CHOICES, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, SOLVE_TARGETS, main
+from qdice.cli import (
+    _DEFAULTS,
+    CHEAT_CHOICES,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_SOLVER,
+    EXIT_VALIDATION,
+    SOLVE_TARGETS,
+    build_parser,
+    main,
+)
+from test_golden import GOLDEN, _path, render
 
 SCHEMA_KEYS = {"version", "inputs", "analytic", "monte_carlo", "bounds"}
 
@@ -283,6 +294,37 @@ def test_unwritable_output_path(capsys):
     )
     capsys.readouterr()
     assert code == 1
+
+
+# -- one parser per process: nothing carries over from one call to the next ------
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_config_values_do_not_outlive_their_run(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cheat": "bob-claim-win", "trials": 2000, "seed": 3}))
+    report = run_json(capsys, "simulate", "--p", "0.5", "--eta", "0.2", "--config", str(config))
+    assert report["inputs"]["cheat"] == "bob-claim-win"
+    report = run_json(capsys, "simulate", "--p", "0.5", "--eta", "0.2")
+    assert {key: report["inputs"][key] for key in ("cheat", "trials", "seed")} == {
+        key: _DEFAULTS[key] for key in ("cheat", "trials", "seed")
+    }
+
+
+def test_ladder_flags_do_not_outlive_their_run(capsys):
+    run_json(capsys, "simulate", "--dice", "3", "--honest", "--trials", "50")
+    run_json(capsys, "simulate", "--p", "0.5", "--eta", "0.2", "--trials", "50")
+
+
+def test_a_refused_argv_leaves_the_next_report_unchanged(capsys):
+    with pytest.raises(SystemExit) as refusal:
+        main(["simulate", "--trials", "many"])
+    assert refusal.value.code == 2
+    capsys.readouterr()
+    assert render(GOLDEN["bound-check"]).encode() == _path("bound-check").read_bytes()
 
 
 # -- fuzzed argv and config files ------------------------------------------------

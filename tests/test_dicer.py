@@ -141,7 +141,7 @@ def test_composition_is_monotone_in_each_bias():
 
 def test_bias_bound_examples():
     check = bias_bound_check(1, 2, [0.0])
-    assert check == (0.0, 0.0, True)
+    assert check == (0.0, 0.0, True, 0.5)
     check = bias_bound_check(1, 2, [ETA_FAIR])
     assert check.epsilon == pytest.approx(ETA_FAIR, abs=1e-9)
     assert check.bound == pytest.approx(2 * ETA_FAIR, abs=1e-12)
@@ -293,6 +293,7 @@ def test_fair_ladder_bias_stays_below_the_bound(case):
             check = bias_bound_check(party, n_parties, biases)
             assert check.holds
             assert check.epsilon == pytest.approx(worst - (n_parties - 1) / n_parties, abs=1e-10)
+            assert check.worst_case_losing == worst_case_losing_prob(party, n_parties, biases)
 
 
 @pytest.mark.parametrize("case", [1, 2])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DELTA_STAR_FAIR, ETA_FAIR, three_sigma
+from conftest import DELTA_STAR_FAIR, ETA_FAIR, random_params, three_sigma
 from qdice import (
     AliceDelta,
     AliceGeneral,
@@ -80,6 +80,17 @@ def test_alice_general_refuses_entries_too_large_to_square(amplitudes, ancillas)
 def test_alice_verification_basics():
     assert alice_verification(ket("d")) == pytest.approx(1.0)
     assert alice_verification(ket("u")) == pytest.approx(0.0)
+
+
+def test_honest_audits_pass_exactly():
+    """Both audits of an honest run pass with probability exactly 1, on every
+    stage of the fair N = 8 ladder in both layouts and at 2000 random (p, eta)."""
+    rng = np.random.default_rng(20)
+    configs = [stage.params for case in (1, 2) for stage in LadderSpec.fair(8, case).stages]
+    configs += [random_params(rng) for _ in range(2000)]
+    for params in configs:
+        evolution = wcf._evolve.__wrapped__(params, Honest())
+        assert (evolution.first_qubit_pass, evolution.final_state_pass) == (1.0, 1.0), params
 
 
 # -- honest Monte Carlo ----------------------------------------------------------
