@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from . import adversary
@@ -365,7 +365,8 @@ _COLLUDER = 0
 
 
 def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
-    """(preparer party, responder party) for a stage."""
+    """(preparer party, responder party) for a stage; ``incumbent`` may be
+    an array of parties, one per trial."""
     if stage.preparer == INCUMBENT:
         return incumbent, stage.entrant
     return stage.entrant, incumbent
@@ -427,18 +428,9 @@ _ADVANCES = (
 )
 
 
-@cache
-def _advance_table() -> np.ndarray:
-    """``_ADVANCES`` as a read-only array, built on first use."""
-    table = np.array(_ADVANCES)
-    table.setflags(write=False)
-    return table
-
-
-def _preparer_wins(cheat: CheatSpec) -> np.ndarray:
-    """The advance table row of a stage strategy."""
-    row = 0 if isinstance(cheat, BobClaimWin) else 1 if isinstance(cheat, Honest) else 2
-    return _advance_table()[row]
+def _preparer_wins(cheat: CheatSpec) -> tuple[bool, bool, bool, bool]:
+    """The ``_ADVANCES`` row of a stage strategy."""
+    return _ADVANCES[0 if isinstance(cheat, BobClaimWin) else 1 if isinstance(cheat, Honest) else 2]
 
 
 def _play_trial(spec: LadderSpec, coalition: Coalition | None, rng: np.random.Generator) -> tuple[StageRun, ...]:
@@ -523,7 +515,7 @@ def simulate_dice(
     plan = []
     for stage in spec.stages:
         groups = [
-            None if cheat is None else (_evolve(stage.params, cheat), _preparer_wins(cheat))
+            None if cheat is None else (_evolve(stage.params, cheat), np.array(_preparer_wins(cheat)))
             for cheat in _stage_groups(stage, coalition)
         ]
         plan.append((stage, *groups))
@@ -542,10 +534,7 @@ def simulate_dice(
                 code[rows] = _flip_codes(evolution, flip_draws[rows])
                 advances[rows] = preparer_wins[code[rows]]
             stage_aborts += int(np.count_nonzero(code >= FINAL_STATE_ABORT))
-            if stage.preparer == INCUMBENT:
-                incumbent = np.where(advances, incumbent, stage.entrant)
-            else:
-                incumbent = np.where(advances, stage.entrant, incumbent)
+            incumbent = np.where(advances, *_stage_roles(stage, incumbent))
         wins += np.bincount(incumbent, minlength=spec.n_parties + 1)
     return DiceReport(
         n_parties=spec.n_parties,

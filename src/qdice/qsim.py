@@ -6,6 +6,10 @@ array of shape (2, ..., 2, D); qubit axes come first and are addressed with
 1-based labels matching the register subscripts, the ancilla is always the
 trailing axis. Spin convention: index 0 = up, 1 = down.
 
+Every binary test (``projective_test``, ``wcf``'s audits) has one rule,
+``_weights``: a branch's probability is its own amplitudes' weight over both
+weights' sum, so a test with no fail amplitude passes with probability 1.
+
 All operations are pure: they validate their inputs, return fresh
 ``StateVector`` instances and never mutate anything, so they are safe to
 evaluate concurrently.
@@ -160,8 +164,9 @@ def ket(label: LabelLike, ancilla_dim: int = 1) -> StateVector:
 class TestOutcome:
     """One branch of a projective test.
 
-    ``post_state`` is the renormalized projection; it is absent when the
-    branch probability is below ``ZERO_BRANCH_TOL``.
+    ``probability`` is the branch's share of both weights (``_weights``);
+    ``post_state`` is the renormalized projection, absent when the branch
+    probability is below ``ZERO_BRANCH_TOL``.
     """
 
     probability: float
@@ -182,12 +187,7 @@ def _check_rotation_defined(p: float, eta: float) -> None:
         raise DegenerateParameterError("p + eta must be positive")
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
 def _branch(raw: np.ndarray, probability: float) -> TestOutcome:
-    probability = _clamp01(probability)
     if probability < ZERO_BRANCH_TOL:
         return TestOutcome(probability, None)
     return TestOutcome(probability, StateVector(raw / math.sqrt(probability)))
@@ -253,25 +253,26 @@ def _pattern_index(state: StateVector, pattern: Pattern) -> tuple:
     return tuple(index)
 
 
-def _test_pattern(state: StateVector, pattern: Pattern) -> tuple[TestOutcome, TestOutcome]:
-    index = _pattern_index(state, pattern)
-    matched = state.amps[index]
-    p_pass = float(np.sum(np.abs(matched) ** 2))
-    p_fail = float(np.sum(np.abs(state.amps) ** 2)) - p_pass
+def _project(state: StateVector, target: Union[Pattern, StateVector]) -> tuple[np.ndarray, np.ndarray]:
+    """The unnormalized (pass, fail) branches of ``state`` tested against a
+    spin pattern or a pure state."""
+    if isinstance(target, StateVector):
+        passed = overlap(target, state) * target.amps
+    elif isinstance(target, Mapping):
+        index = _pattern_index(state, target)
+        passed = np.zeros_like(state.amps)
+        passed[index] = state.amps[index]
+    else:
+        raise ShapeError(f"unsupported test target: {type(target).__name__}")
+    return passed, state.amps - passed
 
-    passed = np.zeros_like(state.amps)
-    passed[index] = matched
-    failed = np.array(state.amps)
-    failed[index] = 0.0
-    return _branch(passed, p_pass), _branch(failed, p_fail)
 
-
-def _test_pure_state(state: StateVector, target: StateVector) -> tuple[TestOutcome, TestOutcome]:
-    projected = overlap(target, state) * target.amps
-    p_pass = float(np.sum(np.abs(projected) ** 2))
-    failed = state.amps - projected
-    p_fail = float(np.sum(np.abs(failed) ** 2))
-    return _branch(projected, p_pass), _branch(failed, p_fail)
+def _weights(passed: np.ndarray, failed: np.ndarray) -> tuple[float, float]:
+    """The (pass, fail) probabilities of a binary test: each branch's weight,
+    summed from its own amplitudes, over the sum of both weights."""
+    w_pass = float(np.sum(np.abs(passed) ** 2))
+    w_fail = float(np.sum(np.abs(failed) ** 2))
+    return w_pass / (w_pass + w_fail), w_fail / (w_pass + w_fail)
 
 
 def projective_test(
@@ -279,14 +280,13 @@ def projective_test(
 ) -> tuple[TestOutcome, TestOutcome]:
     """Binary projective measurement against a pattern or a pure state.
 
-    Returns the (pass, fail) branches; their probabilities sum to 1 and each
-    present post-state is renormalized. A pattern target tests a spin
-    assignment on a subset of qubits; a pure-state target tests against that
-    state (when the target carries no ancilla but the tested state does, the
-    test acts as identity on the ancilla index).
+    Returns the (pass, fail) branches; their probabilities (``_weights``)
+    sum to 1 within rounding and each present post-state is renormalized. A
+    pattern target tests a spin assignment on a subset of qubits; a
+    pure-state target tests against that state (when the target carries no
+    ancilla but the tested state does, the test acts as identity on the
+    ancilla index).
     """
-    if isinstance(target, StateVector):
-        return _test_pure_state(state, target)
-    if isinstance(target, Mapping):
-        return _test_pattern(state, target)
-    raise ShapeError(f"unsupported test target: {type(target).__name__}")
+    passed, failed = _project(state, target)
+    p_pass, p_fail = _weights(passed, failed)
+    return _branch(passed, p_pass), _branch(failed, p_fail)

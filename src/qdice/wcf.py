@@ -6,12 +6,12 @@ rotation and measures qubits 2,3 against the up/down pattern. A hit means
 Bob wins, which Alice audits by checking her qubit is spin-down; a miss
 means Alice wins, which Bob audits by testing all three qubits against the
 verification state. Alice wins with probability 1-p, Bob with p, and honest
-runs pass both audits with probability exactly 1: each audit's pass
-probability is w_pass / (w_pass + w_fail), both weights summed from the
-branch amplitudes, and honest play leaves the fail branch at (or within
-rounding of) zero. Every preparation, honest or not, comes from one builder
-(``_preparation``) and runs through one evolution (``_evolve``), whose final
-audit is one ``qsim.overlap`` with the verification state.
+runs pass both audits with probability exactly 1: every measurement's
+probabilities come from ``qsim._weights``, the one branch rule, and honest
+play leaves each audit's fail branch at (or within rounding of) zero. Every
+preparation, honest or not, comes from one builder (``_preparation``) and
+runs through one evolution (``_evolve``), whose final audit is one
+``qsim.overlap`` with the verification state.
 
 Cheating strategies are declared through :class:`CheatSpec` variants; a
 failed audit ends the run with winner ``Winner.ABORT``, which bias
@@ -32,6 +32,7 @@ from .qsim import (
     Spin,
     StateVector,
     _check_p_eta,
+    _weights,
     apply_u_eta,
     attach_down_ancilla_qubit,
     overlap,
@@ -166,17 +167,9 @@ def verification_state(params: ProtocolParams) -> StateVector:
     )
 
 
-def _pass_share(passed, failed) -> float:
-    """An audit's pass probability w_pass / (w_pass + w_fail), both weights
-    summed from branch amplitudes; taking 1 - w_pass instead would leave an
-    audit nothing can fail at rounding distance below 1."""
-    w_pass = float(np.sum(np.abs(passed) ** 2))
-    return w_pass / (w_pass + float(np.sum(np.abs(failed) ** 2)))
-
-
 def alice_verification(state: StateVector) -> float:
     """Probability that qubit 1 of ``state`` is found spin-down."""
-    return _pass_share(state.amps[int(Spin.DOWN)], state.amps[int(Spin.UP)])
+    return _weights(state.amps[int(Spin.DOWN)], state.amps[int(Spin.UP)])[0]
 
 
 # -- transcripts and outcomes -------------------------------------------------
@@ -278,7 +271,7 @@ def _evolve(params: ProtocolParams, cheat: CheatSpec) -> _Evolution:
     if miss.post_state is not None:
         xi = verification_state(params)
         amplitudes = np.atleast_1d(overlap(xi, miss.post_state))
-        final_state = _pass_share(amplitudes, miss.post_state.amps - amplitudes * xi.amps)
+        final_state = _weights(amplitudes, miss.post_state.amps - amplitudes * xi.amps)[0]
         amplitudes = math.sqrt(miss.probability) * amplitudes
     return _Evolution(hit.probability, first_qubit, final_state, amplitudes)
 
@@ -430,9 +423,7 @@ def run_trials(
         np.bincount(_flip_codes(evolution, draws), minlength=4)
         for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP)
     )
-    counts = Counter({
-        Winner.ALICE: int(codes[ALICE_WINS]),
-        Winner.BOB: int(codes[BOB_WINS]),
-        Winner.ABORT: int(codes[FINAL_STATE_ABORT] + codes[FIRST_QUBIT_ABORT]),
-    })
+    counts = Counter()
+    for (winner, _), count in zip(_OUTCOMES, codes.tolist()):
+        counts[winner] += count
     return TrialStats(trials, counts, (params, cheat, seed))

@@ -18,10 +18,14 @@ from qdice import (
     LadderSpec,
     ParameterError,
     ProtocolParams,
+    Spin,
     Winner,
     alice_verification,
+    apply_u_eta,
+    attach_down_ancilla_qubit,
     honest_win_prob,
     ket,
+    projective_test,
     run_protocol,
     run_trials,
     simulate_dice,
@@ -84,13 +88,21 @@ def test_alice_verification_basics():
 
 def test_honest_audits_pass_exactly():
     """Both audits of an honest run pass with probability exactly 1, on every
-    stage of the fair N = 8 ladder in both layouts and at 2000 random (p, eta)."""
+    stage of the fair N = 8 ladder in both layouts and at 2000 random (p, eta),
+    in ``_evolve`` and through the public ``projective_test`` alike."""
     rng = np.random.default_rng(20)
     configs = [stage.params for case in (1, 2) for stage in LadderSpec.fair(8, case).stages]
     configs += [random_params(rng) for _ in range(2000)]
     for params in configs:
         evolution = wcf._evolve.__wrapped__(params, Honest())
         assert (evolution.first_qubit_pass, evolution.final_state_pass) == (1.0, 1.0), params
+        state = attach_down_ancilla_qubit(wcf.honest_initial_state(params))
+        hit, miss = projective_test(apply_u_eta(state, params.p, params.eta), wcf.BOB_WIN_PATTERN)
+        audits = (
+            projective_test(hit.post_state, {1: Spin.DOWN}),
+            projective_test(miss.post_state, wcf.verification_state(params)),
+        )
+        assert tuple(passed.probability for passed, _ in audits) == (1.0, 1.0), params
 
 
 # -- honest Monte Carlo ----------------------------------------------------------
