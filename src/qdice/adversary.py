@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from ._lazy import lazy_import
 from .errors import ParameterError
-from .qsim import _check_rotation_defined
+from .qsim import _check_rotation_defined, _squared_norm
 from .wcf import AliceDelta, AliceGeneral, BobClaimWin, CheatSpec, ProtocolParams, _check_p_below_one, _evolve
 
 np = lazy_import("numpy")
@@ -69,8 +69,7 @@ def alice_value_at_delta_via_states(params: ProtocolParams, delta: float) -> flo
     branch contracted with the verification state. Independent of the
     closed form.
     """
-    amplitudes = _evolve.__wrapped__(params, AliceDelta(delta)).miss_amplitudes
-    return float(np.sum(np.abs(amplitudes) ** 2))
+    return _squared_norm(_evolve.__wrapped__(params, AliceDelta(delta)).miss_amplitudes)
 
 
 def general_cheat_value(params: ProtocolParams, cheat: AliceGeneral) -> float:
@@ -80,7 +79,7 @@ def general_cheat_value(params: ProtocolParams, cheat: AliceGeneral) -> float:
     protocol, the same ``wcf._evolve`` the Monte Carlo samples from; the
     verification test acts as identity on the ancilla index.
     """
-    return float(np.sum(np.abs(_evolve(params, cheat).miss_amplitudes) ** 2))
+    return _squared_norm(_evolve(params, cheat).miss_amplitudes)
 
 
 def alice_optimal_value(params: ProtocolParams) -> CheatValue:

@@ -10,15 +10,23 @@ Every binary test (``projective_test``, ``wcf``'s audits) has one rule,
 ``_weights``: a branch's probability is its own amplitudes' weight over both
 weights' sum, so a test with no fail amplitude passes with probability 1.
 
+Each state is checked once, when it is built: ``StateVector`` refuses a
+wrong shape and any amplitudes whose norm is not 1 (NaN included), so the
+operations trust the states they are given and do not re-check them. Every
+squared norm, in that check, in ``_weights`` and in ``adversary``'s cheat
+values, comes from one helper, ``_squared_norm``.
+
 All operations are pure: they validate their inputs, return fresh
 ``StateVector`` instances and never mutate anything, so they are safe to
-evaluate concurrently.
+evaluate concurrently. Amplitude arrays are read-only, which lets ``ket``
+hand out one shared, immutable state per (label, ancilla dimension).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import Mapping, Union
 
 from ._lazy import lazy_import
@@ -87,17 +95,18 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amps = np.ascontiguousarray(self.amps, dtype=complex)
-        if amps.ndim < 2 or amps.ndim - 1 > MAX_QUBITS:
+        shape = amps.shape
+        if not 2 <= len(shape) <= MAX_QUBITS + 1:
             raise ShapeError(
                 f"expected 1..{MAX_QUBITS} qubit axes plus an ancilla axis, "
-                f"got array of shape {amps.shape}"
+                f"got array of shape {shape}"
             )
-        if any(n != 2 for n in amps.shape[:-1]):
-            raise ShapeError(f"qubit axes must have length 2, got shape {amps.shape}")
-        if not 1 <= amps.shape[-1] <= MAX_ANCILLA_DIM:
+        if shape[:-1] != (2,) * (len(shape) - 1):
+            raise ShapeError(f"qubit axes must have length 2, got shape {shape}")
+        if not 1 <= shape[-1] <= MAX_ANCILLA_DIM:
             raise ShapeError(f"ancilla dimension must be in 1..{MAX_ANCILLA_DIM}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        norm = math.sqrt(_squared_norm(amps))
+        if not abs(norm - 1.0) <= NORM_TOL:  # also refuses nan
             raise ParameterError(f"state is not normalized: |psi| = {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -152,11 +161,23 @@ class StateVector:
         return complex(self.amps[tuple(int(b) for b in label.bits) + (label.ancilla,)])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return math.sqrt(_squared_norm(self.amps))
+
+
+def _squared_norm(amps: np.ndarray) -> float:
+    """sum |c|^2 over all amplitudes, as a Python float."""
+    return float(np.vdot(amps, amps).real)
 
 
 def ket(label: LabelLike, ancilla_dim: int = 1) -> StateVector:
-    """Shorthand for a basis ket, ``ket("ud")`` etc."""
+    """Shorthand for a basis ket, ``ket("ud")`` etc.; the state is shared
+    between calls, which its read-only amplitudes make safe."""
+    return _basis_ket(label, ancilla_dim)
+
+
+@lru_cache(maxsize=256)
+def _basis_ket(label: LabelLike, ancilla_dim: int) -> StateVector:
+    """``ket``'s states, keyed by the label as given (string or parsed)."""
     return StateVector.basis(label, ancilla_dim=ancilla_dim)
 
 
@@ -205,7 +226,7 @@ def overlap(a: StateVector, b: StateVector) -> complex | np.ndarray:
         return complex(np.vdot(a.amps, b.amps))
     if a.ancilla_dim != 1 or a.n_qubits != b.n_qubits:
         raise ShapeError(f"register shapes differ: {a.shape} vs {b.shape}")
-    return np.tensordot(a.amps[..., 0].conj(), b.amps, axes=a.n_qubits)
+    return a.amps.reshape(-1).conj() @ b.amps.reshape(-1, b.ancilla_dim)
 
 
 def attach_down_ancilla_qubit(state: StateVector) -> StateVector:
@@ -270,8 +291,8 @@ def _project(state: StateVector, target: Union[Pattern, StateVector]) -> tuple[n
 def _weights(passed: np.ndarray, failed: np.ndarray) -> tuple[float, float]:
     """The (pass, fail) probabilities of a binary test: each branch's weight,
     summed from its own amplitudes, over the sum of both weights."""
-    w_pass = float(np.sum(np.abs(passed) ** 2))
-    w_fail = float(np.sum(np.abs(failed) ** 2))
+    w_pass = _squared_norm(passed)
+    w_fail = _squared_norm(failed)
     return w_pass / (w_pass + w_fail), w_fail / (w_pass + w_fail)
 
 

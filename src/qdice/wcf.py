@@ -35,6 +35,7 @@ from .qsim import (
     _weights,
     apply_u_eta,
     attach_down_ancilla_qubit,
+    ket,
     overlap,
     projective_test,
 )
@@ -159,11 +160,9 @@ def verification_state(params: ProtocolParams) -> StateVector:
     """Three-qubit state Bob tests for when he loses."""
     _check_p_below_one(params.p)
     weight = max(0.0, 1.0 - params.p - params.eta)  # guard float dust at eta = 1-p
-    return StateVector.from_terms(
-        {
-            "udd": math.sqrt(weight / (1.0 - params.p)),
-            "ddu": math.sqrt(params.eta / (1.0 - params.p)),
-        }
+    return StateVector(
+        math.sqrt(weight / (1.0 - params.p)) * ket("udd").amps
+        + math.sqrt(params.eta / (1.0 - params.p)) * ket("ddu").amps
     )
 
 

@@ -1,6 +1,7 @@
 """State-engine unit tests and numerical invariants."""
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from qdice import (
     overlap,
     projective_test,
 )
+from qdice import qsim
 from qdice.errors import DegenerateParameterError
 from qdice.wcf import honest_initial_state, verification_state
 
@@ -42,11 +44,34 @@ def test_basis_ket_amplitudes():
 def test_unnormalized_state_rejected():
     with pytest.raises(ParameterError):
         StateVector(np.array([[[0.5 + 0j], [0.0]], [[0.0], [0.0]]]))
+    with pytest.raises(ParameterError):
+        StateVector(np.full((2, 1), np.nan))
 
 
 def test_mismatched_label_rejected():
     with pytest.raises(ShapeError):
         ket("ud").amplitude("udd")
+
+
+def test_public_primitives_are_plain_functions_returning_plain_values():
+    # the per-layer trace wraps exactly the plain functions a module defines,
+    # so a decorated or moved primitive would silently drop out of it
+    public = {
+        name: obj
+        for name, obj in vars(qsim).items()
+        if not name.startswith("_")
+        and callable(obj)
+        and not inspect.isclass(obj)
+        and getattr(obj, "__module__", None) == "qdice.qsim"
+    }
+    assert {"apply_u_eta", "attach_down_ancilla_qubit", "ket", "overlap", "projective_test"} <= set(public)
+    for name, obj in public.items():
+        assert inspect.isfunction(obj), name
+    assert type(projective_test(ket("ud"), {1: Spin.UP})[0].probability) is float
+    shared = ket("udd").amps
+    assert not shared.flags.writeable
+    with pytest.raises(ValueError):
+        shared[0, 0, 0, 0] = 1.0
 
 
 # -- attach_down_ancilla_qubit -------------------------------------------------
