@@ -26,7 +26,16 @@ from functools import lru_cache
 from ._lazy import lazy_import
 from .errors import ParameterError
 from .qsim import _check_rotation_defined, _squared_norm
-from .wcf import AliceDelta, AliceGeneral, BobClaimWin, CheatSpec, ProtocolParams, _check_p_below_one, _evolve
+from .wcf import (
+    AliceDelta,
+    AliceGeneral,
+    BobClaimWin,
+    CheatSpec,
+    ProtocolParams,
+    _check_integer,
+    _check_p_below_one,
+    _evolve,
+)
 
 np = lazy_import("numpy")
 
@@ -170,6 +179,12 @@ def _random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
+def _check_sample_count(n_samples: int) -> None:
+    _check_integer(n_samples, "random sample count")
+    if not 0 <= n_samples <= MAX_ORACLE_POINTS:
+        raise ParameterError(f"random sample count must lie in [0, {MAX_ORACLE_POINTS}], got {n_samples}")
+
+
 def sample_cheat_values(
     params: ProtocolParams,
     n_samples: int,
@@ -191,6 +206,11 @@ def sample_cheat_values(
     """
     if ancilla_dim not in (1, 2):
         raise ParameterError(f"ancilla dimension must be 1 or 2, got {ancilla_dim}")
+    _check_sample_count(n_samples)
+    if not 0.0 <= min_unused_weight <= 1.0:  # also refuses nan
+        raise ParameterError(f"unused weight must lie in [0, 1], got {min_unused_weight}")
+    if orthogonal_pair and ancilla_dim != 2:
+        raise ParameterError("an orthogonal ancilla pair needs ancilla dimension 2")
     rng = np.random.default_rng(seed)
     alphas = _random_unit_rows(rng, n_samples, 4)
     if min_unused_weight > 0.0:
@@ -235,8 +255,7 @@ def brute_force_alice(
     """
     if ancilla_dim not in (1, 2):
         raise ParameterError(f"ancilla dimension must be 1 or 2, got {ancilla_dim}")
-    if not 0 <= random_samples <= MAX_ORACLE_POINTS:
-        raise ParameterError(f"random sample count must lie in [0, {MAX_ORACLE_POINTS}], got {random_samples}")
+    _check_sample_count(random_samples)
     value, delta = max_delta_family(params, grid_points)
     best = CheatValue(value=value, optimizer=delta)
     if random_samples > 0:

@@ -9,10 +9,10 @@ biases") compose by an exact forward recursion, and the honest party's
 total bias stays below N times the largest stage bias.
 
 The coalition claims a win against an honest preparer and plays the
-optimal tilt delta* against an honest responder. That one rule,
-``_stage_cheat``, drives ``expected_coalition_losing``, ``_play_trial`` and
-``simulate_dice``, whose ``DiceReport`` holds Monte Carlo tallies only. One
-abort rule, ``_preparer_wins``, advances a stage in both samplers.
+optimal tilt delta* against an honest responder. One play table,
+``_stage_play``, gives each stage's strategy with its abort rule, and
+``expected_coalition_losing``, ``_play_trial`` and ``simulate_dice`` all
+read it; ``DiceReport`` holds Monte Carlo tallies only.
 
 Stage m is the flip that party m enters. Every stage from m = 3 on has
 two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
@@ -46,6 +46,7 @@ from .wcf import (
     Outcome,
     ProtocolParams,
     _OUTCOMES,
+    _check_integer,
     _check_trials,
     _evolve,
     _flip_codes,
@@ -68,11 +69,13 @@ MAX_PARTIES = 256
 
 
 def _check_party_count(n_parties: int) -> None:
+    _check_integer(n_parties, "party count")
     if not 2 <= n_parties <= MAX_PARTIES:
         raise ParameterError(f"party count must lie in 2..{MAX_PARTIES}, got {n_parties}")
 
 
 def _check_party(party: int, n_parties: int) -> None:
+    _check_integer(party, "party")
     if not 1 <= party <= n_parties:
         raise ParameterError(f"party {party} outside 1..{n_parties}")
 
@@ -304,6 +307,7 @@ class StageParams:
     preparer: str = INCUMBENT
 
     def __post_init__(self) -> None:
+        _check_integer(self.entrant, "entrant index")
         if self.entrant < 2:
             raise ParameterError(f"entrant index must be >= 2, got {self.entrant}")
         if self.preparer not in (INCUMBENT, ENTRANT):
@@ -331,6 +335,7 @@ class LadderSpec:
     @classmethod
     def uniform(cls, n_parties: int, eta: float = 0.0) -> "LadderSpec":
         """Leader-prepares ladder with a common eta at every stage."""
+        _check_party_count(n_parties)
         stages = tuple(
             StageParams(m, ProtocolParams(1.0 / m, eta), INCUMBENT)
             for m in range(2, n_parties + 1)
@@ -354,14 +359,9 @@ class LadderSpec:
 @dataclass(frozen=True)
 class Coalition:
     """All parties but one collude against ``honest_party``; at every stage
-    the coalition plays its optimal cheat (see ``_stage_cheat``)."""
+    the coalition plays its optimal cheat (see ``_stage_play``)."""
 
     honest_party: int
-
-
-#: Stands in for an incumbent from the coalition, whichever party it is:
-#: parties are numbered from 1, so it is never the honest party.
-_COLLUDER = 0
 
 
 def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
@@ -372,19 +372,31 @@ def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
     return stage.entrant, incumbent
 
 
-def _stage_cheat(stage: StageParams, incumbent: int, coalition: Coalition | None) -> CheatSpec:
-    """The strategy played at a stage whose incumbent is ``incumbent``.
+class _Play(NamedTuple):
+    """A stage strategy with its abort rule: whether the preparer advances, by
+    outcome code (Alice wins, Bob wins, final-state abort, first-qubit abort).
+    A caught cheater loses; in an all-honest flip the audited party loses."""
+
+    cheat: CheatSpec
+    preparer_wins: tuple[bool, bool, bool, bool]
+
+
+_HONEST = _Play(Honest(), (True, False, False, True))
+_CLAIM_WIN = _Play(BobClaimWin(), (True, False, True, True))
+
+
+def _stage_play(stage: StageParams, coalition: Coalition | None, honest_incumbent: bool) -> _Play:
+    """The play at a stage, as the honest party is its incumbent or not.
 
     Against a preparing honest party the coalition claims a win, against a
     responding one it plays the optimal tilt delta*; a flip without the
     honest party (or without a coalition) is played honestly.
     """
-    if coalition is None or coalition.honest_party not in (incumbent, stage.entrant):
-        return Honest()
-    preparer, _ = _stage_roles(stage, incumbent)
-    if coalition.honest_party == preparer:
-        return BobClaimWin()
-    return AliceDelta(adversary.alice_optimal_value(stage.params).optimizer)
+    if coalition is None or not (honest_incumbent or coalition.honest_party == stage.entrant):
+        return _HONEST
+    if honest_incumbent == (stage.preparer == INCUMBENT):
+        return _CLAIM_WIN
+    return _Play(AliceDelta(adversary.alice_optimal_value(stage.params).optimizer), (True, False, False, False))
 
 
 def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
@@ -394,8 +406,8 @@ def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
     _check_party(honest, spec.n_parties)
     stage_losses = []
     for stage in spec.stages[max(honest, 2) - 2:]:  # the honest party's entry stage onward
-        cheat = _stage_cheat(stage, honest if honest < stage.entrant else _COLLUDER, coalition)
-        stage_losses.append(adversary.cheater_win_prob(stage.params, cheat))
+        play = _stage_play(stage, coalition, honest < stage.entrant)
+        stage_losses.append(adversary.cheater_win_prob(stage.params, play.cheat))
     return _compose(stage_losses)
 
 
@@ -418,43 +430,19 @@ class StageRun(NamedTuple):
         }
 
 
-#: Whether the preparer advances, by flip outcome code (Alice wins, Bob wins,
-#: final-state abort, first-qubit abort) and kind of stage: the one abort rule.
-#: A caught cheater loses; in an all-honest flip the audited party loses.
-_ADVANCES = (
-    (True, False, True, True),    # the responder claims a win: caught, it loses
-    (True, False, False, True),   # all honest: the audited party loses
-    (True, False, False, False),  # the preparer cheats: caught, it loses
-)
-
-
-def _preparer_wins(cheat: CheatSpec) -> tuple[bool, bool, bool, bool]:
-    """The ``_ADVANCES`` row of a stage strategy."""
-    return _ADVANCES[0 if isinstance(cheat, BobClaimWin) else 1 if isinstance(cheat, Honest) else 2]
-
-
 def _play_trial(spec: LadderSpec, coalition: Coalition | None, rng: np.random.Generator) -> tuple[StageRun, ...]:
     """One ladder trial, flip by flip: the scalar reference of ``simulate_dice``."""
+    honest = None if coalition is None else coalition.honest_party
     incumbent = 1
     runs = []
     for stage in spec.stages:
         preparer, responder = _stage_roles(stage, incumbent)
-        cheat = _stage_cheat(stage, incumbent, coalition)
-        outcome = run_protocol(stage.params, cheat, rng)
+        play = _stage_play(stage, coalition, incumbent == honest)
+        outcome = run_protocol(stage.params, play.cheat, rng)
         code = _OUTCOMES.index((outcome.winner, outcome.abort_reason))
-        incumbent = preparer if _preparer_wins(cheat)[code] else responder
+        incumbent = preparer if play.preparer_wins[code] else responder
         runs.append(StageRun(stage.entrant, preparer, responder, incumbent, outcome))
     return tuple(runs)
-
-
-def _stage_groups(stage: StageParams, coalition: Coalition | None) -> tuple[CheatSpec | None, CheatSpec]:
-    """(cheat where the honest party is the incumbent, or None if it cannot
-    be; cheat where a colluder is): the entrant is fixed per stage, so the
-    incumbent alone decides the honest party's role in its flip."""
-    elsewhere = _stage_cheat(stage, _COLLUDER, coalition)
-    if coalition is None or coalition.honest_party >= stage.entrant:
-        return None, elsewhere
-    return _stage_cheat(stage, coalition.honest_party, coalition), elsewhere
 
 
 @dataclass(frozen=True)
@@ -506,19 +494,21 @@ def simulate_dice(
     trials of one chunk of draws (``wcf._uniform_blocks``) advance together,
     stage by stage, with the incumbent held as an array. Trial 0 is replayed
     flip by flip for its transcripts when ``DiceReport.first_trial`` is
-    first read. Each stage advances by ``_preparer_wins``, the abort rule
-    ``_play_trial`` reads too.
+    first read. Each stage's strategy and abort rule come from
+    ``_stage_play``, as in ``_play_trial``.
     """
     _check_trials(trials)
     if coalition is not None:
         _check_party(coalition.honest_party, spec.n_parties)
-    plan = []
-    for stage in spec.stages:
-        groups = [
-            None if cheat is None else (_evolve(stage.params, cheat), np.array(_preparer_wins(cheat)))
-            for cheat in _stage_groups(stage, coalition)
-        ]
-        plan.append((stage, *groups))
+
+    def group(stage: StageParams, honest_incumbent: bool):
+        # (evolution, advance row); None for the honest party before it enters
+        if honest_incumbent and (coalition is None or coalition.honest_party >= stage.entrant):
+            return None
+        play = _stage_play(stage, coalition, honest_incumbent)
+        return _evolve(stage.params, play.cheat), np.array(play.preparer_wins)
+
+    plan = [(stage, group(stage, True), group(stage, False)) for stage in spec.stages]
     wins = np.zeros(spec.n_parties + 1, dtype=np.int64)
     stage_aborts = 0
     for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP * len(spec.stages)):

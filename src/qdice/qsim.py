@@ -87,14 +87,15 @@ class StateVector:
     """Normalized pure state of the register.
 
     ``amps[q1, ..., qn, a]`` is the amplitude of the basis ket with spins
-    ``q1..qn`` and ancilla index ``a``. The array is made read-only; every
+    ``q1..qn`` and ancilla index ``a``. The state keeps a read-only copy of
+    the array it is given, so the caller's array stays its own; every
     operation returns a new instance.
     """
 
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex, order="C")  # a copy, even of a complex array
         shape = amps.shape
         if not 2 <= len(shape) <= MAX_QUBITS + 1:
             raise ShapeError(

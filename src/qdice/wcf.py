@@ -21,6 +21,7 @@ outcome code, ``hit + 2 * failed_audit``, its winner and abort reason.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -343,7 +344,16 @@ def trial_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
+def _check_integer(value: int, what: str) -> None:
+    """Refuse a value that ``operator.index`` rejects, such as 2.0 or 2.5."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_trials(trials: int) -> None:
+    _check_integer(trials, "trial count")
     if not 1 <= trials <= MAX_TRIALS:
         raise ParameterError(f"trial count must lie in 1..{MAX_TRIALS}, got {trials}")
 

@@ -26,6 +26,7 @@ from qdice import (
     brute_force_alice,
 )
 from qdice.adversary import (
+    MAX_ORACLE_POINTS,
     _tilt_values,
     alice_value_at_delta_via_states,
     cheater_win_prob,
@@ -179,6 +180,33 @@ def test_unrefined_grid_never_exceeds_closed_form():
         params = random_params(rng, p_max=0.95)
         values = _tilt_values(params, np.linspace(0.0, 1.0, 2_000))
         assert float(np.max(values)) <= alice_optimal_value(params).value + 1e-9
+
+
+@pytest.mark.parametrize(
+    "n_samples, options",
+    [
+        (10, {"min_unused_weight": 2.0}),
+        (10, {"min_unused_weight": -0.5}),
+        (10, {"min_unused_weight": math.nan}),
+        (10, {"orthogonal_pair": True}),
+        (-1, {}),
+        (MAX_ORACLE_POINTS + 1, {}),
+        (10.0, {}),
+    ],
+    ids=["weight-above-1", "negative-weight", "nan-weight", "orthogonal-without-ancilla",
+         "negative-count", "count-above-cap", "float-count"],
+)
+def test_sample_cheat_values_refuses_invalid_inputs(n_samples, options):
+    with pytest.raises(ParameterError):
+        sample_cheat_values(FAIR, n_samples, **options)
+
+
+def test_sample_cheat_values_accepts_its_boundaries():
+    assert sample_cheat_values(FAIR, 0).shape == (0,)
+    # all weight on the unused uu/dd branches: such a preparation never wins
+    assert np.allclose(sample_cheat_values(FAIR, 50, min_unused_weight=1.0), 0.0)
+    paired = sample_cheat_values(FAIR, 50, ancilla_dim=2, orthogonal_pair=True)
+    assert np.all((0.0 <= paired) & (paired <= alice_optimal_value(FAIR).value + 1e-9))
 
 
 def test_brute_force_validates_inputs():

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import contextlib
+import doctest
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -294,6 +296,15 @@ def test_unwritable_output_path(capsys):
     )
     capsys.readouterr()
     assert code == 1
+
+
+# -- the README library example ------------------------------------------------
+
+
+def test_readme_library_example_runs_as_written():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False, optionflags=doctest.ELLIPSIS, verbose=False)
+    assert result.attempted > 0 and result.failed == 0
 
 
 # -- one parser per process: nothing carries over from one call to the next ------

@@ -39,8 +39,8 @@ from qdice.dicer import (
     MAX_PARTIES,
     _fair_stages,
     _play_trial,
-    _preparer_wins,
     _stage_losses,
+    _stage_play,
     expected_coalition_losing,
 )
 from qdice.wcf import (
@@ -92,6 +92,12 @@ def test_party_count_is_capped_everywhere():
         LadderSpec.fair(MAX_PARTIES + 1)
     with pytest.raises(ParameterError):
         LadderSpec.fair(1)
+    with pytest.raises(ParameterError):
+        LadderSpec.fair(3.0)
+    with pytest.raises(ParameterError):
+        LadderSpec.uniform(3.0)
+    with pytest.raises(ParameterError):
+        honest_dice_probs(2.5)
 
 
 # -- worst-case composition --------------------------------------------------------
@@ -335,6 +341,8 @@ def test_stage_params_validation():
 def test_ladder_spec_validation():
     with pytest.raises(ParameterError):
         LadderSpec(3, (StageParams(2, ProtocolParams(0.5, 0.0)),))
+    with pytest.raises(ParameterError):  # 2.0 == 2, yet no party is numbered 2.0
+        StageParams(2.0, ProtocolParams(0.5, 0.0))
 
 
 def test_three_sided_ladder_defaults():
@@ -377,7 +385,7 @@ def test_case1_coalition_losing_frequencies(honest_party):
     assert abs(losing - expected) <= three_sigma(expected, trials)
 
 
-@pytest.mark.parametrize("honest_party", [0, -1, 4])
+@pytest.mark.parametrize("honest_party", [0, -1, 4, 1.5, 2.0])
 def test_honest_party_must_be_a_party(honest_party):
     spec = LadderSpec.three_sided(case=1)
     coalition = Coalition(honest_party=honest_party)
@@ -385,6 +393,8 @@ def test_honest_party_must_be_a_party(honest_party):
         expected_coalition_losing(spec, coalition)
     with pytest.raises(ParameterError):
         simulate_dice(spec, 10, seed=0, coalition=coalition)
+    with pytest.raises(ParameterError):
+        worst_case_losing_prob(honest_party, 3, [0.1, 0.1])
 
 
 def test_simulate_dice_determinism():
@@ -505,7 +515,14 @@ def test_caught_cheater_advances_the_honest_party(case):
 
 
 def test_advance_table_rows_in_role_terms():
-    claim_win, honest, tilt = (_preparer_wins(cheat) for cheat in (BobClaimWin(), Honest(), AliceDelta(0.3)))
+    stage = FAIR[3, 1].stages[1]  # entrant 3, the incumbent prepares
+    plays = (
+        _stage_play(stage, Coalition(honest_party=1), True),   # the honest party prepares
+        _stage_play(stage, None, False),
+        _stage_play(stage, Coalition(honest_party=3), False),  # the honest party responds
+    )
+    assert [type(play.cheat) for play in plays] == [BobClaimWin, Honest, AliceDelta]
+    claim_win, honest, tilt = (play.preparer_wins for play in plays)
     for row in (claim_win, honest, tilt):
         assert row[ALICE_WINS] and not row[BOB_WINS]
     assert claim_win[FIRST_QUBIT_ABORT]    # a caught claim-win: the preparer advances

@@ -48,6 +48,15 @@ def test_unnormalized_state_rejected():
         StateVector(np.full((2, 1), np.nan))
 
 
+def test_state_keeps_a_private_copy_of_the_callers_array():
+    amps = np.zeros((2, 1), dtype=complex)
+    amps[0, 0] = 1.0
+    state = StateVector(amps)
+    assert state.amps is not amps and not state.amps.flags.writeable
+    amps[0, 0], amps[1, 0] = 0.0, 1.0  # the caller's array stays writable
+    assert state.amplitude("u") == 1.0 and state.amplitude("d") == 0.0
+
+
 def test_mismatched_label_rejected():
     with pytest.raises(ShapeError):
         ket("ud").amplitude("udd")

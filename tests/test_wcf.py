@@ -210,7 +210,7 @@ def test_run_trials_requires_positive_count():
         run_trials(ProtocolParams(0.5, 0.0), Honest(), 0, seed=1)
 
 
-@pytest.mark.parametrize("trials", [0, -1, wcf.MAX_TRIALS + 1])
+@pytest.mark.parametrize("trials", [0, -1, wcf.MAX_TRIALS + 1, 2.5])
 def test_trial_count_lies_in_range_for_flips_and_ladders(trials):
     with pytest.raises(ParameterError):
         run_trials(ProtocolParams(0.5, 0.0), Honest(), trials, seed=1)
