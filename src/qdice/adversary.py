@@ -34,6 +34,7 @@ from .wcf import (
     ProtocolParams,
     _check_integer,
     _check_p_below_one,
+    _check_seed,
     _evolve,
 )
 
@@ -155,10 +156,7 @@ def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple
     :func:`alice_value_at_delta_via_states`. The tilt value is unimodal in
     delta, so the local refinement is globally valid.
     """
-    if grid_points < 1_000:
-        raise ParameterError(f"need at least 1000 grid points, got {grid_points}")
-    if grid_points > MAX_ORACLE_POINTS:
-        raise ParameterError(f"need at most {MAX_ORACLE_POINTS} grid points, got {grid_points}")
+    _check_integer(grid_points, "grid point count", 1_000, MAX_ORACLE_POINTS)
     deltas = np.linspace(0.0, 1.0, grid_points)
     values = _tilt_values(params, deltas)
     best = int(np.argmax(values))
@@ -177,12 +175,6 @@ def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple
 def _random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     vecs = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-
-
-def _check_sample_count(n_samples: int) -> None:
-    _check_integer(n_samples, "random sample count")
-    if not 0 <= n_samples <= MAX_ORACLE_POINTS:
-        raise ParameterError(f"random sample count must lie in [0, {MAX_ORACLE_POINTS}], got {n_samples}")
 
 
 def sample_cheat_values(
@@ -206,11 +198,12 @@ def sample_cheat_values(
     """
     if ancilla_dim not in (1, 2):
         raise ParameterError(f"ancilla dimension must be 1 or 2, got {ancilla_dim}")
-    _check_sample_count(n_samples)
+    _check_integer(n_samples, "random sample count", 0, MAX_ORACLE_POINTS)
     if not 0.0 <= min_unused_weight <= 1.0:  # also refuses nan
         raise ParameterError(f"unused weight must lie in [0, 1], got {min_unused_weight}")
     if orthogonal_pair and ancilla_dim != 2:
         raise ParameterError("an orthogonal ancilla pair needs ancilla dimension 2")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     alphas = _random_unit_rows(rng, n_samples, 4)
     if min_unused_weight > 0.0:
@@ -255,14 +248,15 @@ def brute_force_alice(
     """
     if ancilla_dim not in (1, 2):
         raise ParameterError(f"ancilla dimension must be 1 or 2, got {ancilla_dim}")
-    _check_sample_count(random_samples)
+    _check_integer(random_samples, "random sample count", 0, MAX_ORACLE_POINTS)
+    _check_seed(seed)
     value, delta = max_delta_family(params, grid_points)
     best = CheatValue(value=value, optimizer=delta)
     if random_samples > 0:
         plain = sample_cheat_values(params, random_samples, ancilla_dim=1, seed=seed)
         candidates = [float(np.max(plain))]
         if ancilla_dim == 2:
-            entangled = sample_cheat_values(params, random_samples, ancilla_dim=2, seed=seed + 1)
+            entangled = sample_cheat_values(params, random_samples, ancilla_dim=2, seed=(seed + 1) % 2**64)
             candidates.append(float(np.max(entangled)))
         if max(candidates) > best.value:
             best = CheatValue(value=max(candidates), optimizer=None)

@@ -28,6 +28,7 @@ from .wcf import (
     CheatSpec,
     Honest,
     ProtocolParams,
+    _check_seed,
     honest_win_prob,
     run_trials,
 )
@@ -185,9 +186,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     for attr, value in _DEFAULTS.items():
         if getattr(args, attr, None) is None and hasattr(args, attr):
             setattr(args, attr, value)
-    seed = getattr(args, "seed", 0)
-    if not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must be an unsigned 64-bit value, got {seed}")
+    _check_seed(getattr(args, "seed", 0))
 
 
 def _refuse_ignored_flags(args: argparse.Namespace) -> None:

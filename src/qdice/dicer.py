@@ -11,8 +11,8 @@ total bias stays below N times the largest stage bias.
 The coalition claims a win against an honest preparer and plays the
 optimal tilt delta* against an honest responder. One play table,
 ``_stage_play``, gives each stage's strategy with its abort rule, and
-``expected_coalition_losing``, ``_play_trial`` and ``simulate_dice`` all
-read it; ``DiceReport`` holds Monte Carlo tallies only.
+``expected_coalition_losing`` and ``simulate_dice`` both read it; the
+sampler keeps trial 0's plays, from which ``DiceReport`` renders transcripts.
 
 Stage m is the flip that party m enters. Every stage from m = 3 on has
 two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
@@ -45,14 +45,13 @@ from .wcf import (
     Honest,
     Outcome,
     ProtocolParams,
-    _OUTCOMES,
+    MAX_TRIALS,
     _check_integer,
-    _check_trials,
+    _check_seed,
     _evolve,
     _flip_codes,
+    _outcome,
     _uniform_blocks,
-    run_protocol,
-    trial_rng,
 )
 
 np = lazy_import("numpy")
@@ -69,15 +68,11 @@ MAX_PARTIES = 256
 
 
 def _check_party_count(n_parties: int) -> None:
-    _check_integer(n_parties, "party count")
-    if not 2 <= n_parties <= MAX_PARTIES:
-        raise ParameterError(f"party count must lie in 2..{MAX_PARTIES}, got {n_parties}")
+    _check_integer(n_parties, "party count", 2, MAX_PARTIES)
 
 
 def _check_party(party: int, n_parties: int) -> None:
-    _check_integer(party, "party")
-    if not 1 <= party <= n_parties:
-        raise ParameterError(f"party {party} outside 1..{n_parties}")
+    _check_integer(party, "party", 1, n_parties)
 
 
 def honest_dice_probs(n_parties: int) -> tuple[Fraction, ...]:
@@ -112,8 +107,8 @@ def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> Fracti
         )
     stage_losses = []
     for m, bias in zip(stages, biases):
-        if bias < 0:
-            raise ParameterError(f"stage biases must be nonnegative, got {bias}")
+        if not 0 <= bias < math.inf:  # also refuses nan
+            raise ParameterError(f"stage biases must be finite and nonnegative, got {bias}")
         honest_loss = Fraction(n - 1, n) if m == n else Fraction(1, m)
         stage_loss = honest_loss + Fraction(bias)
         if not 0 <= stage_loss <= 1:
@@ -412,7 +407,7 @@ def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
 
 
 class StageRun(NamedTuple):
-    """One stage of one ladder trial, played through ``run_protocol``."""
+    """One stage of one ladder trial, with the transcript of its flip."""
 
     entrant: int
     preparer: int
@@ -430,38 +425,26 @@ class StageRun(NamedTuple):
         }
 
 
-def _play_trial(spec: LadderSpec, coalition: Coalition | None, rng: np.random.Generator) -> tuple[StageRun, ...]:
-    """One ladder trial, flip by flip: the scalar reference of ``simulate_dice``."""
-    honest = None if coalition is None else coalition.honest_party
-    incumbent = 1
-    runs = []
-    for stage in spec.stages:
-        preparer, responder = _stage_roles(stage, incumbent)
-        play = _stage_play(stage, coalition, incumbent == honest)
-        outcome = run_protocol(stage.params, play.cheat, rng)
-        code = _OUTCOMES.index((outcome.winner, outcome.abort_reason))
-        incumbent = preparer if play.preparer_wins[code] else responder
-        runs.append(StageRun(stage.entrant, preparer, responder, incumbent, outcome))
-    return tuple(runs)
-
-
 @dataclass(frozen=True)
 class DiceReport:
-    """Monte Carlo tallies of one ladder run, with the (spec, coalition,
-    seed) from which trial 0 is replayed."""
+    """Monte Carlo tallies of one ladder run with its (spec, coalition,
+    seed), and trial 0 as the sampler played it: one (cheat, outcome code,
+    preparer, responder, winner) per stage."""
 
     n_parties: int
     trials: int
     win_counts: tuple[int, ...]
     stage_aborts: int
     run: tuple[LadderSpec, Coalition | None, int]
+    trial_zero: tuple[tuple[CheatSpec, int, int, int, int], ...]
 
     @cached_property
     def first_trial(self) -> tuple[StageRun, ...]:
-        """Trial 0 replayed flip by flip through ``_play_trial`` when first
-        read, one ``StageRun`` per stage."""
-        spec, coalition, seed = self.run
-        return _play_trial(spec, coalition, trial_rng(seed, 0))
+        """Trial 0, one ``StageRun`` per stage, rendered when first read."""
+        return tuple(
+            StageRun(stage.entrant, preparer, responder, winner, _outcome(stage.params, cheat, code))
+            for stage, (cheat, code, preparer, responder, winner) in zip(self.run[0].stages, self.trial_zero)
+        )
 
     def frequencies(self) -> tuple[float, ...]:
         return tuple(c / self.trials for c in self.win_counts)
@@ -489,40 +472,47 @@ def simulate_dice(
     """Monte Carlo over the whole ladder, one flip per stage per trial.
 
     Trial t reads row t % TRIAL_BLOCK of ``trial_rng(seed, t // TRIAL_BLOCK)``,
-    two uniforms per stage in play order, so the counts equal those of
-    ``_play_trial`` run trial after trial on each block's generator. The
-    trials of one chunk of draws (``wcf._uniform_blocks``) advance together,
-    stage by stage, with the incumbent held as an array. Trial 0 is replayed
-    flip by flip for its transcripts when ``DiceReport.first_trial`` is
-    first read. Each stage's strategy and abort rule come from
-    ``_stage_play``, as in ``_play_trial``.
+    two uniforms per stage in play order, and ``wcf._flip_codes`` decides
+    each flip. The trials of one chunk of draws (``wcf._uniform_blocks``)
+    advance together, stage by stage, with the incumbent held as an array.
+    Each stage's strategy and abort rule come from ``_stage_play``. While it
+    plays the first chunk, the sampler keeps trial 0's play at each stage,
+    from which ``DiceReport.first_trial`` renders the transcripts.
     """
-    _check_trials(trials)
+    _check_integer(trials, "trial count", 1, MAX_TRIALS)
+    _check_seed(seed)
     if coalition is not None:
         _check_party(coalition.honest_party, spec.n_parties)
 
     def group(stage: StageParams, honest_incumbent: bool):
-        # (evolution, advance row); None for the honest party before it enters
+        # (cheat, evolution, advance row); None for the honest party before it enters
         if honest_incumbent and (coalition is None or coalition.honest_party >= stage.entrant):
             return None
         play = _stage_play(stage, coalition, honest_incumbent)
-        return _evolve(stage.params, play.cheat), np.array(play.preparer_wins)
+        return play.cheat, _evolve(stage.params, play.cheat), np.array(play.preparer_wins)
 
     plan = [(stage, group(stage, True), group(stage, False)) for stage in spec.stages]
     wins = np.zeros(spec.n_parties + 1, dtype=np.int64)
     stage_aborts = 0
+    trial_zero = []
     for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP * len(spec.stages)):
+        keep_trial_zero = not trial_zero  # row 0 of the first chunk
         incumbent = np.ones(len(draws), dtype=np.int64)
         for k, (stage, at_honest, elsewhere) in enumerate(plan):
             flip_draws = draws[:, DRAWS_PER_FLIP * k:DRAWS_PER_FLIP * (k + 1)]
-            evolution, preparer_wins = elsewhere
+            cheat, evolution, preparer_wins = elsewhere  # cheat: trial 0's
             code = _flip_codes(evolution, flip_draws)
             advances = preparer_wins[code]
             if at_honest is not None:
-                evolution, preparer_wins = at_honest
+                honest_cheat, evolution, preparer_wins = at_honest
                 rows = incumbent == coalition.honest_party
                 code[rows] = _flip_codes(evolution, flip_draws[rows])
                 advances[rows] = preparer_wins[code[rows]]
+                cheat = honest_cheat if rows[0] else cheat
+            if keep_trial_zero:
+                preparer, responder = _stage_roles(stage, int(incumbent[0]))
+                winner = preparer if advances[0] else responder
+                trial_zero.append((cheat, int(code[0]), preparer, responder, winner))
             stage_aborts += int(np.count_nonzero(code >= FINAL_STATE_ABORT))
             incumbent = np.where(advances, *_stage_roles(stage, incumbent))
         wins += np.bincount(incumbent, minlength=spec.n_parties + 1)
@@ -532,4 +522,5 @@ def simulate_dice(
         win_counts=tuple(int(w) for w in wins[1:]),
         stage_aborts=stage_aborts,
         run=(spec, coalition, seed),
+        trial_zero=tuple(trial_zero),
     )

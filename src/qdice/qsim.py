@@ -196,11 +196,15 @@ class TestOutcome:
 
 
 def _check_p_eta(p: float, eta: float) -> None:
-    """Refuse (p, eta) outside 0 <= p <= 1, 0 <= eta <= 1-p."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"p must lie in [0, 1], got {p}")
-    if not 0.0 <= eta <= 1.0 - p + 1e-12:
-        raise ParameterError(f"eta must lie in [0, 1-p], got eta={eta}, p={p}")
+    """Refuse (p, eta) that do not compare as numbers, or lie outside
+    0 <= p <= 1, 0 <= eta <= 1-p."""
+    try:
+        if not 0.0 <= p <= 1.0:
+            raise ParameterError(f"p must lie in [0, 1], got {p}")
+        if not 0.0 <= eta <= 1.0 - p + 1e-12:
+            raise ParameterError(f"eta must lie in [0, 1-p], got eta={eta}, p={p}")
+    except TypeError:
+        raise ParameterError(f"p and eta must be numbers, got p={p!r}, eta={eta!r}") from None
 
 
 def _check_rotation_defined(p: float, eta: float) -> None:

@@ -15,8 +15,9 @@ runs through one evolution (``_evolve``), whose final audit is one
 
 Cheating strategies are declared through :class:`CheatSpec` variants; a
 failed audit ends the run with winner ``Winner.ABORT``, which bias
-accounting treats as a loss for the cheating side. ``_OUTCOMES`` gives each
-outcome code, ``hit + 2 * failed_audit``, its winner and abort reason.
+accounting treats as a loss for the cheating side. ``_flip_codes`` decides
+each flip's outcome code, ``hit + 2 * failed_audit``, from its uniforms,
+and ``_OUTCOMES`` gives each code its winner and abort reason.
 """
 from __future__ import annotations
 
@@ -276,43 +277,39 @@ def _evolve(params: ProtocolParams, cheat: CheatSpec) -> _Evolution:
     return _Evolution(hit.probability, first_qubit, final_state, amplitudes)
 
 
-def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Generator) -> Outcome:
-    """Execute one run of the protocol and sample every measurement.
-
-    This is the scalar reference of the batched samplers. It reads exactly
-    two uniforms, announcement then audit, even for ``BobClaimWin``, which
-    ignores the first, so n calls in a row on one generator consume the
-    rows of ``rng.random((n, 2))`` in order. Its own comparisons decide hit
-    and audit; ``_OUTCOMES`` names the winner and abort reason of their code.
-    """
-    evolution = _evolve(params, cheat)
-    announce_draw, audit_draw = rng.random(DRAWS_PER_FLIP).tolist()
-    events: list[Event] = [
+def _outcome(params: ProtocolParams, cheat: CheatSpec, code: int) -> Outcome:
+    """Render a run that ended with outcome ``code``, as ``_flip_codes`` decided it."""
+    hit = code in (BOB_WINS, FIRST_QUBIT_ABORT)
+    events = [
         Event("prepare", "alice", cheat.name),
         Event("send_qubit", "alice", "qubit 2"),
         Event("rotate", "bob", f"p={params.p!r} eta={params.eta!r}"),
     ]
-
     if isinstance(cheat, BobClaimWin):
-        bob_announces_win = True
         events.append(Event("announce", "bob", "win (measurement skipped)"))
     else:
-        bob_announces_win = announce_draw < evolution.bob_win_prob
         events.append(Event("measure", "bob", "qubits 2,3 against the up/down pattern"))
-        events.append(Event("announce", "bob", "win" if bob_announces_win else "lose"))
-
-    if bob_announces_win:
-        ok = audit_draw < evolution.first_qubit_pass
+        events.append(Event("announce", "bob", "win" if hit else "lose"))
+    if hit:
         events.append(Event("test", "alice", "first qubit is spin-down"))
-        events.append(Event("verdict", "alice", "pass" if ok else "fail"))
+        events.append(Event("verdict", "alice", "fail" if code == FIRST_QUBIT_ABORT else "pass"))
     else:
         events.append(Event("send_qubit", "alice", "qubit 1"))
-        ok = audit_draw < evolution.final_state_pass
         events.append(Event("test", "bob", "all qubits against the verification state"))
-
-    winner, reason = _OUTCOMES[bob_announces_win + 2 * (not ok)]
+    winner, reason = _OUTCOMES[code]
     events.append(Event("declare", "both", winner.value))
     return Outcome(winner, reason, Transcript(tuple(events)))
+
+
+def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Generator) -> Outcome:
+    """Execute one run of the protocol and sample every measurement.
+
+    It reads one row of two uniforms, so n calls in a row on one generator
+    consume the rows of ``rng.random((n, 2))`` in order, and ``_flip_codes``
+    decides it as it decides every Monte Carlo trial.
+    """
+    code = _flip_codes(_evolve(params, cheat), rng.random((1, DRAWS_PER_FLIP)))
+    return _outcome(params, cheat, int(code[0]))
 
 
 # -- Monte Carlo --------------------------------------------------------------
@@ -344,18 +341,24 @@ def trial_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def _check_integer(value: int, what: str) -> None:
-    """Refuse a value that ``operator.index`` rejects, such as 2.0 or 2.5."""
+def _check_integer(value: int, what: str, low: float = -math.inf, high: float = math.inf) -> None:
+    """Refuse a bool, a value that ``operator.index`` rejects (such as 2.0 or
+    2.5), and an integer outside low..high."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        raise ParameterError(f"{what} must lie in {low}..{high}, got {value}")
 
 
-def _check_trials(trials: int) -> None:
-    _check_integer(trials, "trial count")
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ParameterError(f"trial count must lie in 1..{MAX_TRIALS}, got {trials}")
+def _check_seed(seed: int) -> None:
+    """Refuse a seed outside 0..2**64-1, the seeds every sampler and the CLI take."""
+    _check_integer(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be an unsigned 64-bit value, got {seed}")
 
 
 def _uniform_blocks(seed: int, trials: int, draws: int):
@@ -371,8 +374,9 @@ def _uniform_blocks(seed: int, trials: int, draws: int):
 
 
 def _flip_codes(evolution: _Evolution, draws: np.ndarray) -> np.ndarray:
-    """Outcome code of each row of (announce, audit) uniforms, decided as
-    ``run_protocol`` decides one run."""
+    """Outcome code of each row of (announce, audit) uniforms: the package's
+    one flip decision. Bob hits below ``bob_win_prob`` (1 for a claim-win),
+    and the audit passes below the pass chance of his branch."""
     hit = draws[:, 0] < evolution.bob_win_prob
     passed = draws[:, 1] < np.where(hit, evolution.first_qubit_pass, evolution.final_state_pass)
     return hit + 2 * ~passed
@@ -426,7 +430,8 @@ def run_trials(
     replayed through ``run_protocol`` for its transcript when
     ``TrialStats.first`` is first read.
     """
-    _check_trials(trials)
+    _check_integer(trials, "trial count", 1, MAX_TRIALS)
+    _check_seed(seed)
     evolution = _evolve(params, cheat)
     codes = sum(
         np.bincount(_flip_codes(evolution, draws), minlength=4)

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from qdice import ProtocolParams, StateVector
+from qdice import BobClaimWin, ProtocolParams, StateVector
+from qdice.wcf import DRAWS_PER_FLIP, _evolve
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -35,6 +36,18 @@ CASE2_BIAS_UNSQUARED = 0.241012650214
 def three_sigma(p: float, trials: int) -> float:
     """Three binomial standard deviations for a frequency estimate."""
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
+
+
+def reference_code(params, cheat, rng) -> int:
+    """Outcome code ``hit + 2 * failed_audit`` of one run, decided with the
+    sequential rule's own comparisons rather than ``wcf._flip_codes``. It
+    reads two uniforms, announcement then audit, even for a claim-win, which
+    skips the measurement and hits."""
+    evolution = _evolve(params, cheat)
+    announce, audit = rng.random(DRAWS_PER_FLIP).tolist()
+    hit = isinstance(cheat, BobClaimWin) or announce < evolution.bob_win_prob
+    passed = audit < (evolution.first_qubit_pass if hit else evolution.final_state_pass)
+    return hit + 2 * (not passed)
 
 
 def random_state(rng: np.random.Generator, n_qubits: int = 3, ancilla_dim: int = 1) -> StateVector:

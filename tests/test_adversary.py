@@ -216,6 +216,11 @@ def test_brute_force_validates_inputs():
         brute_force_alice(FAIR, ancilla_dim=3)
 
 
+def test_grid_point_count_must_be_an_integer():
+    with pytest.raises(ParameterError):
+        brute_force_alice(FAIR, 1500.0)
+
+
 # -- no-advantage properties --------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     CASE2_BIAS_UNSQUARED,
     ETA_FAIR,
     SQRT_HALF,
+    reference_code,
     three_sigma,
 )
 from qdice import (
@@ -31,16 +33,17 @@ from qdice import (
     solve_balanced,
     worst_case_losing_prob,
 )
-from qdice import dicer
+from qdice import dicer, wcf
 from qdice.adversary import alice_optimal_value
 from qdice.dicer import (
     ENTRANT,
     INCUMBENT,
     MAX_PARTIES,
+    StageRun,
     _fair_stages,
-    _play_trial,
     _stage_losses,
     _stage_play,
+    _stage_roles,
     expected_coalition_losing,
 )
 from qdice.wcf import (
@@ -53,7 +56,7 @@ from qdice.wcf import (
     BobClaimWin,
     Honest,
     Winner,
-    run_protocol,
+    _outcome,
     trial_rng,
 )
 
@@ -129,6 +132,13 @@ def test_composition_validates_inputs():
         worst_case_losing_prob(2, 3, [-0.1, 0.0])  # biases are nonnegative
     with pytest.raises(ParameterError):
         worst_case_losing_prob(4, 3, [0.0])
+
+
+@pytest.mark.parametrize("check", [bias_bound_check, worst_case_losing_prob])
+@pytest.mark.parametrize("bias", [math.nan, math.inf])
+def test_non_finite_biases_are_refused(check, bias):
+    with pytest.raises(ParameterError):
+        check(1, 3, [0.1, bias])
 
 
 def test_composition_is_monotone_in_each_bias():
@@ -397,6 +407,14 @@ def test_honest_party_must_be_a_party(honest_party):
         worst_case_losing_prob(honest_party, 3, [0.1, 0.1])
 
 
+def test_a_bool_is_not_a_party():
+    spec = LadderSpec.three_sided(case=1)
+    with pytest.raises(ParameterError):
+        simulate_dice(spec, 10, seed=0, coalition=Coalition(True))
+    with pytest.raises(ParameterError):
+        expected_coalition_losing(spec, Coalition(True))
+
+
 def test_simulate_dice_determinism():
     spec = LadderSpec.three_sided(case=1)
     first = simulate_dice(spec, 2_000, seed=3, coalition=Coalition(honest_party=1))
@@ -405,6 +423,21 @@ def test_simulate_dice_determinism():
 
 
 # -- batched ladder against the scalar reference -----------------------------------
+
+
+def _play_trial(spec, coalition, rng):
+    """One ladder trial, flip by flip, each flip decided by ``reference_code``:
+    the sequential reference of ``simulate_dice``."""
+    honest = None if coalition is None else coalition.honest_party
+    incumbent = 1
+    runs = []
+    for stage in spec.stages:
+        preparer, responder = _stage_roles(stage, incumbent)
+        play = _stage_play(stage, coalition, incumbent == honest)
+        code = reference_code(stage.params, play.cheat, rng)
+        incumbent = preparer if play.preparer_wins[code] else responder
+        runs.append(StageRun(stage.entrant, preparer, responder, incumbent, _outcome(stage.params, play.cheat, code)))
+    return tuple(runs)
 
 
 def scalar_ladder(spec, trials, seed, coalition=None):
@@ -477,17 +510,17 @@ def _counting(calls: list, fn):
     return wrapper
 
 
-def test_first_trial_is_replayed_only_when_first_read(monkeypatch):
-    played, flips = [], []
-    monkeypatch.setattr(dicer, "_play_trial", _counting(played, _play_trial))
-    monkeypatch.setattr(dicer, "run_protocol", _counting(flips, run_protocol))
+def test_first_trial_is_built_without_run_protocol_and_cached(monkeypatch):
+    flips = []
+    counting = _counting(flips, wcf.run_protocol)
+    monkeypatch.setattr(wcf, "run_protocol", counting)
+    monkeypatch.setattr(dicer, "run_protocol", counting, raising=False)  # a name dicer might import
     report = simulate_dice(LADDERS["case2"], 100, seed=8, coalition=Coalition(honest_party=2))
-    assert (len(played), len(flips)) == (0, 0)
     first = report.first_trial
-    assert (len(played), len(flips)) == (1, 2)
     assert report.first_trial is first
     assert report.to_dict()["first_transcript"] == [run.to_dict() for run in first]
-    assert (len(played), len(flips)) == (1, 2)
+    assert [run.entrant for run in first] == [2, 3]
+    assert flips == []
 
 
 # -- the abort rule ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DELTA_STAR_FAIR, ETA_FAIR, random_params, three_sigma
+from conftest import DELTA_STAR_FAIR, ETA_FAIR, random_params, reference_code, three_sigma
 from qdice import (
     AliceDelta,
     AliceGeneral,
@@ -23,6 +23,7 @@ from qdice import (
     alice_verification,
     apply_u_eta,
     attach_down_ancilla_qubit,
+    brute_force_alice,
     honest_win_prob,
     ket,
     projective_test,
@@ -31,8 +32,8 @@ from qdice import (
     simulate_dice,
 )
 from qdice import wcf
-from qdice.adversary import alice_value_at_delta
-from qdice.wcf import TRIAL_BLOCK, trial_rng
+from qdice.adversary import alice_value_at_delta, sample_cheat_values
+from qdice.wcf import _OUTCOMES, TRIAL_BLOCK, _outcome, trial_rng
 
 
 # -- parameters and analytics --------------------------------------------------
@@ -51,6 +52,13 @@ def test_params_validation():
         ProtocolParams(0.5, 0.6)
     with pytest.raises(ParameterError):
         ProtocolParams(0.5, -0.1)
+
+
+def test_params_must_be_numbers():
+    with pytest.raises(ParameterError):
+        ProtocolParams("a", 0.1)
+    with pytest.raises(ParameterError):
+        ProtocolParams(0.5, "0.1")
 
 
 def test_cheat_spec_validation():
@@ -218,17 +226,39 @@ def test_trial_count_lies_in_range_for_flips_and_ladders(trials):
         simulate_dice(LadderSpec.three_sided(1), trials, seed=1)
 
 
+SEEDED_ENTRY_POINTS = {
+    "run_trials": lambda seed: run_trials(ProtocolParams(0.5, 0.1), Honest(), 10, seed),
+    "simulate_dice": lambda seed: simulate_dice(LadderSpec.uniform(3), 10, seed),
+    "sample_cheat_values": lambda seed: sample_cheat_values(ProtocolParams(0.5, 0.1), 10, seed=seed),
+    "brute_force_alice": lambda seed: brute_force_alice(
+        ProtocolParams(0.5, 0.1), 1_000, ancilla_dim=2, random_samples=10, seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED_ENTRY_POINTS)
+@pytest.mark.parametrize("seed", [-1, 1.5, True, 2**64])
+def test_seed_is_an_unsigned_64_bit_integer_everywhere(entry, seed):
+    with pytest.raises(ParameterError):
+        SEEDED_ENTRY_POINTS[entry](seed)
+    SEEDED_ENTRY_POINTS[entry](2**64 - 1)
+
+
 # -- batched sampler against the scalar reference ----------------------------------
 
 
+def reference_winner(params, cheat, rng):
+    return _OUTCOMES[reference_code(params, cheat, rng)][0]
+
+
 def scalar_tallies(params, cheat, trials, seed):
-    """Winner tallies of ``run_protocol`` called trial after trial on each
+    """Winner tallies of ``reference_code`` called trial after trial on each
     block's generator, as the block layout prescribes."""
     counts = Counter()
     for index in range(trials):
         if index % TRIAL_BLOCK == 0:
             rng = trial_rng(seed, index // TRIAL_BLOCK)
-        counts[run_protocol(params, cheat, rng).winner] += 1
+        counts[reference_winner(params, cheat, rng)] += 1
     return counts
 
 
@@ -274,8 +304,8 @@ def test_batched_counts_cross_a_block_boundary_and_extend_as_a_prefix():
     # five more trials continue block 1 where the shorter run stopped
     rng = trial_rng(21, 1)
     for _ in range(37):
-        run_protocol(params, cheat, rng)
-    extra = Counter(run_protocol(params, cheat, rng).winner for _ in range(5))
+        reference_code(params, cheat, rng)
+    extra = Counter(reference_winner(params, cheat, rng) for _ in range(5))
     assert +run_trials(params, cheat, trials + 5, seed=21).counts == stats.counts + extra
 
 
@@ -301,7 +331,7 @@ def test_first_trial_replay_matches_batched_trial_zero(cheat):
     params = ProtocolParams(0.5, ETA_FAIR)
     for seed in range(20):
         stats = run_trials(params, cheat, 50, seed)
-        assert stats.first == run_protocol(params, cheat, trial_rng(seed, 0))
+        assert stats.first == _outcome(params, cheat, reference_code(params, cheat, trial_rng(seed, 0)))
         assert run_trials(params, cheat, 1, seed).counts[stats.first.winner] == 1
         assert stats.to_dict()["first_transcript"] == stats.first.transcript.to_dict()
 
