@@ -14,6 +14,11 @@ must agree with it. The oracle evolves states through ``wcf._evolve``, the
 same evolution the Monte Carlo samples from: a scalar value evolves its own
 preparation, and every batched value is linear in the four amplitudes that
 one evolution of the basis preparations yields (``_miss_amplitudes``).
+The two batched kernels stay lean: the tilt grid is scored in real
+arithmetic on float arrays, its base grid and tilt amplitudes cached per
+grid size (``_base_grid``), and random preparations are scored from their
+unnormalized Gaussian draws, drawn in a documented stream order (see
+``sample_cheat_values``), by dividing each value by its squared norm.
 ``cheater_win_prob`` maps any declared strategy to its cheater's winning
 chance, for the CLI reports and the ladders' coalition values alike.
 """
@@ -35,6 +40,7 @@ from .wcf import (
     _check_integer,
     _check_p_below_one,
     _check_seed,
+    _check_unit_interval,
     _evolve,
 )
 
@@ -54,6 +60,11 @@ class CheatValue:
     optimizer: float | tuple | None = None
 
 
+def _check_params(params: ProtocolParams) -> None:
+    if not isinstance(params, ProtocolParams):
+        raise ParameterError(f"params must be a ProtocolParams, got {params!r}")
+
+
 def _coefficients(params: ProtocolParams) -> tuple[float, float]:
     _check_p_below_one(params.p)
     _check_rotation_defined(params.p, params.eta)
@@ -64,8 +75,7 @@ def _coefficients(params: ProtocolParams) -> tuple[float, float]:
 
 def alice_value_at_delta(params: ProtocolParams, delta: float) -> float:
     """Probability that a tilt-delta preparation wins and survives the audit."""
-    if not 0.0 <= delta <= 1.0:
-        raise ParameterError(f"delta must lie in [0, 1], got {delta}")
+    _check_unit_interval(delta, "delta")
     a, b = _coefficients(params)
     return (math.sqrt(a * (1.0 - delta)) + math.sqrt(b * delta)) ** 2
 
@@ -141,30 +151,64 @@ def _miss_amplitudes(params: ProtocolParams) -> np.ndarray:
     return r
 
 
-def _tilt_values(params: ProtocolParams, deltas: np.ndarray) -> np.ndarray:
-    """Cheat values of the tilt preparations sqrt(1-delta)|ud> + sqrt(delta)|du>."""
-    r = _miss_amplitudes(params)
-    return np.abs(np.sqrt(1.0 - deltas) * r[1] + np.sqrt(deltas) * r[2]) ** 2
+def _tilt_roots(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tilt amplitudes (sqrt(1-delta), sqrt(delta)) of a delta array."""
+    return np.sqrt(1.0 - deltas), np.sqrt(deltas)
+
+
+@lru_cache(maxsize=4)
+def _base_grid(grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``linspace(0, 1, grid_points)`` and its two tilt-amplitude arrays,
+    read-only since the cache shares them (a 10**6-point entry holds 24 MB)."""
+    deltas = np.linspace(0.0, 1.0, grid_points)
+    grid = (deltas, *_tilt_roots(deltas))
+    for array in grid:
+        array.setflags(write=False)
+    return grid
+
+
+def _tilt_values(params: ProtocolParams, roots: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Cheat values of the tilt preparations sqrt(1-delta)|ud> + sqrt(delta)|du>.
+
+    Given their amplitudes ``roots`` = (s1, s2) from :func:`_tilt_roots`,
+    a preparation wins and survives with |s1 r_ud + s2 r_du|^2, in the
+    evolved amplitudes r of :func:`_miss_amplitudes`. It is computed in real
+    arithmetic, in place on float arrays: re = s1 Re r_ud + s2 Re r_du and
+    im likewise, then re^2 + im^2. No complex array is built.
+    """
+    s1, s2 = roots
+    r_ud, r_du = _miss_amplitudes(params)[1:3]
+    re = s1 * r_ud.real
+    re += s2 * r_du.real
+    im = s1 * r_ud.imag
+    im += s2 * r_du.imag
+    re *= re
+    im *= im
+    re += im
+    return re
 
 
 def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple[float, float]:
     """Grid-search the tilt family, then refine around the best cell.
 
-    Returns (value, delta). The refinement re-grids the two cells around the
+    Returns (value, delta). The base grid ``linspace(0, 1, grid_points)`` and
+    its tilt amplitudes come from a small cache shared by every call
+    (:func:`_base_grid`). The refinement re-grids the two cells around the
     best node with 2001 points, four times over (each pass narrows the
     bracket a thousandfold), and evaluates the winning delta once through
     :func:`alice_value_at_delta_via_states`. The tilt value is unimodal in
     delta, so the local refinement is globally valid.
     """
+    _check_params(params)
     _check_integer(grid_points, "grid point count", 1_000, MAX_ORACLE_POINTS)
-    deltas = np.linspace(0.0, 1.0, grid_points)
-    values = _tilt_values(params, deltas)
+    deltas, *roots = _base_grid(grid_points)
+    values = _tilt_values(params, roots)
     best = int(np.argmax(values))
     value, delta = float(values[best]), float(deltas[best])
     zoom = deltas
     for _ in range(4):
         zoom = np.linspace(zoom[max(best - 1, 0)], zoom[min(best + 1, len(zoom) - 1)], 2001)
-        best = int(np.argmax(_tilt_values(params, zoom)))
+        best = int(np.argmax(_tilt_values(params, _tilt_roots(zoom))))
     refined_delta = float(zoom[best])
     refined_value = alice_value_at_delta_via_states(params, refined_delta)
     if refined_value > value:
@@ -172,9 +216,19 @@ def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple
     return value, delta
 
 
-def _random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    vecs = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+def _gaussian_rows(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """n unnormalized rows of dim complex standard Gaussians, with each row's
+    squared norm. All n * dim real parts are drawn before the imaginary parts."""
+    rows = np.empty((n, dim), dtype=complex)
+    rows.real = rng.standard_normal((n, dim))
+    rows.imag = rng.standard_normal((n, dim))
+    return rows, _squared_rows(rows)
+
+
+def _squared_rows(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a C-contiguous complex (n, dim) array."""
+    flat = rows.view(float)
+    return np.einsum("ij,ij->i", flat, flat)
 
 
 def sample_cheat_values(
@@ -192,44 +246,55 @@ def sample_cheat_values(
     two branches never help, which is what the requirement probes). With
     ``ancilla_dim`` = 2 each branch gets a random unit ancilla vector;
     ``orthogonal_pair`` forces the ud/du ancillas to be orthogonal instead.
-    Values are linear in the evolved basis amplitudes of
+
+    The stream of ``default_rng(seed)``, in order: the real parts, then the
+    imaginary parts, of the (n, 4) amplitudes. With ``min_unused_weight``,
+    n uniforms for the weights, then the (n, 2) uu/dd pair and the (n, 2)
+    ud/du pair, each real parts first. With an ancilla, the (4n, 2)
+    ancillas, row k of sample i at row 4i + k; with ``orthogonal_pair``,
+    the ud ancillas, then uu, then dd, each (n, 2) (du is ud's orthogonal
+    partner). Draws are scored unnormalized: each coefficient is divided by
+    its ancilla's norm and each value by its amplitudes' squared norm. The
+    values are linear in the evolved basis amplitudes of
     :func:`_miss_amplitudes` and are pinned against
     :func:`general_cheat_value` by tests.
     """
-    if ancilla_dim not in (1, 2):
-        raise ParameterError(f"ancilla dimension must be 1 or 2, got {ancilla_dim}")
+    _check_params(params)
+    _check_integer(ancilla_dim, "ancilla dimension", 1, 2)
     _check_integer(n_samples, "random sample count", 0, MAX_ORACLE_POINTS)
-    if not 0.0 <= min_unused_weight <= 1.0:  # also refuses nan
-        raise ParameterError(f"unused weight must lie in [0, 1], got {min_unused_weight}")
+    _check_unit_interval(min_unused_weight, "unused weight")
+    if not isinstance(orthogonal_pair, (bool, np.bool_)):
+        raise ParameterError(f"orthogonal_pair must be a bool, got {orthogonal_pair!r}")
     if orthogonal_pair and ancilla_dim != 2:
         raise ParameterError("an orthogonal ancilla pair needs ancilla dimension 2")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    alphas = _random_unit_rows(rng, n_samples, 4)
+    alphas, norms = _gaussian_rows(rng, n_samples, 4)
     if min_unused_weight > 0.0:
-        # Re-mix so every sample parks at least the requested weight on uu/dd.
+        # Re-mix so every sample parks at least the requested weight on uu/dd;
+        # each pair is scaled to its weight, so every row is a unit vector.
         weight = min_unused_weight + (1.0 - min_unused_weight) * rng.random(n_samples)
-        pair_uu_dd = _random_unit_rows(rng, n_samples, 2)
-        pair_ud_du = _random_unit_rows(rng, n_samples, 2)
-        alphas = np.empty((n_samples, 4), dtype=complex)
-        alphas[:, [0, 3]] = np.sqrt(weight)[:, None] * pair_uu_dd
-        alphas[:, [1, 2]] = np.sqrt(1.0 - weight)[:, None] * pair_ud_du
+        for pair, pair_weight in (((0, 3), weight), ((1, 2), 1.0 - weight)):
+            rows, pair_norms = _gaussian_rows(rng, n_samples, 2)
+            alphas[:, pair] = np.sqrt(pair_weight / pair_norms)[:, None] * rows
+        norms = 1.0
 
-    weighted = alphas * _miss_amplitudes(params)
+    r = _miss_amplitudes(params)
     if ancilla_dim == 1:
-        return np.abs(weighted.sum(axis=1)) ** 2
+        return _squared_rows(alphas @ r[:, None]) / norms
     if orthogonal_pair:
-        phis = np.empty((n_samples, 4, 2), dtype=complex)
-        phi_ud = _random_unit_rows(rng, n_samples, 2)
-        # An orthogonal partner of (x, y) is (-conj(y), conj(x)).
+        phi_ud, ud_norms = _gaussian_rows(rng, n_samples, 2)
+        # An orthogonal partner of (x, y) is (-conj(y), conj(x)), of the same norm.
         phi_du = np.stack([-np.conj(phi_ud[:, 1]), np.conj(phi_ud[:, 0])], axis=1)
-        phis[:, 0] = _random_unit_rows(rng, n_samples, 2)
-        phis[:, 1] = phi_ud
-        phis[:, 2] = phi_du
-        phis[:, 3] = _random_unit_rows(rng, n_samples, 2)
+        phi_uu, uu_norms = _gaussian_rows(rng, n_samples, 2)
+        phi_dd, dd_norms = _gaussian_rows(rng, n_samples, 2)
+        phis = np.stack([phi_uu, phi_ud, phi_du, phi_dd], axis=1)
+        phi_norms = np.stack([uu_norms, ud_norms, ud_norms, dd_norms], axis=1)
     else:
-        phis = _random_unit_rows(rng, 4 * n_samples, 2).reshape(n_samples, 4, 2)
-    return np.sum(np.abs(np.einsum("nk,nkd->nd", weighted, phis)) ** 2, axis=1)
+        phis, phi_norms = _gaussian_rows(rng, 4 * n_samples, 2)
+        phis, phi_norms = phis.reshape(n_samples, 4, 2), phi_norms.reshape(n_samples, 4)
+    weighted = alphas * r / np.sqrt(phi_norms)
+    return _squared_rows(np.einsum("nk,nkd->nd", weighted, phis)) / norms
 
 
 def brute_force_alice(
@@ -246,8 +311,7 @@ def brute_force_alice(
     ancilla-entangled preparations. Returns the best value found with its
     optimizer: the tilt delta, or None if a random sample somehow won.
     """
-    if ancilla_dim not in (1, 2):
-        raise ParameterError(f"ancilla dimension must be 1 or 2, got {ancilla_dim}")
+    _check_integer(ancilla_dim, "ancilla dimension", 1, 2)
     _check_integer(random_samples, "random sample count", 0, MAX_ORACLE_POINTS)
     _check_seed(seed)
     value, delta = max_delta_family(params, grid_points)

@@ -107,8 +107,11 @@ def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> Fracti
         )
     stage_losses = []
     for m, bias in zip(stages, biases):
-        if not 0 <= bias < math.inf:  # also refuses nan
-            raise ParameterError(f"stage biases must be finite and nonnegative, got {bias}")
+        try:
+            if not 0 <= bias < math.inf:  # also refuses nan
+                raise ParameterError(f"stage biases must be finite and nonnegative, got {bias}")
+        except TypeError:
+            raise ParameterError(f"stage biases must be numbers, got {bias!r}") from None
         honest_loss = Fraction(n - 1, n) if m == n else Fraction(1, m)
         stage_loss = honest_loss + Fraction(bias)
         if not 0 <= stage_loss <= 1:
@@ -359,6 +362,12 @@ class Coalition:
     honest_party: int
 
 
+def _check_coalition(coalition: Coalition, n_parties: int) -> None:
+    if not isinstance(coalition, Coalition):
+        raise ParameterError(f"coalition must be a Coalition, got {coalition!r}")
+    _check_party(coalition.honest_party, n_parties)
+
+
 def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
     """(preparer party, responder party) for a stage; ``incumbent`` may be
     an array of parties, one per trial."""
@@ -397,8 +406,8 @@ def _stage_play(stage: StageParams, coalition: Coalition | None, honest_incumben
 def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
     """Analytic losing probability of the honest party under the coalition's
     stage strategies (forward composition of per-stage losing chances)."""
+    _check_coalition(coalition, spec.n_parties)
     honest = coalition.honest_party
-    _check_party(honest, spec.n_parties)
     stage_losses = []
     for stage in spec.stages[max(honest, 2) - 2:]:  # the honest party's entry stage onward
         play = _stage_play(stage, coalition, honest < stage.entrant)
@@ -482,7 +491,7 @@ def simulate_dice(
     _check_integer(trials, "trial count", 1, MAX_TRIALS)
     _check_seed(seed)
     if coalition is not None:
-        _check_party(coalition.honest_party, spec.n_parties)
+        _check_coalition(coalition, spec.n_parties)
 
     def group(stage: StageParams, honest_incumbent: bool):
         # (cheat, evolution, advance row); None for the honest party before it enters

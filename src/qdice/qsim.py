@@ -196,9 +196,11 @@ class TestOutcome:
 
 
 def _check_p_eta(p: float, eta: float) -> None:
-    """Refuse (p, eta) that do not compare as numbers, or lie outside
+    """Refuse (p, eta) that are bools, do not compare as numbers, or lie outside
     0 <= p <= 1, 0 <= eta <= 1-p."""
     try:
+        if isinstance(p, bool) or isinstance(eta, bool):
+            raise TypeError
         if not 0.0 <= p <= 1.0:
             raise ParameterError(f"p must lie in [0, 1], got {p}")
         if not 0.0 <= eta <= 1.0 - p + 1e-12:

@@ -66,6 +66,18 @@ def _check_p_below_one(p: float) -> None:
         raise ParameterError("p must be below 1: the verification state and the cheat value divide by 1-p")
 
 
+def _check_unit_interval(value: float, what: str) -> None:
+    """Refuse a bool, a value that does not compare as a number, nan, and a
+    value outside [0, 1]."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        if not 0.0 <= value <= 1.0:  # also refuses nan
+            raise ParameterError(f"{what} must lie in [0, 1], got {value}")
+    except TypeError:
+        raise ParameterError(f"{what} must be a number, got {value!r}") from None
+
+
 def honest_win_prob(params: ProtocolParams) -> float:
     """Alice's winning probability when both parties are honest."""
     return 1.0 - params.p
@@ -93,16 +105,18 @@ class AliceDelta(CheatSpec):
     name = "alice-delta"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.delta <= 1.0:
-            raise ParameterError(f"delta must lie in [0, 1], got {self.delta}")
+        _check_unit_interval(self.delta, "delta")
 
 
 def _squared_norm(vector) -> float:
-    """sum |c|^2 of a vector; inf when a component is too large to square."""
+    """sum |c|^2 of a vector; inf when a component is too large to square,
+    and ``ParameterError`` when a component is not a number."""
     try:
         return sum(abs(c) ** 2 for c in vector)
     except OverflowError:
         return math.inf
+    except TypeError:
+        raise ParameterError(f"amplitudes must be numbers, got {vector!r}") from None
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,11 @@ from qdice import (
     bob_optimal_value,
     brute_force_alice,
 )
+from qdice import adversary
 from qdice.adversary import (
     MAX_ORACLE_POINTS,
+    _base_grid,
+    _tilt_roots,
     _tilt_values,
     alice_value_at_delta_via_states,
     cheater_win_prob,
@@ -81,31 +84,88 @@ def test_batch_evaluator_matches_single_state_chain():
     for _ in range(20):
         params = random_params(rng)
         deltas = rng.random(16)
-        batch = _tilt_values(params, deltas)
+        batch = _tilt_values(params, _tilt_roots(deltas))
         singles = [alice_value_at_delta_via_states(params, d) for d in deltas]
         assert np.allclose(batch, singles, atol=1e-12)
 
 
+def test_cached_grid_tilt_values_match_evolved_states():
+    rng = np.random.default_rng(11)
+    deltas, *roots = _base_grid(10_000)
+    for _ in range(10):
+        params = random_params(rng)
+        values = _tilt_values(params, roots)
+        for node in rng.integers(0, len(deltas), 8):
+            evolved = alice_value_at_delta_via_states(params, float(deltas[node]))
+            assert values[node] == pytest.approx(evolved, abs=1e-12)
+
+
+def test_tilt_values_keep_imaginary_parts(monkeypatch):
+    # the engine's amplitudes are real today; the kernel must not rely on it
+    r = np.array([0.0, 0.3 + 0.4j, -0.2 + 0.5j, 0.0])
+    monkeypatch.setattr(adversary, "_miss_amplitudes", lambda params: r)
+    deltas = np.linspace(0.0, 1.0, 11)
+    expected = np.abs(np.sqrt(1.0 - deltas) * r[1] + np.sqrt(deltas) * r[2]) ** 2
+    assert np.allclose(_tilt_values(FAIR, _tilt_roots(deltas)), expected, atol=1e-15)
+
+
+def test_cached_grid_arrays_are_read_only():
+    for array in _base_grid(1_000):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
+def unit_rows(rng, n, dim):
+    """n random unit rows, drawn as ``sample_cheat_values`` documents its stream."""
+    raw = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def assert_matches_scalar_chain(params, values, alphas, phis=None):
+    for k, value in enumerate(values):
+        cheat = AliceGeneral(
+            tuple(alphas[k]),
+            ancillas=None if phis is None else tuple(tuple(row) for row in phis[k]),
+        )
+        assert value == pytest.approx(general_cheat_value(params, cheat), abs=1e-12)
+
+
+def test_orthogonal_pair_batch_matches_scalar():
+    params = ProtocolParams(0.4, 0.3)
+    values = sample_cheat_values(params, 5, ancilla_dim=2, seed=32, orthogonal_pair=True)
+    rng = np.random.default_rng(32)
+    alphas = unit_rows(rng, 5, 4)
+    phi_ud = unit_rows(rng, 5, 2)
+    phi_du = np.stack([-np.conj(phi_ud[:, 1]), np.conj(phi_ud[:, 0])], axis=1)
+    phi_uu, phi_dd = unit_rows(rng, 5, 2), unit_rows(rng, 5, 2)
+    phis = np.stack([phi_uu, phi_ud, phi_du, phi_dd], axis=1)
+    assert_matches_scalar_chain(params, values, alphas, phis)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_min_unused_weight_batch_matches_scalar(dim):
+    params = ProtocolParams(0.4, 0.3)
+    values = sample_cheat_values(params, 5, ancilla_dim=dim, seed=33, min_unused_weight=0.3)
+    rng = np.random.default_rng(33)
+    unit_rows(rng, 5, 4)  # the plain amplitudes, drawn and replaced
+    weight = 0.3 + 0.7 * rng.random(5)
+    alphas = np.empty((5, 4), dtype=complex)
+    alphas[:, [0, 3]] = np.sqrt(weight)[:, None] * unit_rows(rng, 5, 2)
+    alphas[:, [1, 2]] = np.sqrt(1.0 - weight)[:, None] * unit_rows(rng, 5, 2)
+    phis = None if dim == 1 else unit_rows(rng, 20, 2).reshape(5, 4, 2)
+    assert_matches_scalar_chain(params, values, alphas, phis)
+
+
 def test_general_value_batch_matches_scalar():
-    rng = np.random.default_rng(42)
     params = ProtocolParams(0.4, 0.3)
     for dim in (1, 2):
         values = sample_cheat_values(params, 5, ancilla_dim=dim, seed=31)
         # rebuild the same preparations through the scalar state chain
-        rng_repeat = np.random.default_rng(31)
-        raw = rng_repeat.normal(size=(5, 4)) + 1j * rng_repeat.normal(size=(5, 4))
-        alphas = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        if dim == 1:
-            phis = None
-        else:
-            raw_phi = rng_repeat.normal(size=(20, 2)) + 1j * rng_repeat.normal(size=(20, 2))
-            phis = (raw_phi / np.linalg.norm(raw_phi, axis=1, keepdims=True)).reshape(5, 4, 2)
-        for k in range(5):
-            cheat = AliceGeneral(
-                tuple(alphas[k]),
-                ancillas=None if phis is None else tuple(tuple(row) for row in phis[k]),
-            )
-            assert values[k] == pytest.approx(general_cheat_value(params, cheat), abs=1e-12)
+        rng = np.random.default_rng(31)
+        alphas = unit_rows(rng, 5, 4)
+        phis = None if dim == 1 else unit_rows(rng, 20, 2).reshape(5, 4, 2)
+        assert_matches_scalar_chain(params, values, alphas, phis)
 
 
 # -- optima ----------------------------------------------------------------------
@@ -178,7 +238,7 @@ def test_unrefined_grid_never_exceeds_closed_form():
     rng = np.random.default_rng(17)
     for _ in range(20):
         params = random_params(rng, p_max=0.95)
-        values = _tilt_values(params, np.linspace(0.0, 1.0, 2_000))
+        values = _tilt_values(params, _tilt_roots(np.linspace(0.0, 1.0, 2_000)))
         assert float(np.max(values)) <= alice_optimal_value(params).value + 1e-9
 
 
@@ -207,6 +267,40 @@ def test_sample_cheat_values_accepts_its_boundaries():
     assert np.allclose(sample_cheat_values(FAIR, 50, min_unused_weight=1.0), 0.0)
     paired = sample_cheat_values(FAIR, 50, ancilla_dim=2, orthogonal_pair=True)
     assert np.all((0.0 <= paired) & (paired <= alice_optimal_value(FAIR).value + 1e-9))
+
+
+ORACLE_ENTRY_POINTS = {
+    "sample_cheat_values": lambda params, **options: sample_cheat_values(params, 10, **options),
+    "brute_force_alice": lambda params, **options: brute_force_alice(
+        params, 1_000, random_samples=10, **options
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ORACLE_ENTRY_POINTS)
+@pytest.mark.parametrize("ancilla_dim", [True, 2.0, 1.5, 0, 3])
+def test_oracle_ancilla_dimension_is_the_integer_1_or_2(entry, ancilla_dim):
+    with pytest.raises(ParameterError):
+        ORACLE_ENTRY_POINTS[entry](FAIR, ancilla_dim=ancilla_dim)
+
+
+@pytest.mark.parametrize("entry", ORACLE_ENTRY_POINTS)
+@pytest.mark.parametrize("params", [None, (0.5, 0.1)], ids=["none", "tuple"])
+def test_oracle_params_must_be_protocol_params(entry, params):
+    with pytest.raises(ParameterError):
+        ORACLE_ENTRY_POINTS[entry](params)
+
+
+@pytest.mark.parametrize("orthogonal_pair", ["no", 1, None])
+def test_orthogonal_pair_must_be_a_bool(orthogonal_pair):
+    with pytest.raises(ParameterError):
+        sample_cheat_values(FAIR, 10, ancilla_dim=2, orthogonal_pair=orthogonal_pair)
+
+
+@pytest.mark.parametrize("weight", ["a", None, True])
+def test_min_unused_weight_must_be_a_number(weight):
+    with pytest.raises(ParameterError):
+        sample_cheat_values(FAIR, 10, min_unused_weight=weight)
 
 
 def test_brute_force_validates_inputs():

@@ -30,6 +30,7 @@ from qdice import (
     run_protocol,
     run_trials,
     simulate_dice,
+    worst_case_losing_prob,
 )
 from qdice import wcf
 from qdice.adversary import alice_value_at_delta, sample_cheat_values
@@ -87,6 +88,21 @@ def test_alice_general_refuses_non_finite_ancilla_entries(bad):
 def test_alice_general_refuses_entries_too_large_to_square(amplitudes, ancillas):
     with pytest.raises(ParameterError):
         AliceGeneral(amplitudes, ancillas)
+
+
+WRONG_TYPE_CALLS = {
+    "stage-bias-string": lambda: worst_case_losing_prob(1, 3, ["a", 0.1]),
+    "delta-string": lambda: AliceDelta("a"),
+    "amplitude-string": lambda: AliceGeneral(("a", 0, 0, 0)),
+    "coalition-string": lambda: simulate_dice(LadderSpec.uniform(3), 10, 0, coalition="x"),
+    "p-bool": lambda: ProtocolParams(True, 0.0),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPE_CALLS)
+def test_wrong_type_arguments_raise_parameter_error(call):
+    with pytest.raises(ParameterError):
+        WRONG_TYPE_CALLS[call]()
 
 
 def test_alice_verification_basics():
