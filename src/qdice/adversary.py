@@ -6,9 +6,14 @@ The closed form for the preparing party (Alice) rests on two coefficients
 
 so that a tilt-delta preparation wins with probability
 (sqrt(a (1-delta)) + sqrt(b delta))^2, maximized at delta* = b / (a + b)
-with value a + b. The test suite refuses to take that maximization on
-faith: ``brute_force_alice`` re-derives cheat values purely by evolving
-states through the engine and searching (a zoomed delta grid, random dense
+with value a + b. ``_closed_form`` computes (a, b) on plain floats, and
+every closed-form value reads it: the public functions through the checked
+``_coefficients``, and ``dicer``'s fair-ladder residual directly, since it
+checks (p, eta) at its bracket's ends and bisects between them.
+
+The test suite refuses to take that maximization on faith:
+``brute_force_alice`` re-derives cheat values purely by evolving states
+through the engine and searching (a zoomed delta grid, random dense
 preparations, random ancilla-entangled preparations), and the closed form
 must agree with it. The oracle evolves states through ``wcf._evolve``, the
 same evolution the Monte Carlo samples from: a scalar value evolves its own
@@ -38,6 +43,7 @@ from .wcf import (
     CheatSpec,
     ProtocolParams,
     _check_integer,
+    _check_params,
     _check_p_below_one,
     _check_seed,
     _check_unit_interval,
@@ -60,17 +66,20 @@ class CheatValue:
     optimizer: float | tuple | None = None
 
 
-def _check_params(params: ProtocolParams) -> None:
-    if not isinstance(params, ProtocolParams):
-        raise ParameterError(f"params must be a ProtocolParams, got {params!r}")
+def _closed_form(p: float, eta: float) -> tuple[float, float]:
+    """The coefficients (a, b) on plain floats, unchecked: the caller has
+    refused (p, eta) outside 0 <= eta <= 1-p, p = 1 and p + eta = 0."""
+    a = (1.0 - p - eta) / (1.0 - p)
+    b = eta**2 / ((1.0 - p) * (p + eta))
+    return max(0.0, a), b
 
 
 def _coefficients(params: ProtocolParams) -> tuple[float, float]:
+    """``_closed_form`` at checked params."""
+    _check_params(params)
     _check_p_below_one(params.p)
     _check_rotation_defined(params.p, params.eta)
-    a = (1.0 - params.p - params.eta) / (1.0 - params.p)
-    b = params.eta**2 / ((1.0 - params.p) * (params.p + params.eta))
-    return max(0.0, a), b
+    return _closed_form(params.p, params.eta)
 
 
 def alice_value_at_delta(params: ProtocolParams, delta: float) -> float:
@@ -99,6 +108,7 @@ def general_cheat_value(params: ProtocolParams, cheat: AliceGeneral) -> float:
     protocol, the same ``wcf._evolve`` the Monte Carlo samples from; the
     verification test acts as identity on the ancilla index.
     """
+    _check_params(params)
     return _squared_norm(_evolve(params, cheat).miss_amplitudes)
 
 
@@ -112,6 +122,7 @@ def alice_optimal_value(params: ProtocolParams) -> CheatValue:
 
 def bob_optimal_value(params: ProtocolParams) -> CheatValue:
     """Bob's optimum, attained by always claiming the win: p + eta."""
+    _check_params(params)
     return CheatValue(value=params.p + params.eta, optimizer=None)
 
 
@@ -119,6 +130,7 @@ def cheater_win_prob(params: ProtocolParams, cheat: CheatSpec) -> float | None:
     """Winning probability of the declared cheater, or None for honest play:
     closed forms for a tilt and a claimed win, one evolution for a general
     preparation (``general_cheat_value``)."""
+    _check_params(params)
     if isinstance(cheat, AliceDelta):
         return alice_value_at_delta(params, cheat.delta)
     if isinstance(cheat, AliceGeneral):

@@ -30,12 +30,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from operator import index
+from typing import Iterable, NamedTuple, Sequence
 
 from . import adversary
 from ._lazy import lazy_import
 from .errors import ParameterError
 from .fairness import FairnessSolution, find_root
+from .qsim import _check_p_eta
 from .wcf import (
     DRAWS_PER_FLIP,
     FINAL_STATE_ABORT,
@@ -94,10 +96,20 @@ def worst_case_losing_prob(
     ordered from its entry stage onward. The recursion is exact (rational
     arithmetic), so all-zero biases give exactly (N-1)/N.
     """
-    return float(_losing_recursion(n, n_parties, biases))
+    losing, _ = _losing_recursion(n, n_parties, biases)
+    return float(losing)
 
 
-def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> Fraction:
+def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> tuple[Fraction, Fraction]:
+    """Party n's exact overall losing probability, and its largest stage bias.
+
+    Each bias is read as the exact integer ratio ``as_integer_ratio()``
+    gives (a numpy integer, which has none, as itself over 1), and its
+    stage's losing chance, honest loss plus bias, as an integer ratio too.
+    A stage whose chance exceeds 1 is refused before a later stage's bias is
+    read. ``_compose`` runs on the integer pairs, and one ``Fraction`` is
+    built from its result, so no gcd runs per stage.
+    """
     _check_party_count(n_parties)
     _check_party(n, n_parties)
     stages = range(max(n, 2), n_parties + 1)  # the entrants party n meets, its own entry onward
@@ -106,31 +118,44 @@ def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> Fracti
             f"party {n} of {n_parties} plays {len(stages)} stages, got {len(biases)} biases"
         )
     stage_losses = []
+    largest_num, largest_den = 0, 1
     for m, bias in zip(stages, biases):
         try:
             if not 0 <= bias < math.inf:  # also refuses nan
                 raise ParameterError(f"stage biases must be finite and nonnegative, got {bias}")
+            bias_num, bias_den = bias.as_integer_ratio() if hasattr(bias, "as_integer_ratio") else (index(bias), 1)
         except TypeError:
             raise ParameterError(f"stage biases must be numbers, got {bias!r}") from None
-        honest_loss = Fraction(n - 1, n) if m == n else Fraction(1, m)
-        stage_loss = honest_loss + Fraction(bias)
-        if not 0 <= stage_loss <= 1:
+        honest_num, honest_den = (n - 1, n) if m == n else (1, m)
+        loss_num, loss_den = honest_num * bias_den + bias_num * honest_den, honest_den * bias_den
+        if not 0 <= loss_num <= loss_den:
             raise ParameterError(
-                f"stage losing probability {float(stage_loss)} outside [0, 1] "
+                f"stage losing probability {loss_num / loss_den} outside [0, 1] "
                 f"(entrant {m}, bias {bias})"
             )
-        stage_losses.append(stage_loss)
-    return _compose(stage_losses)
+        stage_losses.append((loss_num, loss_den))
+        if bias_num * largest_den > largest_num * bias_den:
+            largest_num, largest_den = bias_num, bias_den
+    return Fraction(*_compose(stage_losses)), Fraction(largest_num, largest_den)
 
 
-def _compose(stage_losses: Sequence[float | Fraction]) -> float | Fraction:
+def _compose(stage_losses: Iterable[tuple[float, float]]) -> tuple[float, float]:
     """Forward composition: the chance of losing some stage, given each
-    stage's losing chance in play order (Fractions or floats alike)."""
-    losing, surviving = 0, 1
-    for stage_loss in stage_losses:
-        losing += surviving * stage_loss
-        surviving *= 1 - stage_loss
-    return losing
+    stage's losing chance in play order as a (numerator, denominator) pair.
+
+    Returns the chance as a pair too. The losing and surviving chances so
+    far share one denominator, the product of the stages' denominators, so
+    integer pairs compose exactly with no gcd (``_losing_recursion``). Float
+    chances come as (chance, 1.0): every denominator is then 1.0, and the
+    numerator goes through the float operations ``losing += surviving *
+    loss; surviving *= 1 - loss`` in that order.
+    """
+    losing, surviving, denominator = 0, 1, 1
+    for stage_num, stage_den in stage_losses:
+        losing = losing * stage_den + surviving * stage_num
+        surviving *= stage_den - stage_num
+        denominator *= stage_den
+    return losing, denominator
 
 
 class BoundCheck(NamedTuple):
@@ -143,9 +168,9 @@ class BoundCheck(NamedTuple):
 
 def bias_bound_check(n: int, n_parties: int, biases: Sequence[float]) -> BoundCheck:
     """Compare party n's total bias against N times the largest stage bias."""
-    losing = _losing_recursion(n, n_parties, biases)
+    losing, largest_bias = _losing_recursion(n, n_parties, biases)
     epsilon = losing - Fraction(n_parties - 1, n_parties)
-    bound = n_parties * max(Fraction(b) for b in biases)
+    bound = n_parties * largest_bias
     return BoundCheck(float(epsilon), float(bound), epsilon <= bound, float(losing))
 
 
@@ -166,11 +191,23 @@ def _stage_losses(m: int, case: int, eta: float, square_cheat_term: bool = True)
     to the responder's claim-win. ``square_cheat_term=False`` substitutes,
     in case 2, the raw (unsquared) amplitude sum for the incumbent's loss;
     that reading breaks the probability composition and is kept only so
-    tests can document that the squared form is the consistent one.
+    tests can document that the squared form is the consistent one. Here
+    (p, eta) is checked, by the rule ``ProtocolParams`` applies; a layout's
+    p lies strictly between 0 and 1, so the closed form is defined for every
+    eta it accepts. ``_layout_losses`` computes the losses.
     """
-    params = ProtocolParams(_layout_p(m, case), eta)
-    responder = adversary.alice_optimal_value(params).value
-    preparer = adversary.bob_optimal_value(params).value
+    p = _layout_p(m, case)
+    _check_p_eta(p, eta)
+    return _layout_losses(p, case, eta, square_cheat_term)
+
+
+def _layout_losses(p: float, case: int, eta: float, square_cheat_term: bool) -> tuple[float, float]:
+    """``_stage_losses`` on plain floats at a (p, eta) already checked:
+    Alice's optimum a + b (``adversary.alice_optimal_value``) for the
+    responder's loss, Bob's p + eta (``adversary.bob_optimal_value``) for
+    the preparer's."""
+    a, b = adversary._closed_form(p, eta)
+    responder, preparer = a + b, p + eta
     if case == 1:
         return responder, preparer
     return preparer, responder if square_cheat_term else math.sqrt(responder)
@@ -204,13 +241,19 @@ def _fair_stages(
 
     Before stage 2 no party is in, so the survivors' loss starts at 0.
     Stage m picks eta with one ``find_root`` on the entrant's worst-case
-    loss minus the survivors' ``_compose((survivors, incumbent's loss))``,
+    loss minus the ``_compose`` of the survivors' and the incumbent's loss,
     and the entrant's loss at the root is the next survivors' loss. Stage 2,
     the balanced coin, is the same flip in either layout and is played in
     layout 1, the incumbent preparing. Stages search [0, 1-p], stage 3 its
     case's narrower default; ``bracket`` replaces the last stage's interval.
     ``square_cheat_term`` reaches only case 2's incumbent (see
     ``_stage_losses``), so case 1 refuses False.
+
+    The residual checks (p, eta) only at the bracket's two ends, which
+    ``find_root`` evaluates first, through ``_stage_losses``: an end outside
+    [0, 1-p] is refused there with the message ``ProtocolParams`` gives. Every
+    bisection midpoint lies between the ends, so the residual evaluates it
+    unchecked on plain floats (``_layout_losses``), bit for bit the same.
     """
     if case not in (1, 2):
         raise ParameterError(f"case must be 1 or 2, got {case}")
@@ -225,15 +268,19 @@ def _fair_stages(
             stage_bracket = bracket
         else:
             stage_bracket = _THREE_SIDED_BRACKETS[case] if m == 3 else (0.0, 1.0 - p)
+        lo, hi = stage_bracket
 
         def residual(eta: float) -> float:  # called only within this iteration
-            entrant, incumbent = _stage_losses(m, layout, eta, square_cheat_term)
-            return entrant - _compose((survivors, incumbent))
+            if eta == lo or eta == hi:
+                entrant, incumbent = _stage_losses(m, layout, eta, square_cheat_term)
+            else:
+                entrant, incumbent = _layout_losses(p, layout, eta, square_cheat_term)
+            return entrant - _compose(((survivors, 1.0), (incumbent, 1.0)))[0]
 
         eta = find_root(residual, stage_bracket)
         entrant, incumbent = _stage_losses(m, layout, eta, square_cheat_term)
         stage = StageParams(m, ProtocolParams(p, eta), INCUMBENT if layout == 1 else ENTRANT)
-        stages.append(_FairStage(stage, entrant, incumbent, _compose((survivors, incumbent))))
+        stages.append(_FairStage(stage, entrant, incumbent, _compose(((survivors, 1.0), (incumbent, 1.0)))[0]))
         survivors = entrant
     return tuple(stages)
 
@@ -362,6 +409,11 @@ class Coalition:
     honest_party: int
 
 
+def _check_spec(spec: LadderSpec) -> None:
+    if not isinstance(spec, LadderSpec):
+        raise ParameterError(f"spec must be a LadderSpec, got {spec!r}")
+
+
 def _check_coalition(coalition: Coalition, n_parties: int) -> None:
     if not isinstance(coalition, Coalition):
         raise ParameterError(f"coalition must be a Coalition, got {coalition!r}")
@@ -406,13 +458,14 @@ def _stage_play(stage: StageParams, coalition: Coalition | None, honest_incumben
 def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
     """Analytic losing probability of the honest party under the coalition's
     stage strategies (forward composition of per-stage losing chances)."""
+    _check_spec(spec)
     _check_coalition(coalition, spec.n_parties)
     honest = coalition.honest_party
     stage_losses = []
     for stage in spec.stages[max(honest, 2) - 2:]:  # the honest party's entry stage onward
         play = _stage_play(stage, coalition, honest < stage.entrant)
-        stage_losses.append(adversary.cheater_win_prob(stage.params, play.cheat))
-    return _compose(stage_losses)
+        stage_losses.append((adversary.cheater_win_prob(stage.params, play.cheat), 1.0))
+    return _compose(stage_losses)[0]
 
 
 class StageRun(NamedTuple):
@@ -490,6 +543,7 @@ def simulate_dice(
     """
     _check_integer(trials, "trial count", 1, MAX_TRIALS)
     _check_seed(seed)
+    _check_spec(spec)
     if coalition is not None:
         _check_coalition(coalition, spec.n_parties)
 

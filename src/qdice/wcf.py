@@ -59,6 +59,11 @@ class ProtocolParams:
         _check_p_eta(self.p, self.eta)
 
 
+def _check_params(params: ProtocolParams) -> None:
+    if not isinstance(params, ProtocolParams):
+        raise ParameterError(f"params must be a ProtocolParams, got {params!r}")
+
+
 def _check_p_below_one(p: float) -> None:
     """Refuse p = 1, where the verification state and Alice's cheat value
     divide by 1-p."""
@@ -126,7 +131,8 @@ class AliceGeneral(CheatSpec):
 
     ``amplitudes`` are ordered (uu, ud, du, dd) and must be normalized;
     ``ancillas`` gives one unit vector per branch (all the same dimension)
-    or is None for no ancilla.
+    or is None for no ancilla. Both are stored as tuples, so a spec built
+    from lists or arrays is hashable like any other.
     """
 
     amplitudes: tuple[complex, complex, complex, complex]
@@ -134,6 +140,15 @@ class AliceGeneral(CheatSpec):
     name = "alice-general"
 
     def __post_init__(self) -> None:
+        try:
+            amplitudes = tuple(self.amplitudes)
+            ancillas = None if self.ancillas is None else tuple(tuple(phi) for phi in self.ancillas)
+        except TypeError:
+            raise ParameterError(
+                f"amplitudes and ancillas must be sequences, got {self.amplitudes!r}, {self.ancillas!r}"
+            ) from None
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "ancillas", ancillas)
         if len(self.amplitudes) != 4:
             raise ParameterError(f"need 4 amplitudes (uu, ud, du, dd), got {len(self.amplitudes)}")
         total = _squared_norm(self.amplitudes)
@@ -444,6 +459,7 @@ def run_trials(
     replayed through ``run_protocol`` for its transcript when
     ``TrialStats.first`` is first read.
     """
+    _check_params(params)
     _check_integer(trials, "trial count", 1, MAX_TRIALS)
     _check_seed(seed)
     evolution = _evolve(params, cheat)

@@ -34,13 +34,14 @@ from qdice import (
     worst_case_losing_prob,
 )
 from qdice import dicer, wcf
-from qdice.adversary import alice_optimal_value
+from qdice.adversary import alice_optimal_value, bob_optimal_value
 from qdice.dicer import (
     ENTRANT,
     INCUMBENT,
     MAX_PARTIES,
     StageRun,
     _fair_stages,
+    _losing_recursion,
     _stage_losses,
     _stage_play,
     _stage_roles,
@@ -172,6 +173,112 @@ def test_bias_bound_holds_on_random_instances():
         stages = n_parties - max(party, 2) + 1
         biases = rng.uniform(0.0, 1.0 / n_parties, size=stages)
         assert bias_bound_check(party, n_parties, biases).holds
+
+
+def reference_losing(party, n_parties, biases):
+    """Party n's losing probability and largest bias, composed in Fractions
+    (a numpy scalar through its Python value)."""
+    exact = [Fraction(b.item() if isinstance(b, np.generic) else b) for b in biases]
+    losing, surviving = Fraction(0), Fraction(1)
+    for m, bias in zip(range(max(party, 2), n_parties + 1), exact):
+        loss = (Fraction(party - 1, party) if m == party else Fraction(1, m)) + bias
+        losing += surviving * loss
+        surviving *= 1 - loss
+    return losing, max(exact)
+
+
+def test_integer_recursion_equals_a_fraction_recursion():
+    rng = np.random.default_rng(77)
+    kinds = (
+        lambda n: float(rng.uniform(0.0, 0.5 / n)),
+        lambda n: Fraction(int(rng.integers(0, 50)), int(rng.integers(100 * n, 200 * n))),
+        lambda n: np.float64(rng.uniform(0.0, 0.5 / n)),
+        lambda n: np.float32(rng.uniform(0.0, 0.5 / n)),
+        lambda n: np.int64(0),
+        lambda n: 0,
+    )
+    for _ in range(300):
+        n_parties = int(rng.integers(2, 25))
+        party = int(rng.integers(1, n_parties + 1))
+        stages = n_parties - max(party, 2) + 1
+        biases = [kinds[int(rng.integers(len(kinds)))](n_parties) for _ in range(stages)]
+        assert _losing_recursion(party, n_parties, biases) == reference_losing(party, n_parties, biases)
+
+
+def test_a_stage_loss_of_exactly_one_is_composed_and_one_just_above_is_refused():
+    # party 2 enters at stage 2 with honest loss 1/2, so a bias of 1/2 loses it surely
+    for bias in (0.5, Fraction(1, 2)):
+        assert _losing_recursion(2, 3, [bias, 0.1]) == reference_losing(2, 3, [bias, 0.1])
+        assert worst_case_losing_prob(2, 3, [bias, 0.1]) == 1.0
+    with pytest.raises(ParameterError, match=r"stage losing probability 1.0 outside \[0, 1\] \(entrant 2"):
+        worst_case_losing_prob(2, 3, [math.nextafter(0.5, 1.0), 0.1])
+    assert worst_case_losing_prob(1, 3, [0.1, Fraction(2, 3)]) == 1.0  # party 1's stage-3 loss: 1/3 + 2/3
+    with pytest.raises(ParameterError, match=r"\(entrant 3, bias 2000"):
+        bias_bound_check(1, 3, [0.1, Fraction(2, 3) + Fraction(1, 10**30)])
+
+
+@pytest.mark.parametrize(
+    "bias, message",
+    [
+        (math.nan, "finite and nonnegative, got nan"),
+        (math.inf, "finite and nonnegative, got inf"),
+        ("0.1", "must be numbers, got '0.1'"),
+        (None, "must be numbers, got None"),
+        (np.True_, "must be numbers, got np.True_"),
+    ],
+)
+def test_a_bad_bias_is_refused_before_a_later_stage_is_read(bias, message):
+    for check in (bias_bound_check, worst_case_losing_prob):
+        with pytest.raises(ParameterError, match=message):
+            check(1, 4, [0.1, bias, 0.9])
+        with pytest.raises(ParameterError, match="outside"):
+            check(1, 4, [0.9, bias, 0.1])
+
+
+def sampled_residuals(monkeypatch, n_parties, case, square_cheat_term):
+    """Each stage ``_fair_stages`` solves, with its residual's values at the
+    bracket's ends and 50 seeded etas inside, taken while the stage solves."""
+    samples, solve, rng = [], dicer.find_root, np.random.default_rng(91)
+
+    def find_root(f, bracket):
+        lo, hi = bracket
+        samples.append([(eta, f(eta)) for eta in (lo, hi, *(float(x) for x in rng.uniform(lo, hi, 50)))])
+        return solve(f, bracket)
+
+    monkeypatch.setattr(dicer, "find_root", find_root)
+    solved = _fair_stages(n_parties, case, square_cheat_term=square_cheat_term)
+    monkeypatch.undo()
+    return zip(solved, samples)
+
+
+@pytest.mark.parametrize("case, square_cheat_term", [(1, True), (2, True), (2, False)])
+def test_fair_residual_equals_the_checked_closed_forms_bit_for_bit(monkeypatch, case, square_cheat_term):
+    survivors = 0.0
+    for stage, samples in sampled_residuals(monkeypatch, 8, case, square_cheat_term):
+        m, layout = stage.stage.entrant, 1 if stage.stage.entrant == 2 else case
+        for eta, value in samples:
+            params = ProtocolParams(dicer._layout_p(m, layout), eta)
+            responder, preparer = alice_optimal_value(params).value, bob_optimal_value(params).value
+            if layout == 1:
+                entrant, incumbent = responder, preparer
+            else:
+                entrant, incumbent = preparer, responder if square_cheat_term else math.sqrt(responder)
+            assert _stage_losses(m, layout, eta, square_cheat_term) == (entrant, incumbent)
+            assert value.hex() == (entrant - (survivors + (1.0 - survivors) * incumbent)).hex()
+        survivors = stage.entrant
+
+
+FAIR_ETAS_N8 = {
+    1: ("0x1.a827999fd0000p-3", "0x1.2b6b9154f3334p-3", "0x1.acbc59f420000p-4", "0x1.445ae96c33334p-4",
+        "0x1.00a94d59aaaabp-4", "0x1.a4433e3300002p-5", "0x1.6128c8e830000p-5"),
+    2: ("0x1.a827999fd0000p-3", "0x1.971c665e59999p-3", "0x1.6455bf5d40000p-3", "0x1.366b4a8880000p-3",
+        "0x1.10f4dd970aaaap-3", "0x1.e5779744db6ddp-4", "0x1.b4483b09e0000p-4"),
+}
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_fair_etas_are_pinned_to_the_bit(case):
+    assert tuple(stage.stage.params.eta.hex() for stage in _fair_stages(8, case)) == FAIR_ETAS_N8[case]
 
 
 # -- three-sided stage values -------------------------------------------------------

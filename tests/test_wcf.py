@@ -33,7 +33,15 @@ from qdice import (
     worst_case_losing_prob,
 )
 from qdice import wcf
-from qdice.adversary import alice_value_at_delta, sample_cheat_values
+from qdice.adversary import (
+    alice_optimal_value,
+    alice_value_at_delta,
+    bob_optimal_value,
+    cheater_win_prob,
+    general_cheat_value,
+    sample_cheat_values,
+)
+from qdice.dicer import Coalition, expected_coalition_losing
 from qdice.wcf import _OUTCOMES, TRIAL_BLOCK, _outcome, trial_rng
 
 
@@ -96,6 +104,16 @@ WRONG_TYPE_CALLS = {
     "amplitude-string": lambda: AliceGeneral(("a", 0, 0, 0)),
     "coalition-string": lambda: simulate_dice(LadderSpec.uniform(3), 10, 0, coalition="x"),
     "p-bool": lambda: ProtocolParams(True, 0.0),
+    "params-none-alice-optimal": lambda: alice_optimal_value(None),
+    "params-none-alice-at-delta": lambda: alice_value_at_delta(None, 0.1),
+    "params-none-bob-optimal": lambda: bob_optimal_value(None),
+    "params-none-cheater-win": lambda: cheater_win_prob(None, Honest()),
+    "params-none-general-cheat": lambda: general_cheat_value(None, AliceGeneral((0, 1, 0, 0))),
+    "params-none-run-trials": lambda: run_trials(None, Honest(), 10, 0),
+    "spec-string-simulate-dice": lambda: simulate_dice("x", 10, 0),
+    "spec-string-coalition-losing": lambda: expected_coalition_losing("x", Coalition(1)),
+    "amplitudes-none": lambda: AliceGeneral(None),
+    "ancilla-none": lambda: AliceGeneral((0, 1, 0, 0), ancillas=(None,) * 4),
 }
 
 
@@ -103,6 +121,15 @@ WRONG_TYPE_CALLS = {
 def test_wrong_type_arguments_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         WRONG_TYPE_CALLS[call]()
+
+
+def test_alice_general_stores_lists_as_tuples():
+    params = ProtocolParams(0.5, 0.1)
+    listed = AliceGeneral([0, 1, 0, 0], ancillas=[[1, 0], [0, 1], [1, 0], [0, 1]])
+    assert listed == AliceGeneral((0, 1, 0, 0), ancillas=((1, 0), (0, 1), (1, 0), (0, 1)))
+    assert hash(listed) == hash(AliceGeneral((0, 1, 0, 0), ancillas=((1, 0), (0, 1), (1, 0), (0, 1))))
+    stats = run_trials(params, AliceGeneral([0, 1, 0, 0]), 10, 0)
+    assert stats.counts == run_trials(params, AliceGeneral((0, 1, 0, 0)), 10, 0).counts
 
 
 def test_alice_verification_basics():
