@@ -35,14 +35,14 @@ from functools import lru_cache
 
 from ._lazy import lazy_import
 from .errors import ParameterError
-from .qsim import _check_rotation_defined, _squared_norm
+from .qsim import _check_integer, _check_rotation_defined, _squared_norm
 from .wcf import (
     AliceDelta,
     AliceGeneral,
     BobClaimWin,
     CheatSpec,
+    Honest,
     ProtocolParams,
-    _check_integer,
     _check_params,
     _check_p_below_one,
     _check_seed,
@@ -137,7 +137,9 @@ def cheater_win_prob(params: ProtocolParams, cheat: CheatSpec) -> float | None:
         return general_cheat_value(params, cheat)
     if isinstance(cheat, BobClaimWin):
         return bob_optimal_value(params).value
-    return None
+    if isinstance(cheat, Honest):
+        return None
+    raise ParameterError(f"unknown cheat spec: {cheat!r}")
 
 
 # -- brute-force search -------------------------------------------------------

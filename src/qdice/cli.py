@@ -7,6 +7,12 @@ emits one structured report with the top-level keys
 {version, inputs, analytic, monte_carlo, bounds}; sections that do not
 apply are null. Reports are deterministic for a fixed configuration and
 seed. Exit codes: 0 success, 2 validation error, 3 solver/bracketing error.
+
+A JSON report is written in one walk over the report tree, and its bytes
+equal ``json.dumps(rounded, indent=2, sort_keys=True) + "\\n"``, where
+``rounded`` is the report with every float at 7 significant digits
+(``_rounded``, the rule CSV reports read too). ``json.dumps`` with an
+indent runs the pure-Python encoder, which the walk replaces.
 """
 from __future__ import annotations
 
@@ -17,6 +23,7 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from . import __version__, adversary, dicer
@@ -375,6 +382,12 @@ def _cmd_bound_check(args: argparse.Namespace) -> dict:
     return report
 
 
+def _rounded(value: float) -> float:
+    """The one rounding rule of report floats, in JSON and CSV alike: 7
+    significant digits (nan and infinities pass through unchanged)."""
+    return float(f"{value:.7g}")
+
+
 def _render_csv(report: dict) -> str:
     mc = report.get("monte_carlo")
     if not mc:
@@ -385,28 +398,66 @@ def _render_csv(report: dict) -> str:
     # party numbers in numeric order; the flip's outcomes read abort, alice, bob
     for key in sorted(mc["counts"], key=lambda key: int(key) if key.isdigit() else key):
         writer.writerow(
-            [key, mc["counts"][key], mc["frequencies"][key], mc["standard_errors"][key]]
+            [key, mc["counts"][key], _rounded(mc["frequencies"][key]), _rounded(mc["standard_errors"][key])]
         )
     return buffer.getvalue()
 
 
-def _round_floats(node):
-    """Print probabilities (and every other float) at 7 significant digits."""
-    if isinstance(node, dict):
-        return {key: _round_floats(value) for key, value in node.items()}
-    if isinstance(node, list):
-        return [_round_floats(value) for value in node]
-    if isinstance(node, float) and math.isfinite(node):
-        return float(f"{node:.7g}")
-    return node
+#: how ``json`` spells the non-finite floats that ``float.__repr__`` writes
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(node, indent: str, out: list[str]) -> None:
+    """Append ``node`` as indented JSON to ``out``, one chunk at a time;
+    ``indent`` is the newline and spaces that precede its closing bracket."""
+    if isinstance(node, float):
+        text = float.__repr__(_rounded(node))
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(node, str):
+        out.append(_encode_str(node))
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key in sorted(node):
+            out.append(separator + _encode_str(key) + ": ")
+            _write_json(node[key], inner, out)
+            separator = "," + inner
+        out.append(indent + "}")
+    elif isinstance(node, list):
+        if not node:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for item in node:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(indent + "]")
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
+def _render_json(report: dict) -> str:
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
-    report = _round_floats(report)
-    if args.format == "csv":
-        text = _render_csv(report)
-    else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _render_csv(report) if args.format == "csv" else _render_json(report)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)

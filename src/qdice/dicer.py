@@ -37,7 +37,7 @@ from . import adversary
 from ._lazy import lazy_import
 from .errors import ParameterError
 from .fairness import FairnessSolution, find_root
-from .qsim import _check_p_eta
+from .qsim import _check_integer, _check_p_eta
 from .wcf import (
     DRAWS_PER_FLIP,
     FINAL_STATE_ABORT,
@@ -48,7 +48,7 @@ from .wcf import (
     Outcome,
     ProtocolParams,
     MAX_TRIALS,
-    _check_integer,
+    _check_params,
     _check_seed,
     _evolve,
     _flip_codes,
@@ -352,6 +352,7 @@ class StageParams:
     preparer: str = INCUMBENT
 
     def __post_init__(self) -> None:
+        _check_params(self.params)
         _check_integer(self.entrant, "entrant index")
         if self.entrant < 2:
             raise ParameterError(f"entrant index must be >= 2, got {self.entrant}")
@@ -368,11 +369,21 @@ class StageParams:
 
 @dataclass(frozen=True)
 class LadderSpec:
+    """An N-party ladder: one ``StageParams`` per entrant 2..N, in order,
+    stored as a tuple so a spec built from a list is hashable too."""
+
     n_parties: int
     stages: tuple[StageParams, ...]
 
     def __post_init__(self) -> None:
         _check_party_count(self.n_parties)
+        try:
+            stages = tuple(self.stages)
+        except TypeError:
+            raise ParameterError(f"stages must be a sequence of StageParams, got {self.stages!r}") from None
+        if not all(isinstance(stage, StageParams) for stage in stages):
+            raise ParameterError(f"stages must be StageParams, got {stages!r}")
+        object.__setattr__(self, "stages", stages)
         expected = tuple(range(2, self.n_parties + 1))
         if tuple(s.entrant for s in self.stages) != expected:
             raise ParameterError(f"stages must cover entrants {expected} in order")

@@ -39,6 +39,8 @@ def find_root(
         raise ParameterError(f"tolerance must be positive, got {tol}")
     if not lo < hi:
         raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(tol)):
+        raise ParameterError(f"bracket ends and tolerance must be finite, got {bracket}, tol={tol}")
     f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= tol:
         return lo

@@ -24,6 +24,7 @@ hand out one shared, immutable state per (label, ancilla dimension).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -121,6 +122,7 @@ class StateVector:
         ancilla_dim: int = 1,
     ) -> "StateVector":
         """Build a state from a sparse ``{label: amplitude}`` mapping."""
+        _check_integer(ancilla_dim, "ancilla dimension", 1, MAX_ANCILLA_DIM)
         labels = [_as_label(key) for key in terms]
         if not labels:
             raise ParameterError("at least one term is required")
@@ -176,9 +178,11 @@ def ket(label: LabelLike, ancilla_dim: int = 1) -> StateVector:
     return _basis_ket(label, ancilla_dim)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _basis_ket(label: LabelLike, ancilla_dim: int) -> StateVector:
-    """``ket``'s states, keyed by the label as given (string or parsed)."""
+    """``ket``'s states, keyed by the label as given (string or parsed). The
+    key is typed, so ``ket(label, 2.0)`` or ``ket(label, True)`` never finds
+    the state of 2 or 1 and is refused by ``StateVector.from_terms``."""
     return StateVector.basis(label, ancilla_dim=ancilla_dim)
 
 
@@ -193,6 +197,19 @@ class TestOutcome:
 
     probability: float
     post_state: StateVector | None
+
+
+def _check_integer(value: int, what: str, low: float = -math.inf, high: float = math.inf) -> None:
+    """Refuse a bool, a value that ``operator.index`` rejects (such as 2.0 or
+    2.5), and an integer outside low..high."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        raise ParameterError(f"{what} must lie in {low}..{high}, got {value}")
 
 
 def _check_p_eta(p: float, eta: float) -> None:

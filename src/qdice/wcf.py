@@ -22,7 +22,6 @@ and ``_OUTCOMES`` gives each code its winner and abort reason.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +32,7 @@ from .errors import ParameterError, ShapeError
 from .qsim import (
     Spin,
     StateVector,
+    _check_integer,
     _check_p_eta,
     _weights,
     apply_u_eta,
@@ -85,6 +85,7 @@ def _check_unit_interval(value: float, what: str) -> None:
 
 def honest_win_prob(params: ProtocolParams) -> float:
     """Alice's winning probability when both parties are honest."""
+    _check_params(params)
     return 1.0 - params.p
 
 
@@ -95,6 +96,11 @@ class CheatSpec:
     """Marker base class for strategy declarations."""
 
     name = "base"
+
+
+def _check_cheat(cheat: CheatSpec) -> None:
+    if not isinstance(cheat, CheatSpec):
+        raise ParameterError(f"cheat must be a CheatSpec, got {cheat!r}")
 
 
 @dataclass(frozen=True)
@@ -337,6 +343,8 @@ def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Genera
     consume the rows of ``rng.random((n, 2))`` in order, and ``_flip_codes``
     decides it as it decides every Monte Carlo trial.
     """
+    _check_params(params)
+    _check_cheat(cheat)
     code = _flip_codes(_evolve(params, cheat), rng.random((1, DRAWS_PER_FLIP)))
     return _outcome(params, cheat, int(code[0]))
 
@@ -368,19 +376,6 @@ def trial_rng(seed: int, block: int) -> np.random.Generator:
     parallel, and the first n trials of a longer run are the n-trial run.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-
-
-def _check_integer(value: int, what: str, low: float = -math.inf, high: float = math.inf) -> None:
-    """Refuse a bool, a value that ``operator.index`` rejects (such as 2.0 or
-    2.5), and an integer outside low..high."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
-    if not low <= value <= high:
-        raise ParameterError(f"{what} must lie in {low}..{high}, got {value}")
 
 
 def _check_seed(seed: int) -> None:
@@ -460,6 +455,7 @@ def run_trials(
     ``TrialStats.first`` is first read.
     """
     _check_params(params)
+    _check_cheat(cheat)
     _check_integer(trials, "trial count", 1, MAX_TRIALS)
     _check_seed(seed)
     evolution = _evolve(params, cheat)

@@ -5,10 +5,11 @@ import contextlib
 import doctest
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ETA_FAIR, SQRT_HALF, three_sigma
@@ -20,6 +21,7 @@ from qdice.cli import (
     EXIT_SOLVER,
     EXIT_VALIDATION,
     SOLVE_TARGETS,
+    _render_json,
     build_parser,
     main,
 )
@@ -400,3 +402,50 @@ def test_fuzzed_argv_and_config_exit_cleanly(tmp_path_factory, data):
             code = exc.code
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER) or (missing and code == EXIT_IO), (argv, config)
     assert "Traceback" not in err.getvalue()
+
+
+def _round_floats(node):
+    """Reference rounding: every finite float of a report tree at 7
+    significant digits, in a separate pass, as reports were once rendered."""
+    if isinstance(node, dict):
+        return {key: _round_floats(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_round_floats(value) for value in node]
+    if isinstance(node, float) and math.isfinite(node):
+        return float(f"{node:.7g}")
+    return node
+
+
+_ODD_TEXT = st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f\x7f', "é☃ \U0001f600", ""])
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                       1e22, 123456789.0, 0.1 + 0.2])
+    | st.text(max_size=6)
+    | _ODD_TEXT
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4) | _ODD_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_JSON_TREES)
+@example(tree={"": [], "e": {}, "nan": [math.nan, math.inf, -math.inf], "zero": -0.0, "sub": 5e-324,
+               "int": 10**30, "s": '"\\\n\x00é\U0001f600', "lit": [True, False, None, [{}]]})
+def test_json_reports_are_the_indented_dump_of_the_rounded_tree(tree):
+    assert _render_json(tree) == json.dumps(_round_floats(tree), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", ["solve-dice3-case1", "bound-check", "simulate-alice-general-csv"])
+def test_out_file_holds_the_golden_bytes(tmp_path, capsys, name):
+    out = tmp_path / "report"
+    assert main(GOLDEN[name] + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == _path(name).read_bytes()

@@ -28,6 +28,17 @@ def test_find_root_rejects_bad_brackets():
         find_root(lambda x: x, (0.0, 1.0), tol=0.0)
 
 
+@pytest.mark.parametrize("bracket, tol", [
+    ((0.0, math.inf), 1e-12),
+    ((-math.inf, 1.0), 1e-12),
+    ((0.0, 1.0), math.nan),
+    ((0.0, 1.0), math.inf),
+])
+def test_find_root_refuses_non_finite_bracket_or_tolerance(bracket, tol):
+    with pytest.raises(ParameterError, match="finite"):
+        find_root(lambda x: x - 0.5, bracket, tol=tol)
+
+
 def test_find_root_iteration_budget():
     calls = 0
 

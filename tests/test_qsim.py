@@ -41,6 +41,13 @@ def test_basis_ket_amplitudes():
     assert state.shape == (2, 1)
 
 
+@pytest.mark.parametrize("ancilla_dim", [2.5, 2.0, True, None, "2", 0, -1, 65])
+def test_ket_refuses_a_bad_ancilla_dimension(ancilla_dim):
+    ket("ud", 1), ket("ud", 2)  # cached kets that 2.0 and True compare equal to
+    with pytest.raises(ParameterError, match="ancilla dimension"):
+        ket("ud", ancilla_dim)
+
+
 def test_unnormalized_state_rejected():
     with pytest.raises(ParameterError):
         StateVector(np.array([[[0.5 + 0j], [0.0]], [[0.0], [0.0]]]))

@@ -41,7 +41,7 @@ from qdice.adversary import (
     general_cheat_value,
     sample_cheat_values,
 )
-from qdice.dicer import Coalition, expected_coalition_losing
+from qdice.dicer import Coalition, StageParams, expected_coalition_losing
 from qdice.wcf import _OUTCOMES, TRIAL_BLOCK, _outcome, trial_rng
 
 
@@ -114,6 +114,15 @@ WRONG_TYPE_CALLS = {
     "spec-string-coalition-losing": lambda: expected_coalition_losing("x", Coalition(1)),
     "amplitudes-none": lambda: AliceGeneral(None),
     "ancilla-none": lambda: AliceGeneral((0, 1, 0, 0), ancillas=(None,) * 4),
+    "params-none-run-protocol": lambda: run_protocol(None, Honest(), np.random.default_rng(0)),
+    "cheat-list-run-protocol": lambda: run_protocol(ProtocolParams(0.5, 0.1), [1], np.random.default_rng(0)),
+    "params-none-honest-win": lambda: honest_win_prob(None),
+    "cheat-string-cheater-win": lambda: cheater_win_prob(ProtocolParams(0.5, 0.1), "x"),
+    "cheat-none-cheater-win": lambda: cheater_win_prob(ProtocolParams(0.5, 0.1), None),
+    "cheat-list-run-trials": lambda: run_trials(ProtocolParams(0.5, 0.1), [1], 10, 1),
+    "params-none-stage": lambda: StageParams(2, None),
+    "stages-none-ladder": lambda: LadderSpec(3, None),
+    "stages-ints-ladder": lambda: LadderSpec(3, [2, 3]),
 }
 
 
@@ -130,6 +139,17 @@ def test_alice_general_stores_lists_as_tuples():
     assert hash(listed) == hash(AliceGeneral((0, 1, 0, 0), ancillas=((1, 0), (0, 1), (1, 0), (0, 1))))
     stats = run_trials(params, AliceGeneral([0, 1, 0, 0]), 10, 0)
     assert stats.counts == run_trials(params, AliceGeneral((0, 1, 0, 0)), 10, 0).counts
+
+
+def test_only_honest_play_has_no_cheater_value():
+    assert cheater_win_prob(ProtocolParams(0.5, 0.1), Honest()) is None
+
+
+def test_ladder_spec_stores_a_stage_list_as_a_tuple():
+    spec = LadderSpec.fair(4)
+    listed = LadderSpec(4, list(spec.stages))
+    assert listed == spec and hash(listed) == hash(spec)
+    assert simulate_dice(listed, 100, 3).win_counts == simulate_dice(spec, 100, 3).win_counts
 
 
 def test_alice_verification_basics():
