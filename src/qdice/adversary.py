@@ -13,17 +13,19 @@ checks (p, eta) at its bracket's ends and bisects between them.
 
 The test suite refuses to take that maximization on faith:
 ``brute_force_alice`` re-derives cheat values purely by evolving states
-through the engine and searching (a zoomed delta grid, random dense
-preparations, random ancilla-entangled preparations), and the closed form
-must agree with it. The oracle evolves states through ``wcf._evolve``, the
-same evolution the Monte Carlo samples from: a scalar value evolves its own
-preparation, and every batched value is linear in the four amplitudes that
-one evolution of the basis preparations yields (``_miss_amplitudes``).
+through the engine and searching (a delta grid zoomed in by golden-section
+search, random dense preparations, random ancilla-entangled preparations),
+and the closed form must agree with it. The oracle evolves states through
+``wcf._evolve``, the same evolution the Monte Carlo samples from: a scalar
+value evolves its own preparation, and every batched value is linear in the
+four amplitudes that one evolution of the basis preparations yields
+(``_miss_amplitudes``).
 The two batched kernels stay lean: the tilt grid is scored in real
 arithmetic on float arrays, its base grid and tilt amplitudes cached per
 grid size (``_base_grid``), and random preparations are scored from their
 unnormalized Gaussian draws, drawn in a documented stream order (see
-``sample_cheat_values``), by dividing each value by its squared norm.
+``sample_cheat_values``), by dividing each value by its squared norm. The
+zoom around the grid's best node runs on plain floats (``_tilt_value``).
 ``cheater_win_prob`` maps any declared strategy to its cheater's winning
 chance, for the CLI reports and the ladders' coalition values alike.
 """
@@ -202,16 +204,37 @@ def _tilt_values(params: ProtocolParams, roots: tuple[np.ndarray, np.ndarray]) -
     return re
 
 
+def _tilt_value(r_ud: complex, r_du: complex, delta: float) -> float:
+    """The scalar form of :func:`_tilt_values` on plain floats: the cheat
+    value |sqrt(1-delta) r_ud + sqrt(delta) r_du|^2 of one tilt, given the
+    evolved amplitudes r_ud, r_du of :func:`_miss_amplitudes`."""
+    s1, s2 = math.sqrt(1.0 - delta), math.sqrt(delta)
+    re = s1 * r_ud.real + s2 * r_du.real
+    im = s1 * r_ud.imag + s2 * r_du.imag
+    return re * re + im * im
+
+
+#: Golden-section ratio (sqrt(5) - 1) / 2: each zoom step keeps this share
+#: of its bracket.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: The zoom stops once its bracket is this narrow (about 55 steps from two
+#: cells of a 10 000-point grid), or after ``_ZOOM_STEPS`` steps.
+_ZOOM_WIDTH = 1e-15
+_ZOOM_STEPS = 100
+
+
 def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple[float, float]:
-    """Grid-search the tilt family, then refine around the best cell.
+    """Grid-search the tilt family, then zoom in on the best cell.
 
     Returns (value, delta). The base grid ``linspace(0, 1, grid_points)`` and
     its tilt amplitudes come from a small cache shared by every call
-    (:func:`_base_grid`). The refinement re-grids the two cells around the
-    best node with 2001 points, four times over (each pass narrows the
-    bracket a thousandfold), and evaluates the winning delta once through
-    :func:`alice_value_at_delta_via_states`. The tilt value is unimodal in
-    delta, so the local refinement is globally valid.
+    (:func:`_base_grid`). The zoom is a golden-section search on the bracket
+    of the two cells around the best node, on plain floats
+    (:func:`_tilt_value`), until the bracket is at most ``_ZOOM_WIDTH`` wide;
+    its winning delta is evaluated once through
+    :func:`alice_value_at_delta_via_states`, and that value replaces the
+    grid's best only when it is greater. The tilt value is unimodal in
+    delta, so the local search is globally valid.
     """
     _check_params(params)
     _check_integer(grid_points, "grid point count", 1_000, MAX_ORACLE_POINTS)
@@ -219,11 +242,22 @@ def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple
     values = _tilt_values(params, roots)
     best = int(np.argmax(values))
     value, delta = float(values[best]), float(deltas[best])
-    zoom = deltas
-    for _ in range(4):
-        zoom = np.linspace(zoom[max(best - 1, 0)], zoom[min(best + 1, len(zoom) - 1)], 2001)
-        best = int(np.argmax(_tilt_values(params, _tilt_roots(zoom))))
-    refined_delta = float(zoom[best])
+    r_ud, r_du = (complex(r) for r in _miss_amplitudes(params)[1:3])
+    lo, hi = float(deltas[max(best - 1, 0)]), float(deltas[min(best + 1, grid_points - 1)])
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = _tilt_value(r_ud, r_du, x1), _tilt_value(r_ud, r_du, x2)
+    for _ in range(_ZOOM_STEPS):
+        if hi - lo <= _ZOOM_WIDTH:
+            break
+        if f1 >= f2:  # a maximum lies in [lo, x2]
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = _tilt_value(r_ud, r_du, x1)
+        else:  # a maximum lies in [x1, hi]
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = _tilt_value(r_ud, r_du, x2)
+    refined_delta = x1 if f1 >= f2 else x2
     refined_value = alice_value_at_delta_via_states(params, refined_delta)
     if refined_value > value:
         value, delta = refined_value, refined_delta
@@ -242,7 +276,7 @@ def _gaussian_rows(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarr
 def _squared_rows(rows: np.ndarray) -> np.ndarray:
     """The squared norm of each row of a C-contiguous complex (n, dim) array."""
     flat = rows.view(float)
-    return np.einsum("ij,ij->i", flat, flat)
+    return np.square(flat) @ np.ones(flat.shape[1])
 
 
 def sample_cheat_values(

@@ -34,13 +34,20 @@ def find_root(
     using at most ceil(log2(width / tol)) + 2 iterations. Raises
     :class:`BracketError` when f does not change sign over the bracket.
     """
-    lo, hi = bracket
-    if tol <= 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
-    if not lo < hi:
-        raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(tol)):
-        raise ParameterError(f"bracket ends and tolerance must be finite, got {bracket}, tol={tol}")
+    try:
+        if len(bracket) != 2:
+            raise TypeError
+        lo, hi = bracket
+        if tol <= 0.0:
+            raise ParameterError(f"tolerance must be positive, got {tol}")
+        if not lo < hi:
+            raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(tol)):
+            raise ParameterError(f"bracket ends and tolerance must be finite, got {bracket}, tol={tol}")
+    except TypeError:  # not a pair, or ends or tolerance that are not numbers
+        raise ParameterError(
+            f"bracket must be a pair of numbers and the tolerance a number, got {bracket!r}, tol={tol!r}"
+        ) from None
     f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= tol:
         return lo

@@ -65,8 +65,8 @@ class BasisLabel:
         """Build a label from a string of 'u'/'d' characters, e.g. ``"udd"``."""
         try:
             bits = tuple(_SPIN_FROM_CHAR[ch] for ch in text)
-        except KeyError:
-            raise ParameterError(f"basis label may only contain 'u'/'d': {text!r}")
+        except (KeyError, TypeError):  # TypeError: not iterable, or unhashable characters
+            raise ParameterError(f"basis label may only contain 'u'/'d': {text!r}") from None
         return cls(bits, ancilla)
 
     def __str__(self) -> str:
@@ -80,7 +80,11 @@ Pattern = Mapping[int, Spin]
 
 
 def _as_label(label: LabelLike) -> BasisLabel:
-    return BasisLabel.parse(label) if isinstance(label, str) else label
+    if isinstance(label, str):
+        return BasisLabel.parse(label)
+    if not isinstance(label, BasisLabel):
+        raise ParameterError(f"a basis label is a string or a BasisLabel, got {label!r}")
+    return label
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,12 @@ def _squared_norm(amps: np.ndarray) -> float:
 def ket(label: LabelLike, ancilla_dim: int = 1) -> StateVector:
     """Shorthand for a basis ket, ``ket("ud")`` etc.; the state is shared
     between calls, which its read-only amplitudes make safe."""
-    return _basis_ket(label, ancilla_dim)
+    try:
+        return _basis_ket(label, ancilla_dim)
+    except TypeError:  # an unhashable label or dimension, which the cache cannot key
+        raise ParameterError(
+            f"ket takes a label and an integer ancilla dimension, got {label!r}, {ancilla_dim!r}"
+        ) from None
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -250,7 +259,14 @@ def overlap(a: StateVector, b: StateVector) -> complex | np.ndarray:
         return complex(np.vdot(a.amps, b.amps))
     if a.ancilla_dim != 1 or a.n_qubits != b.n_qubits:
         raise ShapeError(f"register shapes differ: {a.shape} vs {b.shape}")
-    return a.amps.reshape(-1).conj() @ b.amps.reshape(-1, b.ancilla_dim)
+    return _contract(a.amps, b.amps)
+
+
+def _contract(bra: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """<bra| on the qubit axes of ``amps`` (normalized or not) and the identity
+    on its ancilla axis: one amplitude per ancilla index. ``bra`` carries no
+    ancilla and has as many qubits as ``amps``."""
+    return bra.reshape(-1).conj() @ amps.reshape(-1, amps.shape[-1])
 
 
 def attach_down_ancilla_qubit(state: StateVector) -> StateVector:

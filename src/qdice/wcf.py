@@ -10,8 +10,11 @@ runs pass both audits with probability exactly 1: every measurement's
 probabilities come from ``qsim._weights``, the one branch rule, and honest
 play leaves each audit's fail branch at (or within rounding of) zero. Every
 preparation, honest or not, comes from one builder (``_preparation``) and
-runs through one evolution (``_evolve``), whose final audit is one
-``qsim.overlap`` with the verification state.
+runs through one evolution (``_evolve``). Its branches stay unnormalized:
+Bob's test splits the state into raw hit and miss branches, each audit is a
+ratio of weights on its branch, and the final audit is one contraction of
+the raw miss branch with the verification state (``qsim._contract``, the
+array math of ``qsim.overlap``).
 
 Cheating strategies are declared through :class:`CheatSpec` variants; a
 failed audit ends the run with winner ``Winner.ABORT``, which bias
@@ -30,16 +33,17 @@ from functools import cached_property, lru_cache
 from ._lazy import lazy_import
 from .errors import ParameterError, ShapeError
 from .qsim import (
+    ZERO_BRANCH_TOL,
     Spin,
     StateVector,
     _check_integer,
     _check_p_eta,
+    _contract,
+    _project,
     _weights,
     apply_u_eta,
     attach_down_ancilla_qubit,
     ket,
-    overlap,
-    projective_test,
 )
 
 np = lazy_import("numpy")
@@ -205,7 +209,12 @@ def verification_state(params: ProtocolParams) -> StateVector:
 
 def alice_verification(state: StateVector) -> float:
     """Probability that qubit 1 of ``state`` is found spin-down."""
-    return _weights(state.amps[int(Spin.DOWN)], state.amps[int(Spin.UP)])[0]
+    return _first_qubit_down(state.amps)
+
+
+def _first_qubit_down(amps: np.ndarray) -> float:
+    """Alice's audit on amplitudes, normalized or not: qubit 1's spin-down share."""
+    return _weights(amps[int(Spin.DOWN)], amps[int(Spin.UP)])[0]
 
 
 # -- transcripts and outcomes -------------------------------------------------
@@ -295,21 +304,28 @@ def _evolve(params: ProtocolParams, cheat: CheatSpec) -> _Evolution:
     Everything up to the sampling is a pure function of (params, cheat), so
     Monte Carlo batches only pay for the draws. This is the package's only
     attach/rotate/test chain; ``_evolve.__wrapped__`` runs it uncached.
+
+    Bob's pattern test leaves its hit and miss branches unnormalized
+    (``qsim._project``), with their chances from ``qsim._weights``, the rule
+    ``projective_test`` applies too. Both audits are ratios of weights, so
+    they read the raw branches, and ``miss_amplitudes`` is <xi|miss> taken
+    on the raw miss branch. A branch below ``ZERO_BRANCH_TOL`` counts as
+    empty, as it carries no post-state in ``projective_test``.
     """
     state = attach_down_ancilla_qubit(_prepare(params, cheat))
     state = apply_u_eta(state, params.p, params.eta)
     amplitudes = np.zeros(state.ancilla_dim, dtype=complex)
     if isinstance(cheat, BobClaimWin):
         return _Evolution(1.0, alice_verification(state), 0.0, amplitudes)
-    hit, miss = projective_test(state, BOB_WIN_PATTERN)
-    first_qubit = alice_verification(hit.post_state) if hit.post_state is not None else 0.0
+    hit, miss = _project(state, BOB_WIN_PATTERN)
+    p_hit, p_miss = _weights(hit, miss)
+    first_qubit = _first_qubit_down(hit) if p_hit >= ZERO_BRANCH_TOL else 0.0
     final_state = 0.0
-    if miss.post_state is not None:
-        xi = verification_state(params)
-        amplitudes = np.atleast_1d(overlap(xi, miss.post_state))
-        final_state = _weights(amplitudes, miss.post_state.amps - amplitudes * xi.amps)[0]
-        amplitudes = math.sqrt(miss.probability) * amplitudes
-    return _Evolution(hit.probability, first_qubit, final_state, amplitudes)
+    if p_miss >= ZERO_BRANCH_TOL:
+        xi = verification_state(params).amps
+        amplitudes = _contract(xi, miss)
+        final_state = _weights(amplitudes, miss - amplitudes * xi)[0]
+    return _Evolution(p_hit, first_qubit, final_state, amplitudes)
 
 
 def _outcome(params: ProtocolParams, cheat: CheatSpec, code: int) -> Outcome:
@@ -374,7 +390,10 @@ def trial_rng(seed: int, block: int) -> np.random.Generator:
     ``DRAWS_PER_FLIP`` uniforms per flip it plays. Streams are counter-derived,
     so results do not depend on evaluation order, blocks can run in
     parallel, and the first n trials of a longer run are the n-trial run.
+    The seed follows ``_check_seed``, and the block is an integer >= 0.
     """
+    _check_seed(seed)
+    _check_integer(block, "block", 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 

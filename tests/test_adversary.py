@@ -29,7 +29,9 @@ from qdice import adversary
 from qdice.adversary import (
     MAX_ORACLE_POINTS,
     _base_grid,
+    _miss_amplitudes,
     _tilt_roots,
+    _tilt_value,
     _tilt_values,
     alice_value_at_delta_via_states,
     cheater_win_prob,
@@ -98,6 +100,21 @@ def test_cached_grid_tilt_values_match_evolved_states():
         for node in rng.integers(0, len(deltas), 8):
             evolved = alice_value_at_delta_via_states(params, float(deltas[node]))
             assert values[node] == pytest.approx(evolved, abs=1e-12)
+
+
+def test_scalar_tilt_value_equals_the_array_kernel():
+    rng = np.random.default_rng(12)
+    deltas, *roots = _base_grid(1_000)
+    for _ in range(10):
+        params = random_params(rng)
+        r_ud, r_du = (complex(r) for r in _miss_amplitudes(params)[1:3])
+        randoms = rng.random(50)
+        for nodes, values in (
+            (deltas, _tilt_values(params, roots)),
+            (randoms, _tilt_values(params, _tilt_roots(randoms))),
+        ):
+            scalar = [_tilt_value(r_ud, r_du, float(delta)) for delta in nodes]
+            assert np.max(np.abs(np.array(scalar) - values)) <= 1e-15
 
 
 def test_tilt_values_keep_imaginary_parts(monkeypatch):
@@ -232,6 +249,18 @@ def test_brute_force_matches_closed_form_at_random_points():
         params = random_params(rng, p_max=0.95)
         oracle = brute_force_alice(params, grid_points=2_000, random_samples=0)
         assert oracle.value == pytest.approx(alice_optimal_value(params).value, abs=1e-9)
+
+
+@pytest.mark.parametrize("grid_points", [1_000, 10_000])
+def test_zoomed_oracle_reaches_the_closed_form_to_rounding(grid_points):
+    """The golden-section zoom and its one evolved refine land within 1e-14
+    of the closed form on criterion 4's 50 x 50 grid, even at the coarsest
+    grid; the closed form is read only here, to compare."""
+    for p in np.linspace(0.02, 0.98, 50):
+        for eta in np.linspace(0.0, 1.0 - p, 50):
+            params = ProtocolParams(p, eta)
+            oracle = brute_force_alice(params, grid_points=grid_points, random_samples=0)
+            assert abs(oracle.value - alice_optimal_value(params).value) <= 1e-14, params
 
 
 def test_unrefined_grid_never_exceeds_closed_form():

@@ -13,6 +13,7 @@ from conftest import DELTA_STAR_FAIR, ETA_FAIR, random_params, reference_code, t
 from qdice import (
     AliceDelta,
     AliceGeneral,
+    BasisLabel,
     BobClaimWin,
     Honest,
     LadderSpec,
@@ -24,15 +25,17 @@ from qdice import (
     apply_u_eta,
     attach_down_ancilla_qubit,
     brute_force_alice,
+    find_root,
     honest_win_prob,
     ket,
+    overlap,
     projective_test,
     run_protocol,
     run_trials,
     simulate_dice,
     worst_case_losing_prob,
 )
-from qdice import wcf
+from qdice import adversary, wcf
 from qdice.adversary import (
     alice_optimal_value,
     alice_value_at_delta,
@@ -98,6 +101,10 @@ def test_alice_general_refuses_entries_too_large_to_square(amplitudes, ancillas)
         AliceGeneral(amplitudes, ancillas)
 
 
+def never_evaluated(x):
+    raise AssertionError("a refused call evaluated its function")
+
+
 WRONG_TYPE_CALLS = {
     "stage-bias-string": lambda: worst_case_losing_prob(1, 3, ["a", 0.1]),
     "delta-string": lambda: AliceDelta("a"),
@@ -123,6 +130,15 @@ WRONG_TYPE_CALLS = {
     "params-none-stage": lambda: StageParams(2, None),
     "stages-none-ladder": lambda: LadderSpec(3, None),
     "stages-ints-ladder": lambda: LadderSpec(3, [2, 3]),
+    "seed-none-trial-rng": lambda: trial_rng(None, 0),
+    "bracket-none-find-root": lambda: find_root(never_evaluated, None),
+    "bracket-strings-find-root": lambda: find_root(never_evaluated, ("a", "b")),
+    "bracket-triple-find-root": lambda: find_root(never_evaluated, (0.0, 0.5, 1.0)),
+    "tol-string-find-root": lambda: find_root(never_evaluated, (0.0, 1.0), tol="x"),
+    "label-list-ket": lambda: ket(["u"]),
+    "dimension-list-ket": lambda: ket("ud", [2]),
+    "label-int-ket": lambda: ket(5),
+    "text-none-basis-label": lambda: BasisLabel.parse(None),
 }
 
 
@@ -174,6 +190,42 @@ def test_honest_audits_pass_exactly():
             projective_test(miss.post_state, wcf.verification_state(params)),
         )
         assert tuple(passed.probability for passed, _ in audits) == (1.0, 1.0), params
+
+
+def public_chain(params, cheat):
+    """``_evolve``'s four numbers rebuilt from the public primitives: Bob's
+    ``projective_test``, both audits on the renormalized post-states, and
+    ``overlap`` with the verification state scaled by sqrt(p_miss)."""
+    state = attach_down_ancilla_qubit(wcf._prepare(params, cheat))
+    hit, miss = projective_test(apply_u_eta(state, params.p, params.eta), wcf.BOB_WIN_PATTERN)
+    xi = wcf.verification_state(params)
+    first_qubit = projective_test(hit.post_state, {1: Spin.DOWN})[0].probability
+    final_state = projective_test(miss.post_state, xi)[0].probability
+    amplitudes = math.sqrt(miss.probability) * np.atleast_1d(overlap(xi, miss.post_state))
+    return hit.probability, first_qubit, final_state, amplitudes
+
+
+def random_general(rng, ancilla_dim):
+    """A random dense preparation whose branches carry random unit ancillas."""
+    def unit(n):
+        raw = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return tuple(raw / np.linalg.norm(raw))
+
+    return AliceGeneral(unit(4), ancillas=tuple(unit(ancilla_dim) for _ in range(4)))
+
+
+@pytest.mark.parametrize("ancilla_dim", [1, 2, 4])
+def test_evolution_on_raw_branches_equals_the_public_chain(ancilla_dim):
+    rng = np.random.default_rng(40 + ancilla_dim)
+    cases = [(random_params(rng), random_general(rng, ancilla_dim)) for _ in range(50)]
+    cases += [(random_params(rng), adversary._BASIS) for _ in range(10)]
+    for params, cheat in cases:
+        evolution = wcf._evolve.__wrapped__(params, cheat)
+        bob_win, first_qubit, final_state, amplitudes = public_chain(params, cheat)
+        assert abs(evolution.bob_win_prob - bob_win) <= 1e-15
+        assert abs(evolution.first_qubit_pass - first_qubit) <= 1e-15
+        assert abs(evolution.final_state_pass - final_state) <= 1e-15
+        assert np.max(np.abs(evolution.miss_amplitudes - amplitudes)) <= 1e-15
 
 
 # -- honest Monte Carlo ----------------------------------------------------------
@@ -296,6 +348,7 @@ SEEDED_ENTRY_POINTS = {
     "brute_force_alice": lambda seed: brute_force_alice(
         ProtocolParams(0.5, 0.1), 1_000, ancilla_dim=2, random_samples=10, seed=seed
     ),
+    "trial_rng": lambda seed: trial_rng(seed, 0),
 }
 
 
@@ -305,6 +358,12 @@ def test_seed_is_an_unsigned_64_bit_integer_everywhere(entry, seed):
     with pytest.raises(ParameterError):
         SEEDED_ENTRY_POINTS[entry](seed)
     SEEDED_ENTRY_POINTS[entry](2**64 - 1)
+
+
+@pytest.mark.parametrize("block", [-1, 1.0, None, True])
+def test_trial_rng_block_is_an_integer_from_0(block):
+    with pytest.raises(ParameterError):
+        trial_rng(1, block)
 
 
 # -- batched sampler against the scalar reference ----------------------------------
