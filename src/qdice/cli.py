@@ -8,6 +8,13 @@ emits one structured report with the top-level keys
 apply are null. Reports are deterministic for a fixed configuration and
 seed. Exit codes: 0 success, 2 validation error, 3 solver/bracketing error.
 
+Each command has its own argparse parser under the top-level ``qdice``
+parser (``build_parser``). An argv that starts with a command name is
+parsed by that command's parser alone, which is all the top-level pass
+would do with it, at about half the cost. Any other argv, and any that the
+command's parser leaves unrecognized, goes through the top-level parser,
+so argparse writes its own usage line and message (``_parse``).
+
 A JSON report is written in one walk over the report tree, and its bytes
 equal ``json.dumps(rounded, indent=2, sort_keys=True) + "\\n"``, where
 ``rounded`` is the report with every float at 7 significant digits
@@ -139,6 +146,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser by name, as ``build_parser`` built it."""
+    (commands,) = build_parser()._get_positional_actions()
+    return commands.choices
+
+
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
+    """``build_parser().parse_args(argv)``, and the parser of the command it
+    names.
+
+    The top-level pass only picks the command from ``argv[0]`` and hands the
+    rest to that command's parser, so when ``argv[0]`` names a command the
+    rest is parsed there directly, on a namespace that already holds the
+    command. Every other argv goes through the full parser, which writes
+    argparse's own usage line and message and exits as it always has: no
+    argv, an unknown command, a top-level flag, arguments the command's
+    parser leaves unrecognized, and a ``--=`` token, which the top-level pass
+    refuses as ambiguous between ``--help`` and ``--version``."""
+    commands = _command_parsers()
+    if argv and argv[0] in commands and not any(token.startswith("--=") for token in argv):
+        command = commands[argv[0]]
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args, command
+    args = build_parser().parse_args(argv)
+    return args, commands[args.command]
+
+
 #: hard defaults, filled in only after an optional config file was applied so
 #: that config values beat defaults while explicit flags beat both
 _DEFAULTS = {
@@ -168,7 +204,10 @@ def _check_config_value(key: str, action: argparse.Action, value) -> None:
         raise ParameterError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _apply_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
+    """Fill ``args`` from its ``--config`` file, where a flag left a value
+    unset, then from ``_DEFAULTS``; ``command`` is the parser of
+    ``args.command``, whose actions type-check the file's values."""
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as handle:
             try:
@@ -177,8 +216,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 raise ParameterError(f"config file {args.config!r} is not valid UTF-8 JSON: {exc}")
         if not isinstance(overrides, dict):
             raise ParameterError("config file must hold a JSON object")
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
+        actions = {a.dest: a for a in command._actions}
         for key, value in overrides.items():
             attr = key.replace("-", "_")
             if attr == "config":
@@ -470,11 +508,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     report and return the exit code: 0, or 1, 2, 3 with a one-line message
     on stderr. Argparse refusals (code 2), ``--help`` and ``--version``
     (code 0) raise ``SystemExit`` instead. It may be called any number of
-    times in one process; every call reuses the parser ``build_parser`` built."""
-    parser = build_parser()
-    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    times in one process; every call reuses the parsers ``build_parser``
+    built, and an argv that starts with a command name is parsed by that
+    command's parser alone (``_parse``)."""
+    args, command = _parse(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
-        _apply_config(args, parser)
+        _apply_config(args, command)
         if args.command == "simulate":
             report = _cmd_simulate_flip(args) if args.dice is None else _cmd_simulate_dice(args)
         elif args.command == "cheat":

@@ -27,6 +27,7 @@ instance, the six-round three-sided protocol its N = 3 instance (biases
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import adversary
 from ._lazy import lazy_import
 from .errors import ParameterError
-from .fairness import FairnessSolution, find_root
+from .fairness import FairnessSolution, _check_bracket, find_root
 from .qsim import _check_integer, _check_p_eta
 from .wcf import (
     DRAWS_PER_FLIP,
@@ -113,10 +114,14 @@ def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> tuple[
     _check_party_count(n_parties)
     _check_party(n, n_parties)
     stages = range(max(n, 2), n_parties + 1)  # the entrants party n meets, its own entry onward
-    if len(biases) != len(stages):
-        raise ParameterError(
-            f"party {n} of {n_parties} plays {len(stages)} stages, got {len(biases)} biases"
-        )
+    try:  # ordered and indexable: no mapping, set, iterator or scalar
+        if isinstance(biases, Mapping) or not hasattr(biases, "__getitem__"):
+            raise TypeError
+        count = len(biases)
+    except TypeError:
+        raise ParameterError(f"biases must be a sequence of numbers, got {biases!r}") from None
+    if count != len(stages):
+        raise ParameterError(f"party {n} of {n_parties} plays {len(stages)} stages, got {count} biases")
     stage_losses = []
     largest_num, largest_den = 0, 1
     for m, bias in zip(stages, biases):
@@ -245,7 +250,8 @@ def _fair_stages(
     and the entrant's loss at the root is the next survivors' loss. Stage 2,
     the balanced coin, is the same flip in either layout and is played in
     layout 1, the incumbent preparing. Stages search [0, 1-p], stage 3 its
-    case's narrower default; ``bracket`` replaces the last stage's interval.
+    case's narrower default; ``bracket`` replaces the last stage's interval,
+    and is refused as ``find_root`` refuses it before any stage is solved.
     ``square_cheat_term`` reaches only case 2's incumbent (see
     ``_stage_losses``), so case 1 refuses False.
 
@@ -259,12 +265,14 @@ def _fair_stages(
         raise ParameterError(f"case must be 1 or 2, got {case}")
     if case == 1 and not square_cheat_term:
         raise ParameterError("the unsquared cheat term is a case-2 reading; case 1 has no term to square")
+    if bracket is not None:
+        bracket = _check_bracket(bracket)
     survivors = 0.0
     stages = []
     for m in range(2, n_parties + 1):
         layout = 1 if m == 2 else case
         p = _layout_p(m, layout)
-        if bracket and m == n_parties:
+        if bracket is not None and m == n_parties:
             stage_bracket = bracket
         else:
             stage_bracket = _THREE_SIDED_BRACKETS[case] if m == 3 else (0.0, 1.0 - p)

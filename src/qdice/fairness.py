@@ -23,17 +23,9 @@ class FairnessSolution:
     residual: float
 
 
-def find_root(
-    f: Callable[[float], float],
-    bracket: tuple[float, float],
-    tol: float = 1e-12,
-) -> float:
-    """Bisection root of ``f`` on ``bracket``.
-
-    Returns x with |f(x)| <= tol or with the bracket narrowed below tol,
-    using at most ceil(log2(width / tol)) + 2 iterations. Raises
-    :class:`BracketError` when f does not change sign over the bracket.
-    """
+def _check_bracket(bracket: tuple[float, float], tol: float = 1e-12) -> tuple[float, float]:
+    """``bracket`` as (lo, hi), refused unless it is a pair of finite numbers
+    with lo < hi and ``tol`` is a positive finite number."""
     try:
         if len(bracket) != 2:
             raise TypeError
@@ -48,6 +40,21 @@ def find_root(
         raise ParameterError(
             f"bracket must be a pair of numbers and the tolerance a number, got {bracket!r}, tol={tol!r}"
         ) from None
+    return lo, hi
+
+
+def find_root(
+    f: Callable[[float], float],
+    bracket: tuple[float, float],
+    tol: float = 1e-12,
+) -> float:
+    """Bisection root of ``f`` on ``bracket``.
+
+    Returns x with |f(x)| <= tol or with the bracket narrowed below tol,
+    using at most ceil(log2(width / tol)) + 2 iterations. Raises
+    :class:`BracketError` when f does not change sign over the bracket.
+    """
+    lo, hi = _check_bracket(bracket, tol)
     f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= tol:
         return lo

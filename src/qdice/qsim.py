@@ -221,6 +221,11 @@ def _check_integer(value: int, what: str, low: float = -math.inf, high: float = 
         raise ParameterError(f"{what} must lie in {low}..{high}, got {value}")
 
 
+def _check_state(state: StateVector) -> None:
+    if not isinstance(state, StateVector):
+        raise ParameterError(f"state must be a StateVector, got {state!r}")
+
+
 def _check_p_eta(p: float, eta: float) -> None:
     """Refuse (p, eta) that are bools, do not compare as numbers, or lie outside
     0 <= p <= 1, 0 <= eta <= 1-p."""
@@ -255,6 +260,8 @@ def overlap(a: StateVector, b: StateVector) -> complex | np.ndarray:
 
     When only ``b`` carries an ancilla, <a| acts as the identity on it: the
     result is one amplitude per ancilla index, of squared norm the probability."""
+    _check_state(a)
+    _check_state(b)
     if a.amps.shape == b.amps.shape:
         return complex(np.vdot(a.amps, b.amps))
     if a.ancilla_dim != 1 or a.n_qubits != b.n_qubits:
@@ -274,6 +281,7 @@ def attach_down_ancilla_qubit(state: StateVector) -> StateVector:
 
     The new qubit becomes label 3; the ancilla axis (if any) stays last.
     """
+    _check_state(state)
     if state.n_qubits != 2:
         raise ShapeError(f"expected a 2-qubit register, got {state.n_qubits} qubits")
     amps = np.zeros((2, 2, 2, state.ancilla_dim), dtype=complex)
@@ -289,6 +297,7 @@ def apply_u_eta(state: StateVector, p: float, eta: float) -> StateVector:
     index are untouched. The block is a real symmetric involution, so the
     map is unitary and self-inverse.
     """
+    _check_state(state)
     if state.n_qubits != 3:
         raise ShapeError("the rotation acts on qubits 2 and 3 of a 3-qubit register")
     _check_p_eta(p, eta)
@@ -348,6 +357,7 @@ def projective_test(
     ancilla but the tested state does, the test acts as identity on the
     ancilla index).
     """
+    _check_state(state)
     passed, failed = _project(state, target)
     p_pass, p_fail = _weights(passed, failed)
     return _branch(passed, p_pass), _branch(failed, p_fail)

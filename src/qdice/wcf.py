@@ -38,6 +38,7 @@ from .qsim import (
     StateVector,
     _check_integer,
     _check_p_eta,
+    _check_state,
     _contract,
     _project,
     _weights,
@@ -209,6 +210,7 @@ def verification_state(params: ProtocolParams) -> StateVector:
 
 def alice_verification(state: StateVector) -> float:
     """Probability that qubit 1 of ``state`` is found spin-down."""
+    _check_state(state)
     return _first_qubit_down(state.amps)
 
 
@@ -361,6 +363,8 @@ def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Genera
     """
     _check_params(params)
     _check_cheat(cheat)
+    if not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"rng must be a numpy.random.Generator, got {rng!r}")
     code = _flip_codes(_evolve(params, cheat), rng.random((1, DRAWS_PER_FLIP)))
     return _outcome(params, cheat, int(code[0]))
 

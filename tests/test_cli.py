@@ -21,6 +21,9 @@ from qdice.cli import (
     EXIT_SOLVER,
     EXIT_VALIDATION,
     SOLVE_TARGETS,
+    _attach_list_values,
+    _command_parsers,
+    _parse,
     _render_json,
     build_parser,
     main,
@@ -314,6 +317,42 @@ def test_readme_library_example_runs_as_written():
 
 def test_the_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
+
+
+#: argv whose parse by the command's own parser must match the full parser's
+PARITY_ARGV = [
+    *GOLDEN.values(),
+    [], ["-h"], ["--version"], ["--vers"], ["bogus"],
+    ["simulate", "extra"], ["simulate", "--version"], ["-h", "simulate"], ["simulate", "-h"],
+    ["cheat", "--grid", "x"], ["solve", "--", "balanced"], ["simulate", "--", "x"], ["solve"],
+    ["--anc", "2"], ["--tri", "20"], ["--flag=value"],
+    ["cheat", "--p", "0.5", "--eta", "0.1", "--anc", "2"], ["simulate", "--tri", "20"],
+    ["simulate", "--flag=value"], ["simulate", "--he"], ["simulate", "--=x"], ["solve", "--", "--=x"],
+    ["solve", "dice3-case1", "--bracket", "-0.1,0.2"],
+    ["bound-check", "--dice", "3", "--party", "1", "--biases", "-0.1,0.2", "--format", "csv"],
+]
+
+
+def _exit_of(call, argv):
+    """(exit code, stdout, stderr) of a call that argparse ends with SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as ended:
+        call(argv)
+    return ended.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda argv: " ".join(argv) or "<none>")
+def test_dispatched_parse_matches_the_full_parser(argv):
+    argv = _attach_list_values(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        assert _exit_of(main, argv) == _exit_of(build_parser().parse_args, argv)
+    else:
+        args, command = _parse(argv)
+        assert vars(args) == expected
+        assert command is _command_parsers()[expected["command"]]
 
 
 def test_config_values_do_not_outlive_their_run(tmp_path, capsys):

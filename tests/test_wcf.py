@@ -24,15 +24,18 @@ from qdice import (
     alice_verification,
     apply_u_eta,
     attach_down_ancilla_qubit,
+    bias_bound_check,
     brute_force_alice,
     find_root,
     honest_win_prob,
     ket,
+    optimize_three_sided,
     overlap,
     projective_test,
     run_protocol,
     run_trials,
     simulate_dice,
+    solve_balanced,
     worst_case_losing_prob,
 )
 from qdice import adversary, wcf
@@ -139,6 +142,21 @@ WRONG_TYPE_CALLS = {
     "dimension-list-ket": lambda: ket("ud", [2]),
     "label-int-ket": lambda: ket(5),
     "text-none-basis-label": lambda: BasisLabel.parse(None),
+    "bracket-int-solve-balanced": lambda: solve_balanced(bracket=5),
+    "bracket-triple-three-sided": lambda: optimize_three_sided(1, bracket=(0.1, 0.2, 0.3)),
+    "biases-int-worst-case": lambda: worst_case_losing_prob(1, 3, 5),
+    "biases-none-bound-check": lambda: bias_bound_check(1, 3, None),
+    "biases-set-bound-check": lambda: bias_bound_check(1, 3, {0.1, 0.2}),
+    "biases-dict-worst-case": lambda: worst_case_losing_prob(1, 3, {0.1: 0, 0.2: 1}),
+    "biases-iterator-worst-case": lambda: worst_case_losing_prob(1, 3, iter([0.1, 0.2])),
+    "state-none-overlap-bra": lambda: overlap(None, ket("u")),
+    "state-string-overlap-ket": lambda: overlap(ket("u"), "u"),
+    "state-none-attach-ancilla": lambda: attach_down_ancilla_qubit(None),
+    "state-amps-apply-u-eta": lambda: apply_u_eta(ket("udd").amps, 0.5, 0.1),
+    "state-none-projective-test": lambda: projective_test(None, {1: Spin.DOWN}),
+    "state-none-alice-verification": lambda: alice_verification(None),
+    "rng-none-run-protocol": lambda: run_protocol(ProtocolParams(0.5, 0.1), Honest(), None),
+    "rng-seed-run-protocol": lambda: run_protocol(ProtocolParams(0.5, 0.1), Honest(), 0),
 }
 
 
