@@ -11,8 +11,11 @@ total bias stays below N times the largest stage bias.
 The coalition claims a win against an honest preparer and plays the
 optimal tilt delta* against an honest responder. One play table,
 ``_stage_play``, gives each stage's strategy with its abort rule, and
-``expected_coalition_losing`` and ``simulate_dice`` both read it; the
-sampler keeps trial 0's plays, from which ``DiceReport`` renders transcripts.
+``expected_coalition_losing`` and ``simulate_dice`` both read it. The
+sampler reads it through ``_ladder_plan``, which resolves a ladder's plays
+once per (spec, coalition) and stacks them over the stages, so that one
+``wcf._flip_codes`` call decides every stage of a chunk of trials; it keeps
+trial 0's plays, from which ``DiceReport`` renders transcripts.
 
 Stage m is the flip that party m enters. Every stage from m = 3 on has
 two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
@@ -30,7 +33,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
@@ -544,6 +547,56 @@ class DiceReport:
         }
 
 
+#: Ladder plans kept by ``_ladder_plan``. A plan holds three floats, a
+#: cheat and an advance row per stage and group: about 26 KB for the widest
+#: ladder, so a full cache stays under 2 MB.
+_PLAN_CACHE_SIZE = 64
+
+
+class _Group(NamedTuple):
+    """The plays of one group of rows, stacked over the stages it covers
+    (``first`` on): each stage's cheat, its branch probabilities as
+    ``_flip_codes`` reads them, and its ``preparer_wins`` row, one row per
+    stage. The arrays are read-only, since plans are shared through the
+    cache."""
+
+    first: int
+    cheats: tuple[CheatSpec, ...]
+    bob_win_prob: np.ndarray
+    first_qubit_pass: np.ndarray
+    final_state_pass: np.ndarray
+    preparer_wins: np.ndarray
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _ladder_plan(spec: LadderSpec, coalition: Coalition | None) -> tuple[_Group | None, _Group]:
+    """The play table of a ladder, resolved once per (spec, coalition): the
+    group of rows whose incumbent is the honest party, from the stage after
+    its entry on (None without a coalition, or for the last entrant), and
+    the group of all other rows, at every stage. Each stage's play comes
+    from ``_stage_play`` and its branch probabilities from ``_evolve``; the
+    plan keeps only their floats, so it holds no ``_Evolution`` alive."""
+
+    def group(first: int, honest_incumbent: bool) -> _Group:
+        stages = spec.stages[first:]
+        plays = [_stage_play(stage, coalition, honest_incumbent) for stage in stages]
+        evolutions = [_evolve(stage.params, play.cheat) for stage, play in zip(stages, plays)]
+        arrays = [
+            np.array([getattr(evolution, name) for evolution in evolutions], dtype=float)
+            for name in ("bob_win_prob", "first_qubit_pass", "final_state_pass")
+        ]
+        arrays.append(np.array([play.preparer_wins for play in plays], dtype=bool))
+        for array in arrays:
+            array.setflags(write=False)
+        return _Group(first, tuple(play.cheat for play in plays), *arrays)
+
+    # stage k has entrant k + 2, so the honest party is an incumbent from stage honest_party - 1 on
+    at_honest = None
+    if coalition is not None and coalition.honest_party < spec.n_parties:
+        at_honest = group(coalition.honest_party - 1, True)
+    return at_honest, group(0, False)
+
+
 def simulate_dice(
     spec: LadderSpec,
     trials: int,
@@ -553,51 +606,54 @@ def simulate_dice(
     """Monte Carlo over the whole ladder, one flip per stage per trial.
 
     Trial t reads row t % TRIAL_BLOCK of ``trial_rng(seed, t // TRIAL_BLOCK)``,
-    two uniforms per stage in play order, and ``wcf._flip_codes`` decides
-    each flip. The trials of one chunk of draws (``wcf._uniform_blocks``)
-    advance together, stage by stage, with the incumbent held as an array.
-    Each stage's strategy and abort rule come from ``_stage_play``. While it
-    plays the first chunk, the sampler keeps trial 0's play at each stage,
-    from which ``DiceReport.first_trial`` renders the transcripts.
+    two uniforms per stage in play order. The plays come from
+    ``_ladder_plan``, resolved once per (spec, coalition). Per chunk of
+    draws (``wcf._uniform_blocks``), viewed as (rows, stages, 2), one
+    ``wcf._flip_codes`` call decides every stage's flip as the rows away
+    from the honest party play it, and one more as the honest incumbent's
+    rows play it. The stage loop then moves the incumbent, held as an array,
+    taking the second group's code and advance row wherever the honest
+    party is the incumbent. Trial 0's plays are read back from row 0 of the
+    first chunk, and ``DiceReport.first_trial`` renders their transcripts.
     """
     _check_integer(trials, "trial count", 1, MAX_TRIALS)
     _check_seed(seed)
     _check_spec(spec)
     if coalition is not None:
         _check_coalition(coalition, spec.n_parties)
-
-    def group(stage: StageParams, honest_incumbent: bool):
-        # (cheat, evolution, advance row); None for the honest party before it enters
-        if honest_incumbent and (coalition is None or coalition.honest_party >= stage.entrant):
-            return None
-        play = _stage_play(stage, coalition, honest_incumbent)
-        return play.cheat, _evolve(stage.params, play.cheat), np.array(play.preparer_wins)
-
-    plan = [(stage, group(stage, True), group(stage, False)) for stage in spec.stages]
+    at_honest, elsewhere = _ladder_plan(spec, coalition)
+    n_stages = len(spec.stages)
+    honest_from = n_stages if at_honest is None else at_honest.first
     wins = np.zeros(spec.n_parties + 1, dtype=np.int64)
     stage_aborts = 0
-    trial_zero = []
-    for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP * len(spec.stages)):
-        keep_trial_zero = not trial_zero  # row 0 of the first chunk
+    first_codes = None
+    for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP * n_stages):
+        draws = draws.reshape(len(draws), n_stages, DRAWS_PER_FLIP)
+        codes = _flip_codes(elsewhere, draws)
+        if at_honest is not None:
+            honest_codes = _flip_codes(at_honest, draws[:, honest_from:])
         incumbent = np.ones(len(draws), dtype=np.int64)
-        for k, (stage, at_honest, elsewhere) in enumerate(plan):
-            flip_draws = draws[:, DRAWS_PER_FLIP * k:DRAWS_PER_FLIP * (k + 1)]
-            cheat, evolution, preparer_wins = elsewhere  # cheat: trial 0's
-            code = _flip_codes(evolution, flip_draws)
-            advances = preparer_wins[code]
-            if at_honest is not None:
-                honest_cheat, evolution, preparer_wins = at_honest
+        for k, stage in enumerate(spec.stages):
+            code = codes[:, k]
+            advances = elsewhere.preparer_wins[k][code]
+            if k >= honest_from:
+                j = k - honest_from
                 rows = incumbent == coalition.honest_party
-                code[rows] = _flip_codes(evolution, flip_draws[rows])
-                advances[rows] = preparer_wins[code[rows]]
-                cheat = honest_cheat if rows[0] else cheat
-            if keep_trial_zero:
-                preparer, responder = _stage_roles(stage, int(incumbent[0]))
-                winner = preparer if advances[0] else responder
-                trial_zero.append((cheat, int(code[0]), preparer, responder, winner))
-            stage_aborts += int(np.count_nonzero(code >= FINAL_STATE_ABORT))
+                np.copyto(code, honest_codes[:, j], where=rows)
+                advances = np.where(rows, at_honest.preparer_wins[j][code], advances)
             incumbent = np.where(advances, *_stage_roles(stage, incumbent))
+        stage_aborts += int(np.count_nonzero(codes >= FINAL_STATE_ABORT))
         wins += np.bincount(incumbent, minlength=spec.n_parties + 1)
+        if first_codes is None:
+            first_codes = codes[0].tolist()
+    trial_zero = []
+    incumbent = 1
+    for k, (stage, code) in enumerate(zip(spec.stages, first_codes)):
+        plays = at_honest if k >= honest_from and incumbent == coalition.honest_party else elsewhere
+        j = k - plays.first
+        preparer, responder = _stage_roles(stage, incumbent)
+        incumbent = preparer if plays.preparer_wins[j, code] else responder
+        trial_zero.append((plays.cheats[j], code, preparer, responder, incumbent))
     return DiceReport(
         n_parties=spec.n_parties,
         trials=trials,

@@ -24,8 +24,8 @@ class FairnessSolution:
 
 
 def _check_bracket(bracket: tuple[float, float], tol: float = 1e-12) -> tuple[float, float]:
-    """``bracket`` as (lo, hi), refused unless it is a pair of finite numbers
-    with lo < hi and ``tol`` is a positive finite number."""
+    """``bracket`` as (lo, hi), refused unless it is a pair of finite single
+    numbers with lo < hi and ``tol`` is a positive finite single number."""
     try:
         if len(bracket) != 2:
             raise TypeError
@@ -36,7 +36,9 @@ def _check_bracket(bracket: tuple[float, float], tol: float = 1e-12) -> tuple[fl
             raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
         if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(tol)):
             raise ParameterError(f"bracket ends and tolerance must be finite, got {bracket}, tol={tol}")
-    except TypeError:  # not a pair, or ends or tolerance that are not numbers
+    except ParameterError:
+        raise
+    except (TypeError, ValueError):  # not a pair, or ends or tolerance that are not single numbers
         raise ParameterError(
             f"bracket must be a pair of numbers and the tolerance a number, got {bracket!r}, tol={tol!r}"
         ) from None
@@ -54,6 +56,8 @@ def find_root(
     using at most ceil(log2(width / tol)) + 2 iterations. Raises
     :class:`BracketError` when f does not change sign over the bracket.
     """
+    if not callable(f):
+        raise ParameterError(f"f must be callable, got {f!r}")
     lo, hi = _check_bracket(bracket, tol)
     f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= tol:

@@ -100,7 +100,10 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=complex, order="C")  # a copy, even of a complex array
+        try:
+            amps = np.array(self.amps, dtype=complex, order="C")  # a copy, even of a complex array
+        except (TypeError, ValueError):  # a string, or a ragged nest of sequences
+            raise ParameterError(f"amplitudes must be an array of numbers, got {self.amps!r}") from None
         shape = amps.shape
         if not 2 <= len(shape) <= MAX_QUBITS + 1:
             raise ShapeError(
@@ -227,8 +230,8 @@ def _check_state(state: StateVector) -> None:
 
 
 def _check_p_eta(p: float, eta: float) -> None:
-    """Refuse (p, eta) that are bools, do not compare as numbers, or lie outside
-    0 <= p <= 1, 0 <= eta <= 1-p."""
+    """Refuse (p, eta) that are bools, do not compare as single numbers (an
+    array of several does not), or lie outside 0 <= p <= 1, 0 <= eta <= 1-p."""
     try:
         if isinstance(p, bool) or isinstance(eta, bool):
             raise TypeError
@@ -236,7 +239,9 @@ def _check_p_eta(p: float, eta: float) -> None:
             raise ParameterError(f"p must lie in [0, 1], got {p}")
         if not 0.0 <= eta <= 1.0 - p + 1e-12:
             raise ParameterError(f"eta must lie in [0, 1-p], got eta={eta}, p={p}")
-    except TypeError:
+    except ParameterError:
+        raise
+    except (TypeError, ValueError):  # ValueError: an array's truth value is ambiguous
         raise ParameterError(f"p and eta must be numbers, got p={p!r}, eta={eta!r}") from None
 
 

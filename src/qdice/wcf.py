@@ -77,14 +77,16 @@ def _check_p_below_one(p: float) -> None:
 
 
 def _check_unit_interval(value: float, what: str) -> None:
-    """Refuse a bool, a value that does not compare as a number, nan, and a
-    value outside [0, 1]."""
+    """Refuse a bool, a value that does not compare as a single number (an
+    array of several does not), nan, and a value outside [0, 1]."""
     try:
         if isinstance(value, bool):
             raise TypeError
         if not 0.0 <= value <= 1.0:  # also refuses nan
             raise ParameterError(f"{what} must lie in [0, 1], got {value}")
-    except TypeError:
+    except ParameterError:
+        raise
+    except (TypeError, ValueError):  # ValueError: an array's truth value is ambiguous
         raise ParameterError(f"{what} must be a number, got {value!r}") from None
 
 
@@ -421,12 +423,16 @@ def _uniform_blocks(seed: int, trials: int, draws: int):
 
 
 def _flip_codes(evolution: _Evolution, draws: np.ndarray) -> np.ndarray:
-    """Outcome code of each row of (announce, audit) uniforms: the package's
-    one flip decision. Bob hits below ``bob_win_prob`` (1 for a claim-win),
-    and the audit passes below the pass chance of his branch."""
-    hit = draws[:, 0] < evolution.bob_win_prob
-    passed = draws[:, 1] < np.where(hit, evolution.first_qubit_pass, evolution.final_state_pass)
-    return hit + 2 * ~passed
+    """Outcome code of each (announce, audit) pair on the last axis of
+    ``draws``: the package's one flip decision. Bob hits below
+    ``bob_win_prob`` (1 for a claim-win), and the audit passes below the pass
+    chance of his branch. The three chances may be arrays that broadcast
+    against ``draws[..., 0]``, one per stage of a ladder (``dicer``). Codes
+    are int8, so a wide ladder's codes for a chunk of draws, which outlive
+    it, take one byte each."""
+    hit = draws[..., 0] < evolution.bob_win_prob
+    passed = draws[..., 1] < np.where(hit, evolution.first_qubit_pass, evolution.final_state_pass)
+    return hit + 2 * (~passed).view(np.int8)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,7 @@ from qdice.dicer import (
 from qdice.wcf import (
     ALICE_WINS,
     BOB_WINS,
+    DRAW_CHUNK,
     FINAL_STATE_ABORT,
     FIRST_QUBIT_ABORT,
     TRIAL_BLOCK,
@@ -598,6 +600,80 @@ def test_widest_ladder_counts_across_a_block_boundary_are_unchanged_by_chunked_d
     assert report.win_counts[:8] == (69, 63, 44, 43, 59, 74, 61, 70)
     assert (report.win_counts[199], report.stage_aborts, sum(report.win_counts)) == (1, 26, TRIAL_BLOCK + 37)
     assert hashlib.sha256(str(report.win_counts).encode()).hexdigest()[:16] == "725f5cf5095a9327"
+
+
+def test_the_widest_ladder_peaks_within_two_and_a_half_chunks_of_draws():
+    spec, coalition = LadderSpec.fair(MAX_PARTIES, case=2), Coalition(honest_party=200)
+    tracemalloc.start()
+    try:
+        simulate_dice(spec, TRIAL_BLOCK, 3, coalition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * DRAW_CHUNK * 8  # bytes: two chunks of float64 draws, and stage arrays of int8 and bool
+
+
+# -- the plan cache ----------------------------------------------------------------
+
+
+def test_equal_but_distinct_specs_and_coalitions_give_identical_reports():
+    spec, twin = LadderSpec.fair(5, case=2), LadderSpec(5, list(LadderSpec.fair(5, case=2).stages))
+    assert twin == spec and twin is not spec
+    first = simulate_dice(spec, 500, 21, Coalition(honest_party=3))
+    hits = dicer._ladder_plan.cache_info().hits
+    second = simulate_dice(twin, 500, 21, Coalition(honest_party=3))
+    assert dicer._ladder_plan.cache_info().hits == hits + 1
+    assert second == first and repr(second) == repr(first)
+    assert second.to_dict() == first.to_dict() and second.first_trial == first.first_trial
+
+
+def test_plan_arrays_are_read_only():
+    for coalition in (None, Coalition(honest_party=1), Coalition(honest_party=3)):
+        for group in dicer._ladder_plan(LADDERS["case1"], coalition):
+            if group is None:  # no coalition, or the honest party enters last
+                continue
+            arrays = (group.bob_win_prob, group.first_qubit_pass, group.final_state_pass, group.preparer_wins)
+            assert all(not array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError):
+                group.bob_win_prob[0] = 0.5
+
+
+@pytest.mark.parametrize("spec, coalition", [
+    ("x", None),
+    (None, None),
+    (LadderSpec.three_sided(case=1), "x"),
+    (LadderSpec.three_sided(case=1), Coalition(True)),   # equal to Coalition(1), whose plan is cached
+    (LadderSpec.three_sided(case=1), Coalition(2.0)),    # equal to Coalition(2)
+    (LadderSpec.three_sided(case=1), Coalition(4)),
+])
+def test_arguments_are_checked_before_the_plan_cache_on_every_call(monkeypatch, spec, coalition):
+    for party in (1, 2):
+        simulate_dice(LadderSpec.three_sided(case=1), 10, 0, Coalition(honest_party=party))
+    plans = []
+    monkeypatch.setattr(dicer, "_ladder_plan", _counting(plans, dicer._ladder_plan))
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            simulate_dice(spec, 10, 0, coalition)
+    assert plans == []
+
+
+def test_a_plan_that_fails_to_build_fails_again_on_the_next_call(monkeypatch):
+    spec, coalition = LadderSpec.uniform(5, eta=0.0123), Coalition(honest_party=2)
+    evolve = wcf._evolve
+
+    def failing_at_entrant_4(params, cheat):
+        if params == spec.stages[2].params:
+            raise ParameterError("no evolution at entrant 4")
+        return evolve(params, cheat)
+
+    monkeypatch.setattr(dicer, "_evolve", failing_at_entrant_4)
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="entrant 4"):
+            simulate_dice(spec, 10, 0, coalition)
+    monkeypatch.undo()
+    report = simulate_dice(spec, 300, 9, coalition)
+    assert (report.win_counts, report.stage_aborts) == scalar_ladder(spec, 300, 9, coalition)
+
 
 def test_first_trial_reports_each_stage():
     spec = LadderSpec.three_sided(case=1)

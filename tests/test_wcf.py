@@ -20,6 +20,7 @@ from qdice import (
     ParameterError,
     ProtocolParams,
     Spin,
+    StateVector,
     Winner,
     alice_verification,
     apply_u_eta,
@@ -164,6 +165,44 @@ WRONG_TYPE_CALLS = {
 def test_wrong_type_arguments_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         WRONG_TYPE_CALLS[call]()
+
+
+PAIR = np.array([0.1, 0.2])  # compares elementwise, so its truth value is ambiguous
+
+ARRAY_IN_SCALAR_SLOT_CALLS = {
+    "p-protocol-params": lambda: ProtocolParams(PAIR, 0.1),
+    "eta-protocol-params": lambda: ProtocolParams(0.1, PAIR),
+    "delta-alice-delta": lambda: AliceDelta(PAIR),
+    "delta-alice-at-delta": lambda: alice_value_at_delta(ProtocolParams(0.5, 0.1), PAIR),
+    "p-apply-u-eta": lambda: apply_u_eta(ket("udd"), PAIR, 0.1),
+    "tol-find-root": lambda: find_root(never_evaluated, (0.0, 1.0), tol=PAIR),
+    "bracket-end-three-sided": lambda: optimize_three_sided(1, bracket=(PAIR, 0.2)),
+}
+
+
+@pytest.mark.parametrize("call", ARRAY_IN_SCALAR_SLOT_CALLS)
+def test_an_array_in_a_scalar_slot_raises_parameter_error(call):
+    with pytest.raises(ParameterError, match="number"):
+        ARRAY_IN_SCALAR_SLOT_CALLS[call]()
+
+
+def test_a_domain_refusal_keeps_its_own_message():
+    with pytest.raises(ParameterError, match=r"p must lie in \[0, 1\]"):
+        ProtocolParams(1.5, "x")
+    with pytest.raises(ParameterError, match="lo < hi"):
+        find_root(never_evaluated, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("f", [5, None, "x"])
+def test_find_root_refuses_a_non_callable(f):
+    with pytest.raises(ParameterError, match="callable"):
+        find_root(f, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("amps", ["x", [["1", "0"], ["a"]], [[1, 0], [0]]])
+def test_state_vector_refuses_amplitudes_that_are_not_an_array_of_numbers(amps):
+    with pytest.raises(ParameterError, match="amplitudes must be"):
+        StateVector(amps)
 
 
 def test_alice_general_stores_lists_as_tuples():
