@@ -13,19 +13,20 @@ checks (p, eta) at its bracket's ends and bisects between them.
 
 The test suite refuses to take that maximization on faith:
 ``brute_force_alice`` re-derives cheat values purely by evolving states
-through the engine and searching (a delta grid zoomed in by golden-section
-search, random dense preparations, random ancilla-entangled preparations),
-and the closed form must agree with it. The oracle evolves states through
-``wcf._evolve``, the same evolution the Monte Carlo samples from: a scalar
-value evolves its own preparation, and every batched value is linear in the
-four amplitudes that one evolution of the basis preparations yields
-(``_miss_amplitudes``).
+through the engine and searching (a delta grid refined once at the 2x2
+maximizer of the same evolved amplitudes, random dense preparations, random
+ancilla-entangled preparations), and the closed form must agree with it.
+The oracle evolves states through ``wcf._evolve``, the same evolution the
+Monte Carlo samples from: a scalar value evolves its own preparation, and
+every batched value is linear in the four amplitudes that one evolution of
+the basis preparations yields (``_miss_amplitudes``).
 The two batched kernels stay lean: the tilt grid is scored in real
 arithmetic on float arrays, its base grid and tilt amplitudes cached per
 grid size (``_base_grid``), and random preparations are scored from their
 unnormalized Gaussian draws, drawn in a documented stream order (see
 ``sample_cheat_values``), by dividing each value by its squared norm. The
-zoom around the grid's best node runs on plain floats (``_tilt_value``).
+tilt family's exact maximum is one 2x2 eigenproblem on those amplitudes
+(``_tilt_maximum``).
 ``cheater_win_prob`` maps any declared strategy to its cheater's winning
 chance, for the CLI reports and the ladders' coalition values alike.
 """
@@ -45,6 +46,7 @@ from .wcf import (
     CheatSpec,
     Honest,
     ProtocolParams,
+    _check_cheat,
     _check_params,
     _check_p_below_one,
     _check_seed,
@@ -100,6 +102,7 @@ def alice_value_at_delta_via_states(params: ProtocolParams, delta: float) -> flo
     branch contracted with the verification state. Independent of the
     closed form.
     """
+    _check_params(params)
     return _squared_norm(_evolve.__wrapped__(params, AliceDelta(delta)).miss_amplitudes)
 
 
@@ -111,6 +114,7 @@ def general_cheat_value(params: ProtocolParams, cheat: AliceGeneral) -> float:
     verification test acts as identity on the ancilla index.
     """
     _check_params(params)
+    _check_cheat(cheat)
     return _squared_norm(_evolve(params, cheat).miss_amplitudes)
 
 
@@ -204,37 +208,36 @@ def _tilt_values(params: ProtocolParams, roots: tuple[np.ndarray, np.ndarray]) -
     return re
 
 
-def _tilt_value(r_ud: complex, r_du: complex, delta: float) -> float:
-    """The scalar form of :func:`_tilt_values` on plain floats: the cheat
-    value |sqrt(1-delta) r_ud + sqrt(delta) r_du|^2 of one tilt, given the
-    evolved amplitudes r_ud, r_du of :func:`_miss_amplitudes`."""
-    s1, s2 = math.sqrt(1.0 - delta), math.sqrt(delta)
-    re = s1 * r_ud.real + s2 * r_du.real
-    im = s1 * r_ud.imag + s2 * r_du.imag
-    return re * re + im * im
+def _tilt_maximum(params: ProtocolParams) -> tuple[float, float]:
+    """The tilt family's best (value, delta), from the evolved amplitudes alone.
 
-
-#: Golden-section ratio (sqrt(5) - 1) / 2: each zoom step keeps this share
-#: of its bracket.
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: The zoom stops once its bracket is this narrow (about 55 steps from two
-#: cells of a 10 000-point grid), or after ``_ZOOM_STEPS`` steps.
-_ZOOM_WIDTH = 1e-15
-_ZOOM_STEPS = 100
+    With v = (r_ud, r_du) of :func:`_miss_amplitudes`, a tilt's value is
+    s^T M s, where s = (sqrt(1-delta), sqrt(delta)) and M = Re(v v^dag).
+    If M12 <= 0 the maximum lies at an end of [0, 1]; otherwise it is M's top
+    eigenvalue, and delta is the squared second component of its unit
+    eigenvector, written in a form free of cancellation.
+    """
+    r_ud, r_du = (complex(r) for r in _miss_amplitudes(params)[1:3])
+    m11, m22 = abs(r_ud) ** 2, abs(r_du) ** 2
+    m12 = (r_ud * r_du.conjugate()).real
+    if m12 <= 0.0:
+        return (m11, 0.0) if m11 >= m22 else (m22, 1.0)
+    h = (m11 - m22) / 2.0
+    rho = math.hypot(h, m12)
+    delta = m12 * m12 / (2.0 * rho * (rho + h)) if h >= 0.0 else (1.0 - h / rho) / 2.0
+    return (m11 + m22) / 2.0 + rho, delta
 
 
 def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple[float, float]:
-    """Grid-search the tilt family, then zoom in on the best cell.
+    """Grid-search the tilt family, then refine at its exact maximizer.
 
     Returns (value, delta). The base grid ``linspace(0, 1, grid_points)`` and
     its tilt amplitudes come from a small cache shared by every call
-    (:func:`_base_grid`). The zoom is a golden-section search on the bracket
-    of the two cells around the best node, on plain floats
-    (:func:`_tilt_value`), until the bracket is at most ``_ZOOM_WIDTH`` wide;
-    its winning delta is evaluated once through
+    (:func:`_base_grid`); its best node is the brute-force evidence. The
+    maximizing delta of the 2x2 eigenproblem on the same evolved amplitudes
+    (:func:`_tilt_maximum`) is evaluated once through
     :func:`alice_value_at_delta_via_states`, and that value replaces the
-    grid's best only when it is greater. The tilt value is unimodal in
-    delta, so the local search is globally valid.
+    grid's best only when it is greater.
     """
     _check_params(params)
     _check_integer(grid_points, "grid point count", 1_000, MAX_ORACLE_POINTS)
@@ -242,22 +245,7 @@ def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple
     values = _tilt_values(params, roots)
     best = int(np.argmax(values))
     value, delta = float(values[best]), float(deltas[best])
-    r_ud, r_du = (complex(r) for r in _miss_amplitudes(params)[1:3])
-    lo, hi = float(deltas[max(best - 1, 0)]), float(deltas[min(best + 1, grid_points - 1)])
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = _tilt_value(r_ud, r_du, x1), _tilt_value(r_ud, r_du, x2)
-    for _ in range(_ZOOM_STEPS):
-        if hi - lo <= _ZOOM_WIDTH:
-            break
-        if f1 >= f2:  # a maximum lies in [lo, x2]
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _tilt_value(r_ud, r_du, x1)
-        else:  # a maximum lies in [x1, hi]
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _tilt_value(r_ud, r_du, x2)
-    refined_delta = x1 if f1 >= f2 else x2
+    refined_delta = _tilt_maximum(params)[1]
     refined_value = alice_value_at_delta_via_states(params, refined_delta)
     if refined_value > value:
         value, delta = refined_value, refined_delta

@@ -264,8 +264,15 @@ def _fair_stages(
     bisection midpoint lies between the ends, so the residual evaluates it
     unchecked on plain floats (``_layout_losses``), bit for bit the same.
     """
-    if case not in (1, 2):
+    try:
+        known = not isinstance(case, bool) and index(case) in (1, 2)
+    except TypeError:  # not an integer, or an array of several
+        known = False
+    if not known:
         raise ParameterError(f"case must be 1 or 2, got {case}")
+    # a Python bool first: numpy loads only for an argument that is not one
+    if not isinstance(square_cheat_term, bool) and not isinstance(square_cheat_term, np.bool_):
+        raise ParameterError(f"square_cheat_term must be a bool, got {square_cheat_term!r}")
     if case == 1 and not square_cheat_term:
         raise ParameterError("the unsquared cheat term is a case-2 reading; case 1 has no term to square")
     if bracket is not None:
@@ -367,7 +374,7 @@ class StageParams:
         _check_integer(self.entrant, "entrant index")
         if self.entrant < 2:
             raise ParameterError(f"entrant index must be >= 2, got {self.entrant}")
-        if self.preparer not in (INCUMBENT, ENTRANT):
+        if not isinstance(self.preparer, str) or self.preparer not in (INCUMBENT, ENTRANT):
             raise ParameterError(f"preparer must be incumbent or entrant, got {self.preparer!r}")
         expected = 1.0 / self.entrant
         actual = 1.0 - self.params.p if self.preparer == ENTRANT else self.params.p
@@ -646,6 +653,7 @@ def simulate_dice(
         wins += np.bincount(incumbent, minlength=spec.n_parties + 1)
         if first_codes is None:
             first_codes = codes[0].tolist()
+        del draws  # free this chunk before the next one is drawn
     trial_zero = []
     incumbent = 1
     for k, (stage, code) in enumerate(zip(spec.stages, first_codes)):

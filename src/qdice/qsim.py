@@ -130,6 +130,8 @@ class StateVector:
     ) -> "StateVector":
         """Build a state from a sparse ``{label: amplitude}`` mapping."""
         _check_integer(ancilla_dim, "ancilla dimension", 1, MAX_ANCILLA_DIM)
+        if not isinstance(terms, Mapping):
+            raise ParameterError(f"terms must be a mapping of labels to amplitudes, got {terms!r}")
         labels = [_as_label(key) for key in terms]
         if not labels:
             raise ParameterError("at least one term is required")

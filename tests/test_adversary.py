@@ -30,8 +30,8 @@ from qdice.adversary import (
     MAX_ORACLE_POINTS,
     _base_grid,
     _miss_amplitudes,
+    _tilt_maximum,
     _tilt_roots,
-    _tilt_value,
     _tilt_values,
     alice_value_at_delta_via_states,
     cheater_win_prob,
@@ -102,21 +102,6 @@ def test_cached_grid_tilt_values_match_evolved_states():
             assert values[node] == pytest.approx(evolved, abs=1e-12)
 
 
-def test_scalar_tilt_value_equals_the_array_kernel():
-    rng = np.random.default_rng(12)
-    deltas, *roots = _base_grid(1_000)
-    for _ in range(10):
-        params = random_params(rng)
-        r_ud, r_du = (complex(r) for r in _miss_amplitudes(params)[1:3])
-        randoms = rng.random(50)
-        for nodes, values in (
-            (deltas, _tilt_values(params, roots)),
-            (randoms, _tilt_values(params, _tilt_roots(randoms))),
-        ):
-            scalar = [_tilt_value(r_ud, r_du, float(delta)) for delta in nodes]
-            assert np.max(np.abs(np.array(scalar) - values)) <= 1e-15
-
-
 def test_tilt_values_keep_imaginary_parts(monkeypatch):
     # the engine's amplitudes are real today; the kernel must not rely on it
     r = np.array([0.0, 0.3 + 0.4j, -0.2 + 0.5j, 0.0])
@@ -124,6 +109,50 @@ def test_tilt_values_keep_imaginary_parts(monkeypatch):
     deltas = np.linspace(0.0, 1.0, 11)
     expected = np.abs(np.sqrt(1.0 - deltas) * r[1] + np.sqrt(deltas) * r[2]) ** 2
     assert np.allclose(_tilt_values(FAIR, _tilt_roots(deltas)), expected, atol=1e-15)
+
+
+def test_tilt_maximum_is_the_closed_form_to_rounding():
+    # criterion 4's grid and random points; the closed form is read only here, to compare
+    rng = np.random.default_rng(24)
+    grid = [ProtocolParams(p, eta) for p in np.linspace(0.02, 0.98, 50) for eta in np.linspace(0.0, 1.0 - p, 50)]
+    for params in grid + [random_params(rng) for _ in range(2_000)]:
+        value, delta = _tilt_maximum(params)
+        closed = alice_optimal_value(params)
+        assert abs(value - closed.value) <= 1e-15, params
+        assert abs(delta - closed.optimizer) <= 1e-15, params
+
+
+@pytest.mark.parametrize(
+    "r_ud, r_du",
+    [(0.3 + 0.4j, 0.5 + 0.2j), (0.3 + 0.4j, -0.2 + 0.5j), (0.6 - 0.1j, 0.2 + 0.1j), (0.2 + 0.1j, 0.6 + 0.3j)],
+)
+def test_tilt_maximum_tops_a_fine_grid_of_complex_tilts(monkeypatch, r_ud, r_du):
+    assert (r_ud * np.conj(r_du)).real > 0.0  # M12 > 0: an interior maximum
+    r = np.array([0.0, r_ud, r_du, 0.0])
+    monkeypatch.setattr(adversary, "_miss_amplitudes", lambda params: r)
+    value, delta = _tilt_maximum(FAIR)
+    grid = float(np.max(_tilt_values(FAIR, _tilt_roots(np.linspace(0.0, 1.0, 10**6)))))
+    assert grid <= value <= grid + 1e-12
+    assert 0.0 < delta < 1.0
+    assert _tilt_values(FAIR, _tilt_roots(np.array([delta])))[0] == pytest.approx(value, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "r_ud, r_du, expected",
+    [
+        (0.3 + 0.4j, -0.3 - 0.1j, (0.25, 0.0)),
+        (0.1 + 0.2j, -0.4 - 0.3j, (0.25, 1.0)),
+        (0.5, 0.5j, (0.25, 0.0)),
+        (0.0, 0.0, (0.0, 0.0)),
+    ],
+    ids=["negative-m12-left", "negative-m12-right", "zero-m12", "zero-amplitudes"],
+)
+def test_tilt_maximum_without_positive_m12_is_an_end(monkeypatch, r_ud, r_du, expected):
+    r = np.array([0.0, r_ud, r_du, 0.0])
+    monkeypatch.setattr(adversary, "_miss_amplitudes", lambda params: r)
+    value, delta = _tilt_maximum(FAIR)
+    assert delta == expected[1]
+    assert value == pytest.approx(expected[0], abs=1e-15)
 
 
 def test_cached_grid_arrays_are_read_only():
@@ -253,9 +282,9 @@ def test_brute_force_matches_closed_form_at_random_points():
 
 @pytest.mark.parametrize("grid_points", [1_000, 10_000])
 def test_zoomed_oracle_reaches_the_closed_form_to_rounding(grid_points):
-    """The golden-section zoom and its one evolved refine land within 1e-14
-    of the closed form on criterion 4's 50 x 50 grid, even at the coarsest
-    grid; the closed form is read only here, to compare."""
+    """The grid and its one evolved refine at the 2x2 maximizer land within
+    1e-14 of the closed form on criterion 4's 50 x 50 grid, even at the
+    coarsest grid; the closed form is read only here, to compare."""
     for p in np.linspace(0.02, 0.98, 50):
         for eta in np.linspace(0.0, 1.0 - p, 50):
             params = ProtocolParams(p, eta)

@@ -613,6 +613,18 @@ def test_the_widest_ladder_peaks_within_two_and_a_half_chunks_of_draws():
     assert peak <= 2.5 * DRAW_CHUNK * 8  # bytes: two chunks of float64 draws, and stage arrays of int8 and bool
 
 
+def test_the_widest_ladder_frees_each_chunk_of_draws_before_drawing_the_next():
+    spec, coalition = LadderSpec.fair(MAX_PARTIES, case=2), Coalition(honest_party=200)
+    simulate_dice(spec, 1, 3, coalition)  # builds the cached plan outside the trace
+    tracemalloc.start()
+    try:
+        simulate_dice(spec, TRIAL_BLOCK, 3, coalition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.85 * DRAW_CHUNK * 8  # bytes: one chunk of float64 draws and its decision arrays, not two chunks
+
+
 # -- the plan cache ----------------------------------------------------------------
 
 

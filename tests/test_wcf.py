@@ -158,6 +158,16 @@ WRONG_TYPE_CALLS = {
     "state-none-alice-verification": lambda: alice_verification(None),
     "rng-none-run-protocol": lambda: run_protocol(ProtocolParams(0.5, 0.1), Honest(), None),
     "rng-seed-run-protocol": lambda: run_protocol(ProtocolParams(0.5, 0.1), Honest(), 0),
+    "params-none-alice-at-delta-via-states": lambda: adversary.alice_value_at_delta_via_states(None, 0.3),
+    "cheat-list-general-cheat": lambda: general_cheat_value(ProtocolParams(0.5, 0.1), []),
+    "case-bool-three-sided": lambda: optimize_three_sided(True),
+    "case-float-three-sided": lambda: optimize_three_sided(1.0),
+    "case-array-three-sided": lambda: optimize_three_sided(np.array([1, 2])),
+    "case-bool-fair-ladder": lambda: LadderSpec.fair(3, True),
+    "case-array-fair-ladder": lambda: LadderSpec.fair(3, np.array([1, 2])),
+    "square-string-three-sided": lambda: optimize_three_sided(2, square_cheat_term="no"),
+    "preparer-array-stage": lambda: StageParams(2, ProtocolParams(0.5, 0.1), np.array(["a", "b"])),
+    "terms-none-state-from-terms": lambda: StateVector.from_terms(None),
 }
 
 
