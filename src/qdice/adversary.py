@@ -7,9 +7,9 @@ The closed form for the preparing party (Alice) rests on two coefficients
 so that a tilt-delta preparation wins with probability
 (sqrt(a (1-delta)) + sqrt(b delta))^2, maximized at delta* = b / (a + b)
 with value a + b. ``_closed_form`` computes (a, b) on plain floats, and
-every closed-form value reads it: the public functions through the checked
-``_coefficients``, and ``dicer``'s fair-ladder residual directly, since it
-checks (p, eta) at its bracket's ends and bisects between them.
+every closed-form value reads it: the public functions after
+``_coefficients`` checks their params, and ``dicer``'s fair-ladder residual
+between the bracket ends that ``dicer._fair_stages`` checks.
 
 The test suite refuses to take that maximization on faith:
 ``brute_force_alice`` re-derives cheat values purely by evolving states
@@ -36,9 +36,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import _checks
 from ._lazy import lazy_import
 from .errors import ParameterError
-from .qsim import _check_integer, _check_rotation_defined, _squared_norm
+from .qsim import _squared_norm
 from .wcf import (
     AliceDelta,
     AliceGeneral,
@@ -46,11 +47,6 @@ from .wcf import (
     CheatSpec,
     Honest,
     ProtocolParams,
-    _check_cheat,
-    _check_params,
-    _check_p_below_one,
-    _check_seed,
-    _check_unit_interval,
     _evolve,
 )
 
@@ -80,15 +76,15 @@ def _closed_form(p: float, eta: float) -> tuple[float, float]:
 
 def _coefficients(params: ProtocolParams) -> tuple[float, float]:
     """``_closed_form`` at checked params."""
-    _check_params(params)
-    _check_p_below_one(params.p)
-    _check_rotation_defined(params.p, params.eta)
+    _checks.check_type(params, ProtocolParams, "params")
+    _checks.check_p_below_one(params.p)
+    _checks.check_rotation_defined(params.p, params.eta)
     return _closed_form(params.p, params.eta)
 
 
 def alice_value_at_delta(params: ProtocolParams, delta: float) -> float:
     """Probability that a tilt-delta preparation wins and survives the audit."""
-    _check_unit_interval(delta, "delta")
+    _checks.check_unit_interval(delta, "delta")
     a, b = _coefficients(params)
     return (math.sqrt(a * (1.0 - delta)) + math.sqrt(b * delta)) ** 2
 
@@ -102,7 +98,7 @@ def alice_value_at_delta_via_states(params: ProtocolParams, delta: float) -> flo
     branch contracted with the verification state. Independent of the
     closed form.
     """
-    _check_params(params)
+    _checks.check_type(params, ProtocolParams, "params")
     return _squared_norm(_evolve.__wrapped__(params, AliceDelta(delta)).miss_amplitudes)
 
 
@@ -113,8 +109,8 @@ def general_cheat_value(params: ProtocolParams, cheat: AliceGeneral) -> float:
     protocol, the same ``wcf._evolve`` the Monte Carlo samples from; the
     verification test acts as identity on the ancilla index.
     """
-    _check_params(params)
-    _check_cheat(cheat)
+    _checks.check_type(params, ProtocolParams, "params")
+    _checks.check_type(cheat, CheatSpec, "cheat")
     return _squared_norm(_evolve(params, cheat).miss_amplitudes)
 
 
@@ -128,7 +124,7 @@ def alice_optimal_value(params: ProtocolParams) -> CheatValue:
 
 def bob_optimal_value(params: ProtocolParams) -> CheatValue:
     """Bob's optimum, attained by always claiming the win: p + eta."""
-    _check_params(params)
+    _checks.check_type(params, ProtocolParams, "params")
     return CheatValue(value=params.p + params.eta, optimizer=None)
 
 
@@ -136,7 +132,7 @@ def cheater_win_prob(params: ProtocolParams, cheat: CheatSpec) -> float | None:
     """Winning probability of the declared cheater, or None for honest play:
     closed forms for a tilt and a claimed win, one evolution for a general
     preparation (``general_cheat_value``)."""
-    _check_params(params)
+    _checks.check_type(params, ProtocolParams, "params")
     if isinstance(cheat, AliceDelta):
         return alice_value_at_delta(params, cheat.delta)
     if isinstance(cheat, AliceGeneral):
@@ -239,8 +235,8 @@ def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple
     :func:`alice_value_at_delta_via_states`, and that value replaces the
     grid's best only when it is greater.
     """
-    _check_params(params)
-    _check_integer(grid_points, "grid point count", 1_000, MAX_ORACLE_POINTS)
+    _checks.check_type(params, ProtocolParams, "params")
+    _checks.check_integer(grid_points, "grid point count", 1_000, MAX_ORACLE_POINTS)
     deltas, *roots = _base_grid(grid_points)
     values = _tilt_values(params, roots)
     best = int(np.argmax(values))
@@ -295,15 +291,14 @@ def sample_cheat_values(
     :func:`_miss_amplitudes` and are pinned against
     :func:`general_cheat_value` by tests.
     """
-    _check_params(params)
-    _check_integer(ancilla_dim, "ancilla dimension", 1, 2)
-    _check_integer(n_samples, "random sample count", 0, MAX_ORACLE_POINTS)
-    _check_unit_interval(min_unused_weight, "unused weight")
-    if not isinstance(orthogonal_pair, (bool, np.bool_)):
-        raise ParameterError(f"orthogonal_pair must be a bool, got {orthogonal_pair!r}")
+    _checks.check_type(params, ProtocolParams, "params")
+    _checks.check_integer(ancilla_dim, "ancilla dimension", 1, 2)
+    _checks.check_integer(n_samples, "random sample count", 0, MAX_ORACLE_POINTS)
+    _checks.check_unit_interval(min_unused_weight, "unused weight")
+    _checks.check_bool(orthogonal_pair, "orthogonal_pair")
     if orthogonal_pair and ancilla_dim != 2:
         raise ParameterError("an orthogonal ancilla pair needs ancilla dimension 2")
-    _check_seed(seed)
+    _checks.check_seed(seed)
     rng = np.random.default_rng(seed)
     alphas, norms = _gaussian_rows(rng, n_samples, 4)
     if min_unused_weight > 0.0:
@@ -347,9 +342,9 @@ def brute_force_alice(
     ancilla-entangled preparations. Returns the best value found with its
     optimizer: the tilt delta, or None if a random sample somehow won.
     """
-    _check_integer(ancilla_dim, "ancilla dimension", 1, 2)
-    _check_integer(random_samples, "random sample count", 0, MAX_ORACLE_POINTS)
-    _check_seed(seed)
+    _checks.check_integer(ancilla_dim, "ancilla dimension", 1, 2)
+    _checks.check_integer(random_samples, "random sample count", 0, MAX_ORACLE_POINTS)
+    _checks.check_seed(seed)
     value, delta = max_delta_family(params, grid_points)
     best = CheatValue(value=value, optimizer=delta)
     if random_samples > 0:

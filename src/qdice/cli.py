@@ -34,6 +34,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from . import __version__, adversary, dicer
+from . import _checks
 from .errors import BracketError, ParameterError, QdiceError
 from .wcf import (
     AliceDelta,
@@ -42,7 +43,6 @@ from .wcf import (
     CheatSpec,
     Honest,
     ProtocolParams,
-    _check_seed,
     honest_win_prob,
     run_trials,
 )
@@ -196,8 +196,8 @@ _CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
 def _check_config_value(key: str, action: argparse.Action, value) -> None:
     """Refuse a config value its flag could not have produced."""
     expected = (bool,) if action.nargs == 0 else _CONFIG_TYPES[action.type]
-    # bool subclasses int, so true/false must not pass for a number
-    if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
+    # json.load builds no subclasses, so an exact type test keeps true/false from passing for a number
+    if type(value) not in expected:
         names = "/".join(t.__name__ for t in expected)
         raise ParameterError(f"config key {key!r} must be {names}, got {value!r}")
     if action.choices is not None and value not in action.choices:
@@ -231,7 +231,7 @@ def _apply_config(args: argparse.Namespace, command: argparse.ArgumentParser) ->
     for attr, value in _DEFAULTS.items():
         if getattr(args, attr, None) is None and hasattr(args, attr):
             setattr(args, attr, value)
-    _check_seed(getattr(args, "seed", 0))
+    _checks.check_seed(getattr(args, "seed", 0))
 
 
 def _refuse_ignored_flags(args: argparse.Namespace) -> None:

@@ -38,10 +38,10 @@ from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from . import adversary
+from . import _checks
 from ._lazy import lazy_import
 from .errors import ParameterError
-from .fairness import FairnessSolution, _check_bracket, find_root
-from .qsim import _check_integer, _check_p_eta
+from .fairness import FairnessSolution, find_root
 from .wcf import (
     DRAWS_PER_FLIP,
     FINAL_STATE_ABORT,
@@ -52,8 +52,6 @@ from .wcf import (
     Outcome,
     ProtocolParams,
     MAX_TRIALS,
-    _check_params,
-    _check_seed,
     _evolve,
     _flip_codes,
     _outcome,
@@ -73,21 +71,13 @@ MAX_PARTIES = 256
 # -- honest play and composition ----------------------------------------------
 
 
-def _check_party_count(n_parties: int) -> None:
-    _check_integer(n_parties, "party count", 2, MAX_PARTIES)
-
-
-def _check_party(party: int, n_parties: int) -> None:
-    _check_integer(party, "party", 1, n_parties)
-
-
 def honest_dice_probs(n_parties: int) -> tuple[Fraction, ...]:
     """Exact per-party winning probabilities under all-honest play.
 
     Party n wins its entry stage with probability 1/n and survives each
     later entrant m with probability (m-1)/m, telescoping to 1/N.
     """
-    _check_party_count(n_parties)
+    _checks.check_integer(n_parties, "party count", 2, MAX_PARTIES)
     return (Fraction(1, n_parties),) * n_parties
 
 
@@ -114,8 +104,8 @@ def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> tuple[
     read. ``_compose`` runs on the integer pairs, and one ``Fraction`` is
     built from its result, so no gcd runs per stage.
     """
-    _check_party_count(n_parties)
-    _check_party(n, n_parties)
+    _checks.check_integer(n_parties, "party count", 2, MAX_PARTIES)
+    _checks.check_integer(n, "party", 1, n_parties)
     stages = range(max(n, 2), n_parties + 1)  # the entrants party n meets, its own entry onward
     try:  # ordered and indexable: no mapping, set, iterator or scalar
         if isinstance(biases, Mapping) or not hasattr(biases, "__getitem__"):
@@ -127,13 +117,14 @@ def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> tuple[
         raise ParameterError(f"party {n} of {n_parties} plays {len(stages)} stages, got {count} biases")
     stage_losses = []
     largest_num, largest_den = 0, 1
+    numbers = "stage biases must be numbers, got {!r}"
     for m, bias in zip(stages, biases):
+        if not _checks.in_range(bias, 0, math.inf, numbers, bias) or bias == math.inf:
+            raise ParameterError(f"stage biases must be finite and nonnegative, got {bias}")
         try:
-            if not 0 <= bias < math.inf:  # also refuses nan
-                raise ParameterError(f"stage biases must be finite and nonnegative, got {bias}")
             bias_num, bias_den = bias.as_integer_ratio() if hasattr(bias, "as_integer_ratio") else (index(bias), 1)
         except TypeError:
-            raise ParameterError(f"stage biases must be numbers, got {bias!r}") from None
+            raise ParameterError(numbers.format(bias)) from None
         honest_num, honest_den = (n - 1, n) if m == n else (1, m)
         loss_num, loss_den = honest_num * bias_den + bias_num * honest_den, honest_den * bias_den
         if not 0 <= loss_num <= loss_den:
@@ -200,12 +191,12 @@ def _stage_losses(m: int, case: int, eta: float, square_cheat_term: bool = True)
     in case 2, the raw (unsquared) amplitude sum for the incumbent's loss;
     that reading breaks the probability composition and is kept only so
     tests can document that the squared form is the consistent one. Here
-    (p, eta) is checked, by the rule ``ProtocolParams`` applies; a layout's
+    (p, eta) is checked by ``_checks.check_p_eta``, as in ``ProtocolParams``; a layout's
     p lies strictly between 0 and 1, so the closed form is defined for every
     eta it accepts. ``_layout_losses`` computes the losses.
     """
     p = _layout_p(m, case)
-    _check_p_eta(p, eta)
+    _checks.check_p_eta(p, eta)
     return _layout_losses(p, case, eta, square_cheat_term)
 
 
@@ -255,28 +246,19 @@ def _fair_stages(
     layout 1, the incumbent preparing. Stages search [0, 1-p], stage 3 its
     case's narrower default; ``bracket`` replaces the last stage's interval,
     and is refused as ``find_root`` refuses it before any stage is solved.
+    Each stage's bracket ends are checked as (p, eta) before its solve.
     ``square_cheat_term`` reaches only case 2's incumbent (see
     ``_stage_losses``), so case 1 refuses False.
-
-    The residual checks (p, eta) only at the bracket's two ends, which
-    ``find_root`` evaluates first, through ``_stage_losses``: an end outside
-    [0, 1-p] is refused there with the message ``ProtocolParams`` gives. Every
-    bisection midpoint lies between the ends, so the residual evaluates it
-    unchecked on plain floats (``_layout_losses``), bit for bit the same.
     """
     try:
-        known = not isinstance(case, bool) and index(case) in (1, 2)
-    except TypeError:  # not an integer, or an array of several
-        known = False
-    if not known:
-        raise ParameterError(f"case must be 1 or 2, got {case}")
-    # a Python bool first: numpy loads only for an argument that is not one
-    if not isinstance(square_cheat_term, bool) and not isinstance(square_cheat_term, np.bool_):
-        raise ParameterError(f"square_cheat_term must be a bool, got {square_cheat_term!r}")
+        _checks.check_integer(case, "case", 1, 2)
+    except ParameterError:
+        raise ParameterError(f"case must be 1 or 2, got {case}") from None
+    _checks.check_bool(square_cheat_term, "square_cheat_term")
     if case == 1 and not square_cheat_term:
         raise ParameterError("the unsquared cheat term is a case-2 reading; case 1 has no term to square")
     if bracket is not None:
-        bracket = _check_bracket(bracket)
+        bracket = _checks.check_bracket(bracket)
     survivors = 0.0
     stages = []
     for m in range(2, n_parties + 1):
@@ -286,13 +268,11 @@ def _fair_stages(
             stage_bracket = bracket
         else:
             stage_bracket = _THREE_SIDED_BRACKETS[case] if m == 3 else (0.0, 1.0 - p)
-        lo, hi = stage_bracket
+        for end in stage_bracket:
+            _checks.check_p_eta(p, end)
 
-        def residual(eta: float) -> float:  # called only within this iteration
-            if eta == lo or eta == hi:
-                entrant, incumbent = _stage_losses(m, layout, eta, square_cheat_term)
-            else:
-                entrant, incumbent = _layout_losses(p, layout, eta, square_cheat_term)
+        def residual(eta: float) -> float:  # called only within this iteration, between the checked ends
+            entrant, incumbent = _layout_losses(p, layout, eta, square_cheat_term)
             return entrant - _compose(((survivors, 1.0), (incumbent, 1.0)))[0]
 
         eta = find_root(residual, stage_bracket)
@@ -370,8 +350,8 @@ class StageParams:
     preparer: str = INCUMBENT
 
     def __post_init__(self) -> None:
-        _check_params(self.params)
-        _check_integer(self.entrant, "entrant index")
+        _checks.check_type(self.params, ProtocolParams, "params")
+        _checks.check_integer(self.entrant, "entrant index")
         if self.entrant < 2:
             raise ParameterError(f"entrant index must be >= 2, got {self.entrant}")
         if not isinstance(self.preparer, str) or self.preparer not in (INCUMBENT, ENTRANT):
@@ -394,14 +374,8 @@ class LadderSpec:
     stages: tuple[StageParams, ...]
 
     def __post_init__(self) -> None:
-        _check_party_count(self.n_parties)
-        try:
-            stages = tuple(self.stages)
-        except TypeError:
-            raise ParameterError(f"stages must be a sequence of StageParams, got {self.stages!r}") from None
-        if not all(isinstance(stage, StageParams) for stage in stages):
-            raise ParameterError(f"stages must be StageParams, got {stages!r}")
-        object.__setattr__(self, "stages", stages)
+        _checks.check_integer(self.n_parties, "party count", 2, MAX_PARTIES)
+        object.__setattr__(self, "stages", _checks.check_items(self.stages, StageParams, "stages"))
         expected = tuple(range(2, self.n_parties + 1))
         if tuple(s.entrant for s in self.stages) != expected:
             raise ParameterError(f"stages must cover entrants {expected} in order")
@@ -409,7 +383,7 @@ class LadderSpec:
     @classmethod
     def uniform(cls, n_parties: int, eta: float = 0.0) -> "LadderSpec":
         """Leader-prepares ladder with a common eta at every stage."""
-        _check_party_count(n_parties)
+        _checks.check_integer(n_parties, "party count", 2, MAX_PARTIES)
         stages = tuple(
             StageParams(m, ProtocolParams(1.0 / m, eta), INCUMBENT)
             for m in range(2, n_parties + 1)
@@ -421,7 +395,7 @@ class LadderSpec:
         """The fair N-party ladder: every stage, the balanced coin of entrant
         2 included, as ``_fair_stages`` solves it for the layout (case 1, the
         incumbent prepares; case 2, the entrant prepares)."""
-        _check_party_count(n_parties)
+        _checks.check_integer(n_parties, "party count", 2, MAX_PARTIES)
         return cls(n_parties, tuple(solved.stage for solved in _fair_stages(n_parties, case)))
 
     @classmethod
@@ -436,17 +410,6 @@ class Coalition:
     the coalition plays its optimal cheat (see ``_stage_play``)."""
 
     honest_party: int
-
-
-def _check_spec(spec: LadderSpec) -> None:
-    if not isinstance(spec, LadderSpec):
-        raise ParameterError(f"spec must be a LadderSpec, got {spec!r}")
-
-
-def _check_coalition(coalition: Coalition, n_parties: int) -> None:
-    if not isinstance(coalition, Coalition):
-        raise ParameterError(f"coalition must be a Coalition, got {coalition!r}")
-    _check_party(coalition.honest_party, n_parties)
 
 
 def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
@@ -487,8 +450,9 @@ def _stage_play(stage: StageParams, coalition: Coalition | None, honest_incumben
 def expected_coalition_losing(spec: LadderSpec, coalition: Coalition) -> float:
     """Analytic losing probability of the honest party under the coalition's
     stage strategies (forward composition of per-stage losing chances)."""
-    _check_spec(spec)
-    _check_coalition(coalition, spec.n_parties)
+    _checks.check_type(spec, LadderSpec, "spec")
+    _checks.check_type(coalition, Coalition, "coalition")
+    _checks.check_integer(coalition.honest_party, "party", 1, spec.n_parties)
     honest = coalition.honest_party
     stage_losses = []
     for stage in spec.stages[max(honest, 2) - 2:]:  # the honest party's entry stage onward
@@ -623,11 +587,12 @@ def simulate_dice(
     party is the incumbent. Trial 0's plays are read back from row 0 of the
     first chunk, and ``DiceReport.first_trial`` renders their transcripts.
     """
-    _check_integer(trials, "trial count", 1, MAX_TRIALS)
-    _check_seed(seed)
-    _check_spec(spec)
+    _checks.check_integer(trials, "trial count", 1, MAX_TRIALS)
+    _checks.check_seed(seed)
+    _checks.check_type(spec, LadderSpec, "spec")
     if coalition is not None:
-        _check_coalition(coalition, spec.n_parties)
+        _checks.check_type(coalition, Coalition, "coalition")
+        _checks.check_integer(coalition.honest_party, "party", 1, spec.n_parties)
     at_honest, elsewhere = _ladder_plan(spec, coalition)
     n_stages = len(spec.stages)
     honest_from = n_stages if at_honest is None else at_honest.first

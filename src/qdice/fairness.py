@@ -8,10 +8,11 @@ ladders, the balanced coin among them) reduces to a 1-D maximization plus a
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
-from .errors import BracketError, ParameterError
+from . import _checks
+from .errors import BracketError
 
 
 @dataclass(frozen=True)
@@ -21,28 +22,6 @@ class FairnessSolution:
     eta_star: float
     achieved_values: tuple[float, float]
     residual: float
-
-
-def _check_bracket(bracket: tuple[float, float], tol: float = 1e-12) -> tuple[float, float]:
-    """``bracket`` as (lo, hi), refused unless it is a pair of finite single
-    numbers with lo < hi and ``tol`` is a positive finite single number."""
-    try:
-        if len(bracket) != 2:
-            raise TypeError
-        lo, hi = bracket
-        if tol <= 0.0:
-            raise ParameterError(f"tolerance must be positive, got {tol}")
-        if not lo < hi:
-            raise ParameterError(f"bracket must satisfy lo < hi, got {bracket}")
-        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(tol)):
-            raise ParameterError(f"bracket ends and tolerance must be finite, got {bracket}, tol={tol}")
-    except ParameterError:
-        raise
-    except (TypeError, ValueError):  # not a pair, or ends or tolerance that are not single numbers
-        raise ParameterError(
-            f"bracket must be a pair of numbers and the tolerance a number, got {bracket!r}, tol={tol!r}"
-        ) from None
-    return lo, hi
 
 
 def find_root(
@@ -56,9 +35,8 @@ def find_root(
     using at most ceil(log2(width / tol)) + 2 iterations. Raises
     :class:`BracketError` when f does not change sign over the bracket.
     """
-    if not callable(f):
-        raise ParameterError(f"f must be callable, got {f!r}")
-    lo, hi = _check_bracket(bracket, tol)
+    _checks.check_type(f, Callable, "f", "must be callable")
+    lo, hi = _checks.check_bracket(bracket, tol)
     f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= tol:
         return lo

@@ -24,14 +24,14 @@ hand out one shared, immutable state per (label, ancilla dimension).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import Mapping, Union
 
+from . import _checks
 from ._lazy import lazy_import
-from .errors import DegenerateParameterError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 
 np = lazy_import("numpy")
 
@@ -60,6 +60,12 @@ class BasisLabel:
     bits: tuple[Spin, ...]
     ancilla: int = 0
 
+    def __post_init__(self) -> None:
+        _checks.check_type(self.bits, tuple, "bits")
+        for bit in self.bits:
+            _checks.check_integer(bit, "spin", 0, 1)
+        _checks.check_integer(self.ancilla, "ancilla index", 0)
+
     @classmethod
     def parse(cls, text: str, ancilla: int = 0) -> "BasisLabel":
         """Build a label from a string of 'u'/'d' characters, e.g. ``"udd"``."""
@@ -82,8 +88,7 @@ Pattern = Mapping[int, Spin]
 def _as_label(label: LabelLike) -> BasisLabel:
     if isinstance(label, str):
         return BasisLabel.parse(label)
-    if not isinstance(label, BasisLabel):
-        raise ParameterError(f"a basis label is a string or a BasisLabel, got {label!r}")
+    _checks.check_type(label, BasisLabel, "a basis label", "is a string or a BasisLabel")
     return label
 
 
@@ -129,9 +134,8 @@ class StateVector:
         ancilla_dim: int = 1,
     ) -> "StateVector":
         """Build a state from a sparse ``{label: amplitude}`` mapping."""
-        _check_integer(ancilla_dim, "ancilla dimension", 1, MAX_ANCILLA_DIM)
-        if not isinstance(terms, Mapping):
-            raise ParameterError(f"terms must be a mapping of labels to amplitudes, got {terms!r}")
+        _checks.check_integer(ancilla_dim, "ancilla dimension", 1, MAX_ANCILLA_DIM)
+        _checks.check_type(terms, Mapping, "terms", "must be a mapping of labels to amplitudes")
         labels = [_as_label(key) for key in terms]
         if not labels:
             raise ParameterError("at least one term is required")
@@ -142,12 +146,15 @@ class StateVector:
                 raise ShapeError(f"label {label} does not have {n_qubits} qubits")
             if not 0 <= label.ancilla < ancilla_dim:
                 raise ShapeError(f"ancilla index {label.ancilla} >= dim {ancilla_dim}")
-            amps[tuple(int(b) for b in label.bits) + (label.ancilla,)] = amplitude
+            try:
+                amps[tuple(int(b) for b in label.bits) + (label.ancilla,)] = amplitude
+            except (TypeError, ValueError):  # numpy refuses what it cannot read as one complex number
+                raise ParameterError(f"amplitude of {label} must be a number, got {amplitude!r}") from None
         return cls(amps)
 
     @classmethod
     def basis(cls, label: LabelLike, ancilla_dim: int = 1) -> "StateVector":
-        return cls.from_terms({label: 1.0}, ancilla_dim=ancilla_dim)
+        return cls.from_terms({_as_label(label): 1.0}, ancilla_dim=ancilla_dim)
 
     # -- inspection ---------------------------------------------------------
 
@@ -213,46 +220,6 @@ class TestOutcome:
     post_state: StateVector | None
 
 
-def _check_integer(value: int, what: str, low: float = -math.inf, high: float = math.inf) -> None:
-    """Refuse a bool, a value that ``operator.index`` rejects (such as 2.0 or
-    2.5), and an integer outside low..high."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
-    if not low <= value <= high:
-        raise ParameterError(f"{what} must lie in {low}..{high}, got {value}")
-
-
-def _check_state(state: StateVector) -> None:
-    if not isinstance(state, StateVector):
-        raise ParameterError(f"state must be a StateVector, got {state!r}")
-
-
-def _check_p_eta(p: float, eta: float) -> None:
-    """Refuse (p, eta) that are bools, do not compare as single numbers (an
-    array of several does not), or lie outside 0 <= p <= 1, 0 <= eta <= 1-p."""
-    try:
-        if isinstance(p, bool) or isinstance(eta, bool):
-            raise TypeError
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"p must lie in [0, 1], got {p}")
-        if not 0.0 <= eta <= 1.0 - p + 1e-12:
-            raise ParameterError(f"eta must lie in [0, 1-p], got eta={eta}, p={p}")
-    except ParameterError:
-        raise
-    except (TypeError, ValueError):  # ValueError: an array's truth value is ambiguous
-        raise ParameterError(f"p and eta must be numbers, got p={p!r}, eta={eta!r}") from None
-
-
-def _check_rotation_defined(p: float, eta: float) -> None:
-    """Refuse p + eta = 0, where the rotation (and the cheat value) divide by zero."""
-    if p + eta <= 0.0:
-        raise DegenerateParameterError("p + eta must be positive")
-
-
 def _branch(raw: np.ndarray, probability: float) -> TestOutcome:
     if probability < ZERO_BRANCH_TOL:
         return TestOutcome(probability, None)
@@ -267,8 +234,8 @@ def overlap(a: StateVector, b: StateVector) -> complex | np.ndarray:
 
     When only ``b`` carries an ancilla, <a| acts as the identity on it: the
     result is one amplitude per ancilla index, of squared norm the probability."""
-    _check_state(a)
-    _check_state(b)
+    _checks.check_type(a, StateVector, "state")
+    _checks.check_type(b, StateVector, "state")
     if a.amps.shape == b.amps.shape:
         return complex(np.vdot(a.amps, b.amps))
     if a.ancilla_dim != 1 or a.n_qubits != b.n_qubits:
@@ -288,7 +255,7 @@ def attach_down_ancilla_qubit(state: StateVector) -> StateVector:
 
     The new qubit becomes label 3; the ancilla axis (if any) stays last.
     """
-    _check_state(state)
+    _checks.check_type(state, StateVector, "state")
     if state.n_qubits != 2:
         raise ShapeError(f"expected a 2-qubit register, got {state.n_qubits} qubits")
     amps = np.zeros((2, 2, 2, state.ancilla_dim), dtype=complex)
@@ -304,11 +271,11 @@ def apply_u_eta(state: StateVector, p: float, eta: float) -> StateVector:
     index are untouched. The block is a real symmetric involution, so the
     map is unitary and self-inverse.
     """
-    _check_state(state)
+    _checks.check_type(state, StateVector, "state")
     if state.n_qubits != 3:
         raise ShapeError("the rotation acts on qubits 2 and 3 of a 3-qubit register")
-    _check_p_eta(p, eta)
-    _check_rotation_defined(p, eta)
+    _checks.check_p_eta(p, eta)
+    _checks.check_rotation_defined(p, eta)
     c = math.sqrt(p / (p + eta))
     s = math.sqrt(eta / (p + eta))
     amps = np.array(state.amps)
@@ -324,6 +291,8 @@ def _pattern_index(state: StateVector, pattern: Pattern) -> tuple:
         raise ShapeError("pattern must constrain at least one qubit")
     index: list = [slice(None)] * state.amps.ndim
     for qubit, spin in pattern.items():
+        _checks.check_integer(qubit, "qubit label")
+        _checks.check_integer(spin, "spin", 0, 1)
         if not 1 <= qubit <= state.n_qubits:
             raise ShapeError(f"qubit label {qubit} outside register of {state.n_qubits}")
         index[qubit - 1] = int(spin)
@@ -364,7 +333,7 @@ def projective_test(
     ancilla but the tested state does, the test acts as identity on the
     ancilla index).
     """
-    _check_state(state)
+    _checks.check_type(state, StateVector, "state")
     passed, failed = _project(state, target)
     p_pass, p_fail = _weights(passed, failed)
     return _branch(passed, p_pass), _branch(failed, p_fail)

@@ -30,15 +30,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
+from . import _checks
 from ._lazy import lazy_import
 from .errors import ParameterError, ShapeError
 from .qsim import (
     ZERO_BRANCH_TOL,
     Spin,
     StateVector,
-    _check_integer,
-    _check_p_eta,
-    _check_state,
     _contract,
     _project,
     _weights,
@@ -61,38 +59,12 @@ class ProtocolParams:
     eta: float
 
     def __post_init__(self) -> None:
-        _check_p_eta(self.p, self.eta)
-
-
-def _check_params(params: ProtocolParams) -> None:
-    if not isinstance(params, ProtocolParams):
-        raise ParameterError(f"params must be a ProtocolParams, got {params!r}")
-
-
-def _check_p_below_one(p: float) -> None:
-    """Refuse p = 1, where the verification state and Alice's cheat value
-    divide by 1-p."""
-    if p >= 1.0:
-        raise ParameterError("p must be below 1: the verification state and the cheat value divide by 1-p")
-
-
-def _check_unit_interval(value: float, what: str) -> None:
-    """Refuse a bool, a value that does not compare as a single number (an
-    array of several does not), nan, and a value outside [0, 1]."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        if not 0.0 <= value <= 1.0:  # also refuses nan
-            raise ParameterError(f"{what} must lie in [0, 1], got {value}")
-    except ParameterError:
-        raise
-    except (TypeError, ValueError):  # ValueError: an array's truth value is ambiguous
-        raise ParameterError(f"{what} must be a number, got {value!r}") from None
+        _checks.check_p_eta(self.p, self.eta)
 
 
 def honest_win_prob(params: ProtocolParams) -> float:
     """Alice's winning probability when both parties are honest."""
-    _check_params(params)
+    _checks.check_type(params, ProtocolParams, "params")
     return 1.0 - params.p
 
 
@@ -103,11 +75,6 @@ class CheatSpec:
     """Marker base class for strategy declarations."""
 
     name = "base"
-
-
-def _check_cheat(cheat: CheatSpec) -> None:
-    if not isinstance(cheat, CheatSpec):
-        raise ParameterError(f"cheat must be a CheatSpec, got {cheat!r}")
 
 
 @dataclass(frozen=True)
@@ -123,18 +90,7 @@ class AliceDelta(CheatSpec):
     name = "alice-delta"
 
     def __post_init__(self) -> None:
-        _check_unit_interval(self.delta, "delta")
-
-
-def _squared_norm(vector) -> float:
-    """sum |c|^2 of a vector; inf when a component is too large to square,
-    and ``ParameterError`` when a component is not a number."""
-    try:
-        return sum(abs(c) ** 2 for c in vector)
-    except OverflowError:
-        return math.inf
-    except TypeError:
-        raise ParameterError(f"amplitudes must be numbers, got {vector!r}") from None
+        _checks.check_unit_interval(self.delta, "delta")
 
 
 @dataclass(frozen=True)
@@ -164,9 +120,7 @@ class AliceGeneral(CheatSpec):
         object.__setattr__(self, "ancillas", ancillas)
         if len(self.amplitudes) != 4:
             raise ParameterError(f"need 4 amplitudes (uu, ud, du, dd), got {len(self.amplitudes)}")
-        total = _squared_norm(self.amplitudes)
-        if not abs(total - 1.0) <= 1e-9:  # also refuses nan
-            raise ParameterError(f"cheat amplitudes are not normalized: {total!r}")
+        _checks.check_normalized(self.amplitudes, "cheat amplitudes are not normalized: {!r}")
         if self.ancillas is not None:
             if len(self.ancillas) != 4:
                 raise ParameterError("need one ancilla vector per branch (4 total)")
@@ -174,8 +128,7 @@ class AliceGeneral(CheatSpec):
             if len(dims) != 1:
                 raise ShapeError("ancilla vectors must share one dimension")
             for phi in self.ancillas:
-                if not abs(_squared_norm(phi) - 1.0) <= 1e-9:  # also refuses nan
-                    raise ParameterError("each ancilla vector must be normalized")
+                _checks.check_normalized(phi, "each ancilla vector must be normalized")
 
 
 @dataclass(frozen=True)
@@ -202,7 +155,7 @@ def honest_initial_state(params: ProtocolParams) -> StateVector:
 
 def verification_state(params: ProtocolParams) -> StateVector:
     """Three-qubit state Bob tests for when he loses."""
-    _check_p_below_one(params.p)
+    _checks.check_p_below_one(params.p)
     weight = max(0.0, 1.0 - params.p - params.eta)  # guard float dust at eta = 1-p
     return StateVector(
         math.sqrt(weight / (1.0 - params.p)) * ket("udd").amps
@@ -212,7 +165,7 @@ def verification_state(params: ProtocolParams) -> StateVector:
 
 def alice_verification(state: StateVector) -> float:
     """Probability that qubit 1 of ``state`` is found spin-down."""
-    _check_state(state)
+    _checks.check_type(state, StateVector, "state")
     return _first_qubit_down(state.amps)
 
 
@@ -363,10 +316,9 @@ def run_protocol(params: ProtocolParams, cheat: CheatSpec, rng: np.random.Genera
     consume the rows of ``rng.random((n, 2))`` in order, and ``_flip_codes``
     decides it as it decides every Monte Carlo trial.
     """
-    _check_params(params)
-    _check_cheat(cheat)
-    if not isinstance(rng, np.random.Generator):
-        raise ParameterError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    _checks.check_type(params, ProtocolParams, "params")
+    _checks.check_type(cheat, CheatSpec, "cheat")
+    _checks.check_type(rng, np.random.Generator, "rng", "must be a numpy.random.Generator")
     code = _flip_codes(_evolve(params, cheat), rng.random((1, DRAWS_PER_FLIP)))
     return _outcome(params, cheat, int(code[0]))
 
@@ -396,18 +348,11 @@ def trial_rng(seed: int, block: int) -> np.random.Generator:
     ``DRAWS_PER_FLIP`` uniforms per flip it plays. Streams are counter-derived,
     so results do not depend on evaluation order, blocks can run in
     parallel, and the first n trials of a longer run are the n-trial run.
-    The seed follows ``_check_seed``, and the block is an integer >= 0.
+    The seed follows ``_checks.check_seed``, and the block is an integer >= 0.
     """
-    _check_seed(seed)
-    _check_integer(block, "block", 0)
+    _checks.check_seed(seed)
+    _checks.check_integer(block, "block", 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-
-
-def _check_seed(seed: int) -> None:
-    """Refuse a seed outside 0..2**64-1, the seeds every sampler and the CLI take."""
-    _check_integer(seed, "seed")
-    if not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must be an unsigned 64-bit value, got {seed}")
 
 
 def _uniform_blocks(seed: int, trials: int, draws: int):
@@ -483,10 +428,10 @@ def run_trials(
     replayed through ``run_protocol`` for its transcript when
     ``TrialStats.first`` is first read.
     """
-    _check_params(params)
-    _check_cheat(cheat)
-    _check_integer(trials, "trial count", 1, MAX_TRIALS)
-    _check_seed(seed)
+    _checks.check_type(params, ProtocolParams, "params")
+    _checks.check_type(cheat, CheatSpec, "cheat")
+    _checks.check_integer(trials, "trial count", 1, MAX_TRIALS)
+    _checks.check_seed(seed)
     evolution = _evolve(params, cheat)
     codes = sum(
         np.bincount(_flip_codes(evolution, draws), minlength=4)

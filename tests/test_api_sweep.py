@@ -1,0 +1,202 @@
+"""One refusal sweep over the public API.
+
+Each callable of ``qdice.__all__``, each public function the benchmark
+reads and the classmethods of ``BasisLabel``, ``StateVector`` and
+``LadderSpec`` has one valid call below. Each argument slot of that call in
+turn takes every value of ``BAD_VALUES`` while the other arguments stay
+valid, and the call must return or raise a ``QdiceError``, with warnings
+raised as errors. The enums ``Spin`` and ``Winner`` are not swept: calling
+one looks up a member, and its ``ValueError`` is the enum protocol.
+"""
+from __future__ import annotations
+
+import math
+import warnings
+from collections import Counter
+from enum import EnumMeta
+
+import numpy as np
+import pytest
+
+import qdice
+from qdice import (
+    AliceDelta,
+    AliceGeneral,
+    BasisLabel,
+    BobClaimWin,
+    BracketError,
+    CheatSpec,
+    CheatValue,
+    Coalition,
+    DegenerateParameterError,
+    DiceReport,
+    FairnessSolution,
+    Honest,
+    LadderSpec,
+    Outcome,
+    ParameterError,
+    ProtocolParams,
+    QdiceError,
+    ShapeError,
+    Spin,
+    StageParams,
+    StateVector,
+    ThreeSidedOptimum,
+    Transcript,
+    TrialStats,
+    Winner,
+    alice_optimal_value,
+    alice_value_at_delta,
+    alice_verification,
+    apply_u_eta,
+    attach_down_ancilla_qubit,
+    bias_bound_check,
+    bob_optimal_value,
+    brute_force_alice,
+    find_root,
+    honest_dice_probs,
+    honest_win_prob,
+    ket,
+    optimize_three_sided,
+    overlap,
+    projective_test,
+    run_protocol,
+    run_trials,
+    simulate_dice,
+    solve_balanced,
+    worst_case_losing_prob,
+)
+from qdice.adversary import (
+    alice_value_at_delta_via_states,
+    cheater_win_prob,
+    general_cheat_value,
+    max_delta_family,
+    sample_cheat_values,
+)
+from qdice.dicer import expected_coalition_losing
+from qdice.wcf import trial_rng
+
+BAD_VALUES = (
+    None, "x", math.nan, math.inf, -math.inf, -1, 2.5, True, [], {}, object(), (0.1, 0.2, 0.3), b"ab",
+    np.float64("nan"), np.array([0.1, 0.2]), 10**30, -0.0, 1j,
+)
+
+PARAMS = ProtocolParams(0.5, 0.1)
+SPEC = LadderSpec.uniform(3)
+SOLUTION = FairnessSolution(0.2, (0.7, 0.7), 0.0)
+
+#: one valid call per swept callable, as (args, kwargs)
+VALID_CALLS = {
+    QdiceError: (("message",), {}),
+    ShapeError: (("message",), {}),
+    ParameterError: (("message",), {}),
+    DegenerateParameterError: (("message",), {}),
+    BracketError: (("message",), {}),
+    BasisLabel: (((Spin.UP, Spin.DOWN), 0), {}),
+    BasisLabel.parse: (("ud", 0), {}),
+    StateVector: ((ket("ud").amps,), {}),
+    StateVector.from_terms: (({"ud": 1.0}, 1), {}),
+    StateVector.basis: (("ud", 1), {}),
+    qdice.TestOutcome: ((1.0, None), {}),  # by its module, so pytest collects no class named Test*
+    ket: (("ud", 1), {}),
+    overlap: ((ket("ud"), ket("ud")), {}),
+    attach_down_ancilla_qubit: ((ket("ud"),), {}),
+    apply_u_eta: ((ket("udd"), 0.5, 0.1), {}),
+    projective_test: ((ket("ud"), {1: Spin.UP}), {}),
+    ProtocolParams: ((0.5, 0.1), {}),
+    CheatSpec: ((), {}),
+    Honest: ((), {}),
+    AliceDelta: ((0.3,), {}),
+    AliceGeneral: (((0, 1, 0, 0), None), {}),
+    BobClaimWin: ((), {}),
+    Outcome: ((Winner.ALICE, None, Transcript(())), {}),
+    Transcript: (((),), {}),
+    TrialStats: ((10, Counter(), (PARAMS, Honest(), 0)), {}),
+    honest_win_prob: ((PARAMS,), {}),
+    alice_verification: ((ket("ud"),), {}),
+    run_protocol: ((PARAMS, Honest(), np.random.default_rng(0)), {}),
+    run_trials: ((PARAMS, Honest(), 10, 0), {}),
+    trial_rng: ((0, 0), {}),
+    CheatValue: ((0.5, None), {}),
+    alice_value_at_delta: ((PARAMS, 0.3), {}),
+    alice_value_at_delta_via_states: ((PARAMS, 0.3), {}),
+    alice_optimal_value: ((PARAMS,), {}),
+    bob_optimal_value: ((PARAMS,), {}),
+    cheater_win_prob: ((PARAMS, Honest()), {}),
+    general_cheat_value: ((PARAMS, AliceGeneral((0, 1, 0, 0))), {}),
+    max_delta_family: ((PARAMS, 1000), {}),
+    sample_cheat_values: ((PARAMS, 10), {"ancilla_dim": 1, "seed": 0, "min_unused_weight": 0.0,
+                                         "orthogonal_pair": False}),
+    brute_force_alice: ((PARAMS,), {"grid_points": 1000, "ancilla_dim": 1, "random_samples": 10, "seed": 0}),
+    FairnessSolution: ((0.2, (0.7, 0.7), 0.0), {}),
+    find_root: ((lambda x: x - 0.3, (0.0, 1.0), 1e-12), {}),
+    solve_balanced: ((None,), {}),
+    honest_dice_probs: ((3,), {}),
+    worst_case_losing_prob: ((1, 3, [0.1, 0.1]), {}),
+    bias_bound_check: ((1, 3, [0.1, 0.1]), {}),
+    optimize_three_sided: ((1, None, True), {}),
+    ThreeSidedOptimum: ((1, SOLUTION, (0.7, 0.7, 0.7), (0.0, 0.0, 0.0), 0.1, True), {}),
+    DiceReport: ((3, 10, (4, 3, 3), 0, (SPEC, None, 0), ()), {}),
+    LadderSpec: ((3, SPEC.stages), {}),
+    LadderSpec.uniform: ((3, 0.0), {}),
+    LadderSpec.fair: ((3, 1), {}),
+    LadderSpec.three_sided: ((1,), {}),
+    StageParams: ((2, PARAMS, "incumbent"), {}),
+    Coalition: ((1,), {}),
+    simulate_dice: ((SPEC, 10, 0, Coalition(1)), {}),
+    expected_coalition_losing: ((SPEC, Coalition(1)), {}),
+}
+
+#: arguments refused inside a valid-looking argument, each leaked a non-qdice error or passed silently
+NESTED_CALLS = {
+    "spin-negative-from-terms": lambda: StateVector.from_terms({BasisLabel((Spin.UP, -1)): 1.0}),
+    "spin-seven-from-terms": lambda: StateVector.from_terms({BasisLabel((Spin.UP, 7)): 1.0}),
+    "spin-seven-amplitude": lambda: ket("ud").amplitude(BasisLabel((Spin.UP, 7))),
+    "ancilla-string-parse": lambda: BasisLabel.parse("ud", "a"),
+    "pattern-spin-five": lambda: projective_test(ket("ud"), {1: 5}),
+    "pattern-spin-float": lambda: projective_test(ket("ud"), {1: 1.5}),
+    "pattern-label-string": lambda: projective_test(ket("ud"), {"a": Spin.UP}),
+    "pattern-label-float": lambda: projective_test(ket("ud"), {1.5: Spin.UP}),
+    "amplitude-string-from-terms": lambda: StateVector.from_terms({"ud": "x"}),
+    "bracket-end-beyond-float-find-root": lambda: find_root(lambda x: x, (0.0, 10**400)),
+    "p-one-element-array-params": lambda: ProtocolParams(np.array([0.5]), 0.1),
+    "delta-one-element-array": lambda: alice_value_at_delta(PARAMS, np.array([0.3])),
+}
+
+
+def _call(fn, args: tuple, kwargs: dict) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fn(*args, **kwargs)
+
+
+def test_the_sweep_covers_every_public_callable():
+    public = (getattr(qdice, name) for name in qdice.__all__)
+    swept = {obj for obj in public if callable(obj) and not isinstance(obj, EnumMeta)}
+    assert swept <= set(VALID_CALLS)
+
+
+@pytest.mark.parametrize("fn", VALID_CALLS, ids=lambda fn: fn.__qualname__)
+def test_every_argument_slot_returns_or_refuses_with_a_qdice_error(fn):
+    args, kwargs = VALID_CALLS[fn]
+    _call(fn, args, kwargs)
+    leaks = []
+    for slot in [*range(len(args)), *kwargs]:
+        for bad in BAD_VALUES:
+            if isinstance(slot, int):
+                call = (args[:slot] + (bad,) + args[slot + 1:], kwargs)
+            else:
+                call = (args, {**kwargs, slot: bad})
+            try:
+                _call(fn, *call)
+            except QdiceError:
+                pass
+            except Exception as exc:  # the leak under test: any other error
+                leaks.append(f"slot {slot} = {bad!r}: {type(exc).__name__}: {exc}")
+    assert not leaks
+
+
+@pytest.mark.parametrize("call", NESTED_CALLS)
+def test_a_bad_value_inside_an_argument_raises_parameter_error(call):
+    with pytest.raises(ParameterError):
+        _call(NESTED_CALLS[call], (), {})
