@@ -37,12 +37,13 @@ def check_items(items, kind: type, what: str) -> tuple:
 def check_integer(value: int, what: str, low: float = -math.inf, high: float = math.inf) -> None:
     """Refuse a bool, a value that ``operator.index`` rejects (such as 2.0 or
     2.5), and an integer outside low..high."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+    if type(value) is not int:  # an exact int needs no further test
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            raise ParameterError(f"{what} must be an integer, got {value!r}") from None
     if not low <= value <= high:
         raise ParameterError(f"{what} must lie in {low}..{high}, got {value}")
 

@@ -11,14 +11,20 @@ Every binary test (``projective_test``, ``wcf``'s audits) has one rule,
 weights' sum, so a test with no fail amplitude passes with probability 1.
 
 Each state is checked once, when it is built: ``StateVector`` refuses a
-wrong shape and any amplitudes whose norm is not 1 (NaN included), so the
-operations trust the states they are given and do not re-check them. Every
-squared norm, in that check, in ``_weights`` and in ``adversary``'s cheat
-values, comes from one helper, ``_squared_norm``.
+wrong shape, text and any amplitudes whose norm is not 1 (NaN included), so
+the operations trust the states they are given and do not re-check them.
+Every squared norm, in that check, in ``_weights`` and in ``adversary``'s
+cheat values, comes from one helper, ``_squared_norm``.
 
-All operations are pure: they validate their inputs, return fresh
-``StateVector`` instances and never mutate anything, so they are safe to
-evaluate concurrently. Amplitude arrays are read-only, which lets ``ket``
+Each step of the protocol's evolution is one private, unchecked kernel on
+raw arrays (``_attach``, ``_rotate``, ``_split``), which ``wcf._evolve``
+chains; ``attach_down_ancilla_qubit``, ``apply_u_eta`` and
+``projective_test`` are their checked wrappers, and ``_state`` wraps what
+they make from a checked state without checking it again.
+
+All public operations are pure: they validate their inputs, return fresh
+``StateVector`` instances and never mutate their arguments, so they are safe
+to evaluate concurrently. Amplitude arrays are read-only, which lets ``ket``
 hand out one shared, immutable state per (label, ancilla dimension).
 """
 from __future__ import annotations
@@ -63,14 +69,15 @@ class BasisLabel:
     def __post_init__(self) -> None:
         _checks.check_type(self.bits, tuple, "bits")
         for bit in self.bits:
-            _checks.check_integer(bit, "spin", 0, 1)
+            if type(bit) is not Spin:  # a Spin member is a spin already
+                _checks.check_integer(bit, "spin", 0, 1)
         _checks.check_integer(self.ancilla, "ancilla index", 0)
 
     @classmethod
     def parse(cls, text: str, ancilla: int = 0) -> "BasisLabel":
         """Build a label from a string of 'u'/'d' characters, e.g. ``"udd"``."""
         try:
-            bits = tuple(_SPIN_FROM_CHAR[ch] for ch in text)
+            bits = tuple(map(_SPIN_FROM_CHAR.__getitem__, text))
         except (KeyError, TypeError):  # TypeError: not iterable, or unhashable characters
             raise ParameterError(f"basis label may only contain 'u'/'d': {text!r}") from None
         return cls(bits, ancilla)
@@ -106,8 +113,8 @@ class StateVector:
 
     def __post_init__(self) -> None:
         try:
-            amps = np.array(self.amps, dtype=complex, order="C")  # a copy, even of a complex array
-        except (TypeError, ValueError):  # a string, or a ragged nest of sequences
+            amps = np.array(_numbers(self.amps), dtype=complex, order="C")  # a copy, even of a complex array
+        except (TypeError, ValueError, OverflowError):  # text, a ragged nest, an int beyond the floats
             raise ParameterError(f"amplitudes must be an array of numbers, got {self.amps!r}") from None
         shape = amps.shape
         if not 2 <= len(shape) <= MAX_QUBITS + 1:
@@ -147,8 +154,8 @@ class StateVector:
             if not 0 <= label.ancilla < ancilla_dim:
                 raise ShapeError(f"ancilla index {label.ancilla} >= dim {ancilla_dim}")
             try:
-                amps[tuple(int(b) for b in label.bits) + (label.ancilla,)] = amplitude
-            except (TypeError, ValueError):  # numpy refuses what it cannot read as one complex number
+                amps[tuple(int(b) for b in label.bits) + (label.ancilla,)] = _numbers(amplitude)
+            except (TypeError, ValueError, OverflowError):  # text, or not one complex number
                 raise ParameterError(f"amplitude of {label} must be a number, got {amplitude!r}") from None
         return cls(amps)
 
@@ -188,6 +195,24 @@ def _squared_norm(amps: np.ndarray) -> float:
     return float(np.vdot(amps, amps).real)
 
 
+def _numbers(values) -> np.ndarray:
+    """``values`` as an array; TypeError if it holds str or bytes, which numpy would parse."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind in "SU" or kind == "O" and any(isinstance(v, (str, bytes)) for v in values.flat):
+        raise TypeError
+    return values
+
+
+def _state(amps: np.ndarray) -> StateVector:
+    """Fresh amplitudes that a unitary or a renormalized projection made from a
+    checked state, wrapped read-only without ``StateVector``'s copy and checks."""
+    state = object.__new__(StateVector)
+    amps.setflags(write=False)
+    object.__setattr__(state, "amps", amps)
+    return state
+
+
 def ket(label: LabelLike, ancilla_dim: int = 1) -> StateVector:
     """Shorthand for a basis ket, ``ket("ud")`` etc.; the state is shared
     between calls, which its read-only amplitudes make safe."""
@@ -223,7 +248,7 @@ class TestOutcome:
 def _branch(raw: np.ndarray, probability: float) -> TestOutcome:
     if probability < ZERO_BRANCH_TOL:
         return TestOutcome(probability, None)
-    return TestOutcome(probability, StateVector(raw / math.sqrt(probability)))
+    return TestOutcome(probability, _state(raw / math.sqrt(probability)))
 
 
 # -- operations --------------------------------------------------------------
@@ -250,6 +275,13 @@ def _contract(bra: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return bra.reshape(-1).conj() @ amps.reshape(-1, amps.shape[-1])
 
 
+def _attach(amps: np.ndarray) -> np.ndarray:
+    """Two-qubit amplitudes (2, 2, D) with a third qubit spin-down: (2, 2, 2, D)."""
+    out = np.zeros((2, 2, 2, amps.shape[-1]), dtype=complex)
+    out[:, :, int(Spin.DOWN), :] = amps
+    return out
+
+
 def attach_down_ancilla_qubit(state: StateVector) -> StateVector:
     """Tensor a fresh qubit prepared spin-down onto a two-qubit state.
 
@@ -258,9 +290,19 @@ def attach_down_ancilla_qubit(state: StateVector) -> StateVector:
     _checks.check_type(state, StateVector, "state")
     if state.n_qubits != 2:
         raise ShapeError(f"expected a 2-qubit register, got {state.n_qubits} qubits")
-    amps = np.zeros((2, 2, 2, state.ancilla_dim), dtype=complex)
-    amps[:, :, int(Spin.DOWN), :] = state.amps
-    return StateVector(amps)
+    return _state(_attach(state.amps))
+
+
+def _rotate(amps: np.ndarray, p: float, eta: float) -> np.ndarray:
+    """``apply_u_eta``'s rotation of writable amplitudes, in place, for p + eta > 0.
+    numpy computes on the contiguous slice copies faster than on strided views."""
+    c = math.sqrt(p / (p + eta))
+    s = math.sqrt(eta / (p + eta))
+    ud = amps[:, int(Spin.UP), int(Spin.DOWN), :].copy()
+    du = amps[:, int(Spin.DOWN), int(Spin.UP), :].copy()
+    amps[:, int(Spin.UP), int(Spin.DOWN), :] = c * ud + s * du
+    amps[:, int(Spin.DOWN), int(Spin.UP), :] = s * ud - c * du
+    return amps
 
 
 def apply_u_eta(state: StateVector, p: float, eta: float) -> StateVector:
@@ -269,48 +311,36 @@ def apply_u_eta(state: StateVector, p: float, eta: float) -> StateVector:
     The 2x2 block is [[c, s], [s, -c]] with c = sqrt(p/(p+eta)) and
     s = sqrt(eta/(p+eta)); all other basis states, qubit 1 and the ancilla
     index are untouched. The block is a real symmetric involution, so the
-    map is unitary and self-inverse.
+    map is unitary and self-inverse, so the rotated copy of the state's
+    amplitudes is not checked again. ``wcf._evolve`` runs its kernel, ``_rotate``.
     """
     _checks.check_type(state, StateVector, "state")
     if state.n_qubits != 3:
         raise ShapeError("the rotation acts on qubits 2 and 3 of a 3-qubit register")
     _checks.check_p_eta(p, eta)
     _checks.check_rotation_defined(p, eta)
-    c = math.sqrt(p / (p + eta))
-    s = math.sqrt(eta / (p + eta))
-    amps = np.array(state.amps)
-    ud = amps[:, int(Spin.UP), int(Spin.DOWN), :].copy()
-    du = amps[:, int(Spin.DOWN), int(Spin.UP), :].copy()
-    amps[:, int(Spin.UP), int(Spin.DOWN), :] = c * ud + s * du
-    amps[:, int(Spin.DOWN), int(Spin.UP), :] = s * ud - c * du
-    return StateVector(amps)
+    return _state(_rotate(np.array(state.amps), p, eta))
 
 
-def _pattern_index(state: StateVector, pattern: Pattern) -> tuple:
+def _pattern_index(pattern: Pattern, n_qubits: int) -> tuple:
+    """The checked pattern as an index into amplitudes of ``n_qubits`` qubits."""
     if not pattern:
         raise ShapeError("pattern must constrain at least one qubit")
-    index: list = [slice(None)] * state.amps.ndim
+    index: list = [slice(None)] * (n_qubits + 1)
     for qubit, spin in pattern.items():
         _checks.check_integer(qubit, "qubit label")
         _checks.check_integer(spin, "spin", 0, 1)
-        if not 1 <= qubit <= state.n_qubits:
-            raise ShapeError(f"qubit label {qubit} outside register of {state.n_qubits}")
+        if not 1 <= qubit <= n_qubits:
+            raise ShapeError(f"qubit label {qubit} outside register of {n_qubits}")
         index[qubit - 1] = int(spin)
     return tuple(index)
 
 
-def _project(state: StateVector, target: Union[Pattern, StateVector]) -> tuple[np.ndarray, np.ndarray]:
-    """The unnormalized (pass, fail) branches of ``state`` tested against a
-    spin pattern or a pure state."""
-    if isinstance(target, StateVector):
-        passed = overlap(target, state) * target.amps
-    elif isinstance(target, Mapping):
-        index = _pattern_index(state, target)
-        passed = np.zeros_like(state.amps)
-        passed[index] = state.amps[index]
-    else:
-        raise ShapeError(f"unsupported test target: {type(target).__name__}")
-    return passed, state.amps - passed
+def _split(amps: np.ndarray, index: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The unnormalized (pass, fail) branches of a ``_pattern_index`` test."""
+    passed = np.zeros(amps.shape, dtype=complex)
+    passed[index] = amps[index]
+    return passed, amps - passed
 
 
 def _weights(passed: np.ndarray, failed: np.ndarray) -> tuple[float, float]:
@@ -334,6 +364,12 @@ def projective_test(
     ancilla index).
     """
     _checks.check_type(state, StateVector, "state")
-    passed, failed = _project(state, target)
+    if isinstance(target, StateVector):
+        passed = overlap(target, state) * target.amps
+        failed = state.amps - passed
+    elif isinstance(target, Mapping):
+        passed, failed = _split(state.amps, _pattern_index(target, state.n_qubits))
+    else:
+        raise ShapeError(f"unsupported test target: {type(target).__name__}")
     p_pass, p_fail = _weights(passed, failed)
     return _branch(passed, p_pass), _branch(failed, p_fail)

@@ -14,7 +14,7 @@ runs through one evolution (``_evolve``). Its branches stay unnormalized:
 Bob's test splits the state into raw hit and miss branches, each audit is a
 ratio of weights on its branch, and the final audit is one contraction of
 the raw miss branch with the verification state (``qsim._contract``, the
-array math of ``qsim.overlap``).
+array math of ``qsim.overlap``), all on raw arrays through ``qsim``'s kernels.
 
 Cheating strategies are declared through :class:`CheatSpec` variants; a
 failed audit ends the run with winner ``Winner.ABORT``, which bias
@@ -37,17 +37,18 @@ from .qsim import (
     ZERO_BRANCH_TOL,
     Spin,
     StateVector,
+    _attach,
     _contract,
-    _project,
+    _pattern_index,
+    _rotate,
+    _split,
     _weights,
-    apply_u_eta,
-    attach_down_ancilla_qubit,
-    ket,
 )
 
 np = lazy_import("numpy")
 
 BOB_WIN_PATTERN = {2: Spin.UP, 3: Spin.DOWN}
+_BOB_WIN_INDEX = _pattern_index(BOB_WIN_PATTERN, 3)
 
 
 @dataclass(frozen=True)
@@ -155,12 +156,18 @@ def honest_initial_state(params: ProtocolParams) -> StateVector:
 
 def verification_state(params: ProtocolParams) -> StateVector:
     """Three-qubit state Bob tests for when he loses."""
+    _checks.check_type(params, ProtocolParams, "params")
     _checks.check_p_below_one(params.p)
-    weight = max(0.0, 1.0 - params.p - params.eta)  # guard float dust at eta = 1-p
-    return StateVector(
-        math.sqrt(weight / (1.0 - params.p)) * ket("udd").amps
-        + math.sqrt(params.eta / (1.0 - params.p)) * ket("ddu").amps
-    )
+    return StateVector(_verification_amps(params.p, params.eta))
+
+
+def _verification_amps(p: float, eta: float) -> np.ndarray:
+    """``verification_state``'s amplitudes, for p below 1."""
+    xi = np.zeros((2, 2, 2, 1), dtype=complex)
+    weight = max(0.0, 1.0 - p - eta)  # guard float dust at eta = 1-p
+    xi[int(Spin.UP), int(Spin.DOWN), int(Spin.DOWN)] = math.sqrt(weight / (1.0 - p))
+    xi[int(Spin.DOWN), int(Spin.DOWN), int(Spin.UP)] = math.sqrt(eta / (1.0 - p))
+    return xi
 
 
 def alice_verification(state: StateVector) -> float:
@@ -262,24 +269,27 @@ def _evolve(params: ProtocolParams, cheat: CheatSpec) -> _Evolution:
     Monte Carlo batches only pay for the draws. This is the package's only
     attach/rotate/test chain; ``_evolve.__wrapped__`` runs it uncached.
 
-    Bob's pattern test leaves its hit and miss branches unnormalized
-    (``qsim._project``), with their chances from ``qsim._weights``, the rule
-    ``projective_test`` applies too. Both audits are ratios of weights, so
-    they read the raw branches, and ``miss_amplitudes`` is <xi|miss> taken
-    on the raw miss branch. A branch below ``ZERO_BRANCH_TOL`` counts as
-    empty, as it carries no post-state in ``projective_test``.
+    Only Alice's preparation is a checked ``StateVector``: the chain runs on
+    raw arrays through ``qsim``'s kernels, with its wrappers' refusals of
+    p + eta = 0 and, on a miss branch, of p = 1. Bob's test leaves its
+    branches unnormalized, with their chances from ``qsim._weights``; both
+    audits are ratios of weights on the raw branches, and ``miss_amplitudes``
+    is <xi|miss> on the raw miss branch. A branch below ``ZERO_BRANCH_TOL``
+    counts as empty, as it has no post-state in ``projective_test``.
     """
-    state = attach_down_ancilla_qubit(_prepare(params, cheat))
-    state = apply_u_eta(state, params.p, params.eta)
-    amplitudes = np.zeros(state.ancilla_dim, dtype=complex)
+    prepared = _prepare(params, cheat)
+    _checks.check_rotation_defined(params.p, params.eta)
+    amps = _rotate(_attach(prepared.amps), params.p, params.eta)
+    amplitudes = np.zeros(amps.shape[-1], dtype=complex)
     if isinstance(cheat, BobClaimWin):
-        return _Evolution(1.0, alice_verification(state), 0.0, amplitudes)
-    hit, miss = _project(state, BOB_WIN_PATTERN)
+        return _Evolution(1.0, _first_qubit_down(amps), 0.0, amplitudes)
+    hit, miss = _split(amps, _BOB_WIN_INDEX)
     p_hit, p_miss = _weights(hit, miss)
     first_qubit = _first_qubit_down(hit) if p_hit >= ZERO_BRANCH_TOL else 0.0
     final_state = 0.0
     if p_miss >= ZERO_BRANCH_TOL:
-        xi = verification_state(params).amps
+        _checks.check_p_below_one(params.p)
+        xi = _verification_amps(params.p, params.eta)
         amplitudes = _contract(xi, miss)
         final_state = _weights(amplitudes, miss - amplitudes * xi)[0]
     return _Evolution(p_hit, first_qubit, final_state, amplitudes)

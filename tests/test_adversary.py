@@ -122,6 +122,14 @@ def test_tilt_maximum_is_the_closed_form_to_rounding():
         assert abs(delta - closed.optimizer) <= 1e-15, params
 
 
+def test_tilt_maximum_at_a_tiny_eta_is_the_closed_form_relatively():
+    # delta* is about 4.76e-14 here, so an absolute 1e-15 bound cannot tell a
+    # cancelling formula's 4.7629e-14 from it
+    params = ProtocolParams(0.3, 1e-7)
+    closed = alice_optimal_value(params).optimizer
+    assert _tilt_maximum(params)[1] == pytest.approx(closed, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "r_ud, r_du",
     [(0.3 + 0.4j, 0.5 + 0.2j), (0.3 + 0.4j, -0.2 + 0.5j), (0.6 - 0.1j, 0.2 + 0.1j), (0.2 + 0.1j, 0.6 + 0.3j)],

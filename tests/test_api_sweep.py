@@ -78,7 +78,7 @@ from qdice.wcf import trial_rng
 
 BAD_VALUES = (
     None, "x", math.nan, math.inf, -math.inf, -1, 2.5, True, [], {}, object(), (0.1, 0.2, 0.3), b"ab",
-    np.float64("nan"), np.array([0.1, 0.2]), 10**30, -0.0, 1j,
+    np.float64("nan"), np.array([0.1, 0.2]), 10**30, -0.0, 1j, "1", b"1",
 )
 
 PARAMS = ProtocolParams(0.5, 0.1)
@@ -158,6 +158,13 @@ NESTED_CALLS = {
     "pattern-label-string": lambda: projective_test(ket("ud"), {"a": Spin.UP}),
     "pattern-label-float": lambda: projective_test(ket("ud"), {1.5: Spin.UP}),
     "amplitude-string-from-terms": lambda: StateVector.from_terms({"ud": "x"}),
+    "amplitude-numeric-string-from-terms": lambda: StateVector.from_terms({"ud": "1"}),
+    "amplitude-numeric-bytes-from-terms": lambda: StateVector.from_terms({"ud": b"1"}),
+    "amplitudes-numeric-strings-state": lambda: StateVector(np.array([["1"], ["0"]])),
+    "amplitudes-numeric-bytes-state": lambda: StateVector(np.array([[b"1"], [b"0"]])),
+    "amplitudes-numeric-string-objects-state": lambda: StateVector(np.array([["1"], [0]], dtype=object)),
+    "amplitude-beyond-float-from-terms": lambda: StateVector.from_terms({"ud": 10**400}),
+    "amplitude-beyond-float-state": lambda: StateVector([[10**400], [0]]),
     "bracket-end-beyond-float-find-root": lambda: find_root(lambda x: x, (0.0, 10**400)),
     "p-one-element-array-params": lambda: ProtocolParams(np.array([0.5]), 0.1),
     "delta-one-element-array": lambda: alice_value_at_delta(PARAMS, np.array([0.3])),

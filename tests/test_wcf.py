@@ -168,6 +168,7 @@ WRONG_TYPE_CALLS = {
     "square-string-three-sided": lambda: optimize_three_sided(2, square_cheat_term="no"),
     "preparer-array-stage": lambda: StageParams(2, ProtocolParams(0.5, 0.1), np.array(["a", "b"])),
     "terms-none-state-from-terms": lambda: StateVector.from_terms(None),
+    "params-none-verification-state": lambda: wcf.verification_state(None),
 }
 
 
@@ -293,6 +294,60 @@ def test_evolution_on_raw_branches_equals_the_public_chain(ancilla_dim):
         assert abs(evolution.first_qubit_pass - first_qubit) <= 1e-15
         assert abs(evolution.final_state_pass - final_state) <= 1e-15
         assert np.max(np.abs(evolution.miss_amplitudes - amplitudes)) <= 1e-15
+
+
+PINNED_GENERAL = AliceGeneral((0.5, 0.5j, -0.5, 0.5), ancillas=((1.0, 0.0), (0.6, 0.8j), (0.8, -0.6), (0.0, 1.0)))
+PINNED_CHEATS = {
+    "honest": Honest(), "claim-win": BobClaimWin(), "tilt": AliceDelta(0.3),
+    "general-ancilla2": PINNED_GENERAL, "basis": adversary._BASIS,
+}
+#: float.hex of bob_win_prob, first_qubit_pass, final_state_pass and the real
+#: and imaginary part of each miss amplitude, near the fair point and at eta = 1 - p
+EVOLUTIONS_PINNED = {
+    (0.5, "honest"): ("0x1.0000000000001p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                      ("0x1.6a09e667f3bccp-1", "0x0.0p+0")),
+    (0.5, "claim-win"): ("0x1.0000000000000p+0", "0x1.6a09e667f3bcep-1", "0x0.0p+0",
+                         ("0x0.0p+0", "0x0.0p+0")),
+    (0.5, "tilt"): ("0x1.b27247aff148dp-3", "0x1.0000000000000p+0", "0x1.c0e789666ae08p-1",
+                    ("0x1.a989cde8c87b6p-1", "0x0.0p+0")),
+    (0.5, "general-ancilla2"): ("0x1.6a09e667f3bcdp-2", "0x1.0000000000000p-1", "0x1.655928bda0ebdp-3",
+                                ("-0x1.1d560c4da90c9p-3", "0x1.d63dcc804cb42p-3", "-0x1.9cfc8770d226ep-3",
+                                 "0x0.0p+0")),
+    (0.5, "basis"): ("0x1.6a09e667f3bccp-2", "0x1.0000000000000p-1", "0x1.1805a83b66b50p-2",
+                     ("0x0.0p+0", "0x0.0p+0", "0x1.87de2a6aea962p-2", "0x0.0p+0", "0x1.64ab8f61134fbp-3",
+                      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    (0.3, "honest"): ("0x1.3333333333332p-2", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                      ("0x1.ac5eb3f7ab2f8p-1", "0x0.0p+0")),
+    (0.3, "claim-win"): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0",
+                         ("0x0.0p+0", "0x0.0p+0")),
+    (0.3, "tilt"): ("0x1.70a3d70a3d707p-4", "0x1.0000000000000p+0", "0x1.d89d89d89d89dp-3",
+                    ("0x1.d54178e8830d5p-2", "0x0.0p+0")),
+    (0.3, "general-ancilla2"): ("0x1.3333333333332p-3", "0x1.0000000000001p-1", "0x1.a5a5a5a5a5a5ap-3",
+                                ("-0x1.56b22992ef594p-2", "0x0.0p+0", "0x1.01059f2e3382ep-2", "0x0.0p+0")),
+    (0.3, "basis"): ("0x1.3333333333332p-3", "0x1.0000000000000p-1", "0x1.a5a5a5a5a5a5ap-3",
+                     ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.ac5eb3f7ab2f8p-2", "0x0.0p+0",
+                      "0x0.0p+0", "0x0.0p+0")),
+}
+PINNED_ETAS = {0.5: 0.2071067811865476, 0.3: 1 - 0.3}
+
+
+@pytest.mark.parametrize("p, cheat", EVOLUTIONS_PINNED, ids=str)
+def test_evolutions_are_pinned_to_the_bit(p, cheat):
+    evolution = wcf._evolve.__wrapped__(ProtocolParams(p, PINNED_ETAS[p]), PINNED_CHEATS[cheat])
+    amplitudes = tuple(x for a in evolution.miss_amplitudes.tolist() for x in (a.real.hex(), a.imag.hex()))
+    probabilities = (evolution.bob_win_prob, evolution.first_qubit_pass, evolution.final_state_pass)
+    assert (*(x.hex() for x in probabilities), amplitudes) == EVOLUTIONS_PINNED[p, cheat]
+
+
+def test_a_branch_below_the_zero_branch_tolerance_is_empty():
+    """Honest play leaves Bob's miss branch with weight 1 - p: at 1e-9 it is
+    audited, at 1e-13 it counts as empty (``qsim.ZERO_BRANCH_TOL``, 1e-12)."""
+    audited = wcf._evolve.__wrapped__(ProtocolParams(1 - 1e-9, 0.0), Honest())
+    assert audited.final_state_pass == 1.0
+    assert abs(audited.miss_amplitudes[0]) > 0.0
+    empty = wcf._evolve.__wrapped__(ProtocolParams(1 - 1e-13, 0.0), Honest())
+    assert empty.final_state_pass == 0.0
+    assert abs(empty.miss_amplitudes[0]) == 0.0
 
 
 # -- honest Monte Carlo ----------------------------------------------------------
