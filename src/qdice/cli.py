@@ -377,29 +377,17 @@ def _cmd_solve(args: argparse.Namespace) -> dict:
         bracket = (parts[0], parts[1])
     report = _base_report({"command": "solve", "target": args.target, "bracket": list(bracket) if bracket else None})
     if args.target == "balanced":
-        solution = dicer.solve_balanced(bracket)
-        report["analytic"] = {
-            "eta_star": solution.eta_star,
-            "alice_optimal": solution.achieved_values[0],
-            "bob_optimal": solution.achieved_values[1],
-            "residual": solution.residual,
-            "bias": solution.achieved_values[0] - 0.5,
-        }
+        ladder = dicer.solve_balanced(bracket)
+        # each player's optimal cheat wins what the other, playing honestly, loses at worst
+        bob_optimal, alice_optimal = ladder.worst_case_losing
+        analytic = {"alice_optimal": alice_optimal, "bob_optimal": bob_optimal}
     else:
-        case = 1 if args.target.endswith("case1") else 2
-        optimum = dicer.optimize_three_sided(case, bracket=bracket)
-        report["analytic"] = {
-            "eta_star": optimum.eta_star,
-            "worst_case": optimum.worst_case,
-            "bias": optimum.bias,
-            "residual": optimum.solution.residual,
-            "per_party_losing": list(optimum.worst_case_losing),
-        }
-        report["bounds"] = {
-            "epsilon": max(optimum.biases),
-            "bound": optimum.bound,
-            "holds": optimum.bound_holds,
-        }
+        ladder = dicer.optimize_three_sided(1 if args.target.endswith("case1") else 2, bracket=bracket)
+        analytic = {"worst_case": max(ladder.worst_case_losing), "per_party_losing": list(ladder.worst_case_losing)}
+        report["bounds"] = {"epsilon": ladder.epsilon, "bound": ladder.bound, "holds": ladder.bound_holds}
+    last = ladder.stages[-1]
+    analytic.update(eta_star=last.stage.params.eta, bias=ladder.epsilon, residual=last.residual)
+    report["analytic"] = analytic
     return report
 
 

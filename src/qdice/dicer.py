@@ -22,10 +22,12 @@ two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
 At stage 2 (p = 1/2) both layouts are the same coin. A fair ladder, for any
 N and either layout, is solved stage by stage from that coin on: each eta
 equalizes the entrant's worst-case losing probability with that of the
-parties already in, so all N parties end with the same worst case. The
-balanced coin (W = 1/sqrt(2) at eta* = (sqrt(2) - 1) / 2) is its N = 2
-instance, the six-round three-sided protocol its N = 3 instance (biases
-0.181 and 0.199).
+parties already in, so all N parties end with the same worst case. One
+``FairLadder`` holds a solved ladder of any N, with every party's worst-case
+losing chance and the bias bound check. The balanced coin (W = 1/sqrt(2) at
+eta* = (sqrt(2) - 1) / 2, ``solve_balanced``) is its N = 2 instance, the
+six-round three-sided protocol (``optimize_three_sided``) its N = 3 instance
+(biases 0.181 and 0.199).
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from . import adversary
 from . import _checks
 from ._lazy import lazy_import
 from .errors import ParameterError
-from .fairness import FairnessSolution, find_root
+from .fairness import find_root
 from .wcf import (
     DRAWS_PER_FLIP,
     FINAL_STATE_ABORT,
@@ -213,24 +215,20 @@ def _layout_losses(p: float, case: int, eta: float, square_cheat_term: bool) -> 
 
 
 #: stage 3's default brackets by case, narrower than its [0, 1-p]: bisecting
-#: [0, 1-p] instead moves the last bits of its eta*, which reports print
+#: [0, 1-p] instead moves its eta* by 2.4e-13 (case 1) or 4.9e-13 (case 2),
+#: which changes the residual that the ``solve dice3-*`` reports print
 _THREE_SIDED_BRACKETS = {1: (0.10, 0.20), 2: (0.15, 0.25)}
 
 
 class _FairStage(NamedTuple):
     """One solved stage: its flip, the entrant's and the incumbent's
-    worst-case stage losses there, and the survivors' composed loss."""
+    worst-case stage losses there, and the gap its eta leaves between the
+    entrant's loss and the composed loss of the parties already in."""
 
     stage: StageParams
     entrant: float
     incumbent: float
-    survivors: float
-
-    def solution(self) -> FairnessSolution:
-        """The stage's eta with the two losses it equalizes."""
-        return FairnessSolution(
-            self.stage.params.eta, (self.entrant, self.survivors), abs(self.entrant - self.survivors)
-        )
+    residual: float
 
 
 def _fair_stages(
@@ -278,59 +276,69 @@ def _fair_stages(
         eta = find_root(residual, stage_bracket)
         entrant, incumbent = _stage_losses(m, layout, eta, square_cheat_term)
         stage = StageParams(m, ProtocolParams(p, eta), INCUMBENT if layout == 1 else ENTRANT)
-        stages.append(_FairStage(stage, entrant, incumbent, _compose(((survivors, 1.0), (incumbent, 1.0)))[0]))
+        stages.append(_FairStage(stage, entrant, incumbent, abs(residual(eta))))
         survivors = entrant
     return tuple(stages)
 
 
-def solve_balanced(bracket: tuple[float, float] | None = None) -> FairnessSolution:
-    """The balanced coin (p = 1/2): the single stage of the fair two-party
-    ladder, whose eta equalizes Alice's and Bob's cheat values. ``bracket``
-    replaces its default [0, 1/2]."""
-    (coin,) = _fair_stages(2, 1, bracket)
-    return coin.solution()
-
-
 @dataclass(frozen=True)
-class ThreeSidedOptimum:
-    """Stage 3 of the solved fair three-party ladder, with every party's
-    worst-case losing probability and the bias bound check."""
+class FairLadder:
+    """A fair ladder solved for any N: its stages from the balanced coin on
+    (``_fair_stages``), with every party's worst-case losing chance and the
+    bias bound check built from each party's own stage biases."""
 
-    case: int
-    solution: FairnessSolution
-    worst_case_losing: tuple[float, float, float]
-    biases: tuple[float, float, float]
+    stages: tuple[_FairStage, ...]
+    #: each party's worst-case losing chance, party 1 first
+    worst_case_losing: tuple[float, ...]
+    #: the largest of them minus the honest (N-1)/N
+    epsilon: float
+    #: N times the largest stage bias that any party plays
     bound: float
+    #: whether every party's bias is at most N times its own largest stage bias
     bound_holds: bool
 
-    @property
-    def eta_star(self) -> float:
-        return self.solution.eta_star
 
-    @property
-    def worst_case(self) -> float:
-        return self.solution.achieved_values[0]
+def _fair_ladder(stages: tuple[_FairStage, ...]) -> FairLadder:
+    """The ``FairLadder`` of solved stages. A party loses its entry stage as
+    the entrant (party 1 the coin, as its incumbent), then each later stage
+    as the incumbent; ``_compose`` composes those losses. A stage bias is a
+    loss minus the honest one, (m-1)/m for entrant m and 1/m for its
+    incumbent. The loop takes the parties from the last entrant back, so a
+    party's later stages are the ones it has already passed."""
+    n_parties = len(stages) + 1
+    worst, largest, later_losses, later_biases = [], [], [], []
+    for solved in reversed(stages):
+        m = solved.stage.entrant
+        worst.append(_compose([(solved.entrant, 1.0), *later_losses])[0])
+        largest.append(max([solved.entrant - (m - 1) / m, *later_biases]))
+        later_losses.insert(0, (solved.incumbent, 1.0))
+        later_biases.append(solved.incumbent - 1 / m)
+    worst.append(_compose(later_losses)[0])  # party 1
+    largest.append(max(later_biases))
+    honest = (n_parties - 1) / n_parties
+    return FairLadder(
+        stages,
+        tuple(reversed(worst)),
+        max(worst) - honest,
+        n_parties * max(largest),
+        all(losing - honest <= n_parties * bias for losing, bias in zip(worst, largest)),
+    )
 
-    @property
-    def bias(self) -> float:
-        return self.worst_case - 2.0 / 3.0
+
+def solve_balanced(bracket: tuple[float, float] | None = None) -> FairLadder:
+    """The fair two-party ladder: its one stage, the balanced coin (p = 1/2),
+    has the eta that equalizes Alice's and Bob's cheat values. ``bracket``
+    replaces its default [0, 1/2]."""
+    return _fair_ladder(_fair_stages(2, 1, bracket))
 
 
 def optimize_three_sided(
     case: int, bracket: tuple[float, float] | None = None, square_cheat_term: bool = True
-) -> ThreeSidedOptimum:
-    """Equalize all three parties' worst-case losing probabilities: stage 3
-    of the solved fair three-party ladder (see ``_fair_stages``; ``bracket``
-    replaces stage 3's), with eta*, the common value and the bias."""
-    coin, stage = _fair_stages(3, case, bracket, square_cheat_term)
-    solution = stage.solution()
-    claire, composed = solution.achieved_values
-    # parties ordered (Alice, Bob, Claire); Claire is entrant 3
-    worst_by_party = (composed, composed, claire)
-    biases = tuple(v - 2.0 / 3.0 for v in worst_by_party)
-    # stage biases: entrant 2's balanced coin, then stage 3's incumbent and entrant
-    bound = 3.0 * max(coin.entrant - 0.5, stage.incumbent - 1.0 / 3.0, claire - 2.0 / 3.0)
-    return ThreeSidedOptimum(case, solution, worst_by_party, biases, bound, max(biases) <= bound)
+) -> FairLadder:
+    """The fair three-party ladder, the six-round three-sided protocol:
+    stage 3's eta equalizes all three parties' worst-case losing chances
+    (see ``_fair_stages``; ``bracket`` replaces stage 3's)."""
+    return _fair_ladder(_fair_stages(3, case, bracket, square_cheat_term))
 
 
 # -- concrete ladders and Monte Carlo ------------------------------------------

@@ -1,27 +1,18 @@
-"""The shared bracketed root finder and the shape of a fairness solution.
+"""The bracketed root finder every fair solve shares.
 
 A protocol instance is fair when the parties' worst-case losing
 probabilities coincide. Every fair solve in the toolkit (``dicer``'s
 ladders, the balanced coin among them) reduces to a 1-D maximization plus a
-1-D root solve, so bisection is all the machinery needed.
+1-D root solve, so bisection is all the machinery needed; ``dicer`` holds
+the solved ladder, ``FairLadder``.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import _checks
 from .errors import BracketError
-
-
-@dataclass(frozen=True)
-class FairnessSolution:
-    """A solved eta, the two values it equalizes, and their gap."""
-
-    eta_star: float
-    achieved_values: tuple[float, float]
-    residual: float
 
 
 def find_root(

@@ -150,6 +150,8 @@ def _preparation(amplitudes, ancillas=None) -> StateVector:
 
 
 def honest_initial_state(params: ProtocolParams) -> StateVector:
+    """Alice's honest two-qubit preparation."""
+    _checks.check_type(params, ProtocolParams, "params")
     weight = max(0.0, 1.0 - params.p - params.eta)
     return _preparation((0.0, math.sqrt(weight), math.sqrt(params.p + params.eta), 0.0))
 

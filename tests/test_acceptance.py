@@ -39,23 +39,24 @@ def _passed(number: int, detail: str) -> None:
 
 def test_criterion_01_balanced_fairness():
     start = time.perf_counter()
-    solution = solve_balanced()
+    ladder = solve_balanced()
     elapsed = time.perf_counter() - start
-    assert abs(solution.eta_star - ETA_FAIR) <= 1e-6
-    assert abs(solution.achieved_values[0] - SQRT_HALF) <= 1e-6
-    assert abs(solution.achieved_values[1] - SQRT_HALF) <= 1e-6
+    eta_star = ladder.stages[0].stage.params.eta
+    assert abs(eta_star - ETA_FAIR) <= 1e-6
+    assert abs(ladder.worst_case_losing[1] - SQRT_HALF) <= 1e-6
+    assert abs(ladder.worst_case_losing[0] - SQRT_HALF) <= 1e-6
     assert elapsed < 1.0
-    _passed(1, f"eta*={solution.eta_star:.7f}, values={solution.achieved_values[0]:.7f} in {elapsed:.3f}s")
+    _passed(1, f"eta*={eta_star:.7f}, values={ladder.worst_case_losing[1]:.7f} in {elapsed:.3f}s")
 
 
 def test_criterion_02_three_sided_case1():
     start = time.perf_counter()
-    optimum = optimize_three_sided(1)
+    ladder = optimize_three_sided(1)
     elapsed = time.perf_counter() - start
-    assert abs(optimum.worst_case - 0.848) <= 1e-3
-    assert abs(optimum.bias - 0.181) <= 1e-3
+    assert abs(ladder.worst_case_losing[-1] - 0.848) <= 1e-3
+    assert abs(ladder.epsilon - 0.181) <= 1e-3
     assert elapsed < 1.0
-    _passed(2, f"worst case {optimum.worst_case:.4f}, bias {optimum.bias:.4f} in {elapsed:.3f}s")
+    _passed(2, f"worst case {ladder.worst_case_losing[-1]:.4f}, bias {ladder.epsilon:.4f} in {elapsed:.3f}s")
 
 
 def test_criterion_03_three_sided_case2_and_squaring_decision():
@@ -63,11 +64,11 @@ def test_criterion_03_three_sided_case2_and_squaring_decision():
     squared = optimize_three_sided(2)
     literal = optimize_three_sided(2, square_cheat_term=False)
     elapsed = time.perf_counter() - start
-    assert abs(squared.bias - 0.199) <= 1e-3
+    assert abs(squared.epsilon - 0.199) <= 1e-3
     # the unsquared reading must not reproduce the target value
-    assert abs(literal.bias - 0.199) > 1e-3
+    assert abs(literal.epsilon - 0.199) > 1e-3
     assert elapsed < 1.0
-    _passed(3, f"squared bias {squared.bias:.4f}; unsquared reading gives {literal.bias:.4f}")
+    _passed(3, f"squared bias {squared.epsilon:.4f}; unsquared reading gives {literal.epsilon:.4f}")
 
 
 def test_criterion_04_oracle_equivalence_on_grid():

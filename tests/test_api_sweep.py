@@ -1,15 +1,18 @@
 """One refusal sweep over the public API.
 
-Each callable of ``qdice.__all__``, each public function the benchmark
-reads and the classmethods of ``BasisLabel``, ``StateVector`` and
-``LadderSpec`` has one valid call below. Each argument slot of that call in
-turn takes every value of ``BAD_VALUES`` while the other arguments stay
-valid, and the call must return or raise a ``QdiceError``, with warnings
-raised as errors. The enums ``Spin`` and ``Winner`` are not swept: calling
-one looks up a member, and its ``ValueError`` is the enum protocol.
+Each callable of ``qdice.__all__``, each public function and class that
+``qsim``, ``wcf``, ``adversary``, ``fairness`` and ``dicer`` define
+themselves (the callables ``perfbench/spans.py`` traces) and the
+classmethods of ``BasisLabel``, ``StateVector`` and ``LadderSpec`` has one
+valid call below. Each argument slot of that call in turn takes every value
+of ``BAD_VALUES`` while the other arguments stay valid, and the call must
+return or raise a ``QdiceError``, with warnings raised as errors. The enums
+``Spin`` and ``Winner`` are not swept: calling one looks up a member, and
+its ``ValueError`` is the enum protocol.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from collections import Counter
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 import qdice
+from qdice import adversary, dicer, fairness, qsim, wcf
 from qdice import (
     AliceDelta,
     AliceGeneral,
@@ -30,7 +34,7 @@ from qdice import (
     Coalition,
     DegenerateParameterError,
     DiceReport,
-    FairnessSolution,
+    FairLadder,
     Honest,
     LadderSpec,
     Outcome,
@@ -41,7 +45,6 @@ from qdice import (
     Spin,
     StageParams,
     StateVector,
-    ThreeSidedOptimum,
     Transcript,
     TrialStats,
     Winner,
@@ -73,8 +76,8 @@ from qdice.adversary import (
     max_delta_family,
     sample_cheat_values,
 )
-from qdice.dicer import expected_coalition_losing
-from qdice.wcf import trial_rng
+from qdice.dicer import BoundCheck, StageRun, expected_coalition_losing
+from qdice.wcf import Event, honest_initial_state, trial_rng, verification_state
 
 BAD_VALUES = (
     None, "x", math.nan, math.inf, -math.inf, -1, 2.5, True, [], {}, object(), (0.1, 0.2, 0.3), b"ab",
@@ -83,7 +86,7 @@ BAD_VALUES = (
 
 PARAMS = ProtocolParams(0.5, 0.1)
 SPEC = LadderSpec.uniform(3)
-SOLUTION = FairnessSolution(0.2, (0.7, 0.7), 0.0)
+LADDER = solve_balanced()
 
 #: one valid call per swept callable, as (args, kwargs)
 VALID_CALLS = {
@@ -117,6 +120,9 @@ VALID_CALLS = {
     run_protocol: ((PARAMS, Honest(), np.random.default_rng(0)), {}),
     run_trials: ((PARAMS, Honest(), 10, 0), {}),
     trial_rng: ((0, 0), {}),
+    honest_initial_state: ((PARAMS,), {}),
+    verification_state: ((PARAMS,), {}),
+    Event: (("prepare", "alice", "state"), {}),
     CheatValue: ((0.5, None), {}),
     alice_value_at_delta: ((PARAMS, 0.3), {}),
     alice_value_at_delta_via_states: ((PARAMS, 0.3), {}),
@@ -128,15 +134,16 @@ VALID_CALLS = {
     sample_cheat_values: ((PARAMS, 10), {"ancilla_dim": 1, "seed": 0, "min_unused_weight": 0.0,
                                          "orthogonal_pair": False}),
     brute_force_alice: ((PARAMS,), {"grid_points": 1000, "ancilla_dim": 1, "random_samples": 10, "seed": 0}),
-    FairnessSolution: ((0.2, (0.7, 0.7), 0.0), {}),
     find_root: ((lambda x: x - 0.3, (0.0, 1.0), 1e-12), {}),
     solve_balanced: ((None,), {}),
     honest_dice_probs: ((3,), {}),
     worst_case_losing_prob: ((1, 3, [0.1, 0.1]), {}),
     bias_bound_check: ((1, 3, [0.1, 0.1]), {}),
     optimize_three_sided: ((1, None, True), {}),
-    ThreeSidedOptimum: ((1, SOLUTION, (0.7, 0.7, 0.7), (0.0, 0.0, 0.0), 0.1, True), {}),
+    FairLadder: ((LADDER.stages, LADDER.worst_case_losing, LADDER.epsilon, LADDER.bound, LADDER.bound_holds), {}),
+    BoundCheck: ((0.1, 0.3, True, 0.8), {}),
     DiceReport: ((3, 10, (4, 3, 3), 0, (SPEC, None, 0), ()), {}),
+    StageRun: ((2, 1, 2, 1, run_protocol(PARAMS, Honest(), np.random.default_rng(0))), {}),
     LadderSpec: ((3, SPEC.stages), {}),
     LadderSpec.uniform: ((3, 0.0), {}),
     LadderSpec.fair: ((3, 1), {}),
@@ -178,7 +185,13 @@ def _call(fn, args: tuple, kwargs: dict) -> None:
 
 
 def test_the_sweep_covers_every_public_callable():
-    public = (getattr(qdice, name) for name in qdice.__all__)
+    public = [getattr(qdice, name) for name in qdice.__all__]
+    for module in (qsim, wcf, adversary, fairness, dicer):
+        public += [
+            obj for name, obj in vars(module).items()
+            if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+        ]
     swept = {obj for obj in public if callable(obj) and not isinstance(obj, EnumMeta)}
     assert swept <= set(VALID_CALLS)
 

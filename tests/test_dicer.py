@@ -41,6 +41,7 @@ from qdice.dicer import (
     INCUMBENT,
     MAX_PARTIES,
     StageRun,
+    _fair_ladder,
     _fair_stages,
     _losing_recursion,
     _stage_losses,
@@ -332,28 +333,28 @@ def test_stage_values_domain_errors():
 
 
 def test_optimize_case1():
-    optimum = optimize_three_sided(1)
-    assert optimum.eta_star == pytest.approx(CASE1_ETA_STAR, abs=1e-9)
-    assert optimum.worst_case == pytest.approx(CASE1_WORST_CASE, abs=1e-9)
-    assert optimum.bias == pytest.approx(CASE1_BIAS, abs=1e-9)
-    assert optimum.solution.residual < 1e-10
-    assert optimum.bound_holds
+    ladder = optimize_three_sided(1)
+    assert ladder.stages[-1].stage.params.eta == pytest.approx(CASE1_ETA_STAR, abs=1e-9)
+    assert ladder.worst_case_losing[-1] == pytest.approx(CASE1_WORST_CASE, abs=1e-9)
+    assert ladder.epsilon == pytest.approx(CASE1_BIAS, abs=1e-9)
+    assert ladder.stages[-1].residual < 1e-10
+    assert ladder.bound_holds
 
 
 def test_optimize_case2():
-    optimum = optimize_three_sided(2)
-    assert optimum.bias == pytest.approx(CASE2_BIAS, abs=1e-9)
-    assert optimum.worst_case == pytest.approx(2 / 3 + CASE2_BIAS, abs=1e-9)
+    ladder = optimize_three_sided(2)
+    assert ladder.epsilon == pytest.approx(CASE2_BIAS, abs=1e-9)
+    assert ladder.worst_case_losing[-1] == pytest.approx(2 / 3 + CASE2_BIAS, abs=1e-9)
 
 
 def test_optimize_case2_unsquared_reading_differs():
-    optimum = optimize_three_sided(2, square_cheat_term=False)
-    assert optimum.bias == pytest.approx(CASE2_BIAS_UNSQUARED, abs=1e-9)
-    assert abs(optimum.bias - 0.199) > 0.01
+    ladder = optimize_three_sided(2, square_cheat_term=False)
+    assert ladder.epsilon == pytest.approx(CASE2_BIAS_UNSQUARED, abs=1e-9)
+    assert abs(ladder.epsilon - 0.199) > 0.01
 
 
 def test_case1_beats_case2():
-    assert optimize_three_sided(1).bias < optimize_three_sided(2).bias
+    assert optimize_three_sided(1).epsilon < optimize_three_sided(2).epsilon
 
 
 def test_optimize_rejects_unknown_case():
@@ -384,7 +385,7 @@ def _worst_case(n_parties, case):
 @pytest.mark.parametrize("case", [1, 2])
 def test_the_coin_is_stage_2_of_every_fair_ladder(case):
     coin = _fair_stages(2, 1)[0]
-    balanced = StageParams(2, ProtocolParams(0.5, solve_balanced().eta_star), INCUMBENT)
+    balanced = StageParams(2, ProtocolParams(0.5, solve_balanced().stages[0].stage.params.eta), INCUMBENT)
     for n_parties in range(2, 17):
         assert _fair_stages(n_parties, case)[0] == coin, n_parties
         assert FAIR[n_parties, case].stages[0] == balanced, n_parties
@@ -408,17 +409,29 @@ def test_fair_ladder_equalizes_every_party(case):
 @pytest.mark.parametrize("case", [1, 2])
 def test_fair_ladder_bias_stays_below_the_bound(case):
     for n_parties in range(2, 17):
-        spec, worst = FAIR[n_parties, case], _worst_case(n_parties, case)
+        ladder = _fair_ladder(_fair_stages(n_parties, case))
+        assert ladder.stages == _fair_stages(n_parties, case)
+        assert len(ladder.worst_case_losing) == n_parties
+        epsilons, bounds = [], []
         for party in range(1, n_parties + 1):
-            biases = []
-            for stage in spec.stages[max(party, 2) - 2:]:
-                m = stage.entrant
-                entrant, incumbent = _stage_losses(m, case, stage.params.eta)
-                biases.append(entrant - (m - 1) / m if m == max(party, 2) else incumbent - 1 / m)
+            # party 1 enters the coin as its incumbent, party n >= 2 its own stage as the entrant
+            entry = ladder.stages[max(party, 2) - 2]
+            m = entry.stage.entrant
+            biases = [entry.incumbent - 1 / 2 if party == 1 else entry.entrant - (m - 1) / m]
+            biases += [later.incumbent - 1 / later.stage.entrant for later in ladder.stages[max(party, 2) - 1:]]
             check = bias_bound_check(party, n_parties, biases)
-            assert check.holds
-            assert check.epsilon == pytest.approx(worst - (n_parties - 1) / n_parties, abs=1e-10)
+            assert check.holds, (n_parties, party)
+            assert check.epsilon == pytest.approx(ladder.stages[-1].entrant - (n_parties - 1) / n_parties, abs=1e-10)
             assert check.worst_case_losing == worst_case_losing_prob(party, n_parties, biases)
+            worst = ladder.worst_case_losing[party - 1]
+            assert worst == pytest.approx(check.worst_case_losing, abs=1e-12), (n_parties, party)
+            losing = expected_coalition_losing(FAIR[n_parties, case], Coalition(honest_party=party))
+            assert worst == pytest.approx(losing, abs=1e-12), (n_parties, party)
+            epsilons.append(check.epsilon)
+            bounds.append(check.bound)
+        assert ladder.epsilon == pytest.approx(max(epsilons), abs=1e-12)
+        assert ladder.bound == max(bounds)
+        assert ladder.bound_holds
 
 
 @pytest.mark.parametrize("case", [1, 2])
@@ -426,7 +439,7 @@ def test_fair_ladder_extends_the_shorter_one(case):
     for n_parties in range(3, 17):
         assert FAIR[n_parties, case].stages[:-1] == FAIR[n_parties - 1, case].stages
     assert FAIR[3, case] == LadderSpec.three_sided(case)
-    assert FAIR[3, case].stages[1].params.eta == optimize_three_sided(case).eta_star
+    assert FAIR[3, case].stages == tuple(solved.stage for solved in optimize_three_sided(case).stages)
 
 
 def test_fair_ladder_biases_fall_with_n():

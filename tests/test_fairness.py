@@ -73,16 +73,17 @@ def test_find_root_on_three_sided_case1_residual():
 
 
 def test_solve_balanced():
-    solution = solve_balanced()
-    assert solution.eta_star == pytest.approx(ETA_FAIR, abs=1e-10)
-    assert solution.achieved_values[0] == pytest.approx(SQRT_HALF, abs=1e-10)
-    assert solution.achieved_values[1] == pytest.approx(SQRT_HALF, abs=1e-10)
-    assert solution.residual < 1e-10
+    ladder = solve_balanced()
+    (coin,) = ladder.stages
+    assert coin.stage.params.eta == pytest.approx(ETA_FAIR, abs=1e-10)
+    assert ladder.worst_case_losing[1] == pytest.approx(SQRT_HALF, abs=1e-10)
+    assert ladder.worst_case_losing[0] == pytest.approx(SQRT_HALF, abs=1e-10)
+    assert coin.residual < 1e-10
     # the fair point gives both parties the same bias
-    assert solution.achieved_values[0] - 0.5 == pytest.approx(ETA_FAIR, abs=1e-9)
+    assert ladder.worst_case_losing[1] - 0.5 == pytest.approx(ETA_FAIR, abs=1e-9)
 
 
 def test_solve_balanced_is_bracket_invariant():
     narrow = solve_balanced(bracket=(0.1, 0.4))
     wide = solve_balanced(bracket=(0.0, 0.5))
-    assert narrow.eta_star == pytest.approx(wide.eta_star, abs=1e-10)
+    assert narrow.stages[0].stage.params.eta == pytest.approx(wide.stages[0].stage.params.eta, abs=1e-10)
