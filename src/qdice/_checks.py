@@ -134,6 +134,21 @@ def check_bracket(bracket: tuple[float, float], tol: float = 1e-12) -> tuple[flo
     return lo, hi
 
 
+def check_bisection(lo: float, hi: float, tol: float) -> tuple[float, float, float]:
+    """A bracket (lo, hi) and ``tol`` that ``check_bracket`` accepted, as
+    floats, refused unless ``fairness.find_root``'s midpoints 0.5 (lo + hi)
+    and iteration budget log2((hi - lo) / tol) are finite in float
+    arithmetic: each end within half the largest float, and (hi - lo) / tol
+    neither overflowing nor 0. Ends of another type (an int, a Fraction, a
+    numpy float32) are taken as floats, so the bisection runs in floats."""
+    lo, hi, tol = float(lo), float(hi), float(tol)
+    if not math.isfinite(2.0 * max(-lo, hi)):
+        raise ParameterError(f"bracket ends must lie within half the largest float, got ({lo}, {hi})")
+    if not 0.0 < (hi - lo) / tol < math.inf:
+        raise ParameterError(f"bracket width over tolerance must be a positive finite float, got ({lo}, {hi}), tol={tol}")
+    return lo, hi, tol
+
+
 def check_normalized(vector, message: str) -> None:
     """Refuse a vector holding a non-number, and one whose squared norm is
     not 1 within 1e-9 (nan, and entries too large to square, included) with

@@ -6,10 +6,12 @@ The closed form for the preparing party (Alice) rests on two coefficients
 
 so that a tilt-delta preparation wins with probability
 (sqrt(a (1-delta)) + sqrt(b delta))^2, maximized at delta* = b / (a + b)
-with value a + b. ``_closed_form`` computes (a, b) on plain floats, and
-every closed-form value reads it: the public functions after
-``_coefficients`` checks their params, and ``dicer``'s fair-ladder residual
-between the bracket ends that ``dicer._fair_stages`` checks.
+with value a + b. ``_closed_form_at(p)`` is the one implementation of
+(a, b): it fixes p, with 1 - p computed once, and returns the function of
+eta on plain floats. Every closed-form value reads it: the public functions
+after ``_coefficients`` checks their params, and ``dicer``'s fair ladder,
+whose bisection evaluates one such function of eta per step between the
+bracket ends that ``dicer._fair_stages`` checks.
 
 The test suite refuses to take that maximization on faith:
 ``brute_force_alice`` re-derives cheat values purely by evolving states
@@ -33,6 +35,7 @@ chance, for the CLI reports and the ladders' coalition values alike.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,20 +69,26 @@ class CheatValue:
     optimizer: float | tuple | None = None
 
 
-def _closed_form(p: float, eta: float) -> tuple[float, float]:
-    """The coefficients (a, b) on plain floats, unchecked: the caller has
-    refused (p, eta) outside 0 <= eta <= 1-p, p = 1 and p + eta = 0."""
-    a = (1.0 - p - eta) / (1.0 - p)
-    b = eta**2 / ((1.0 - p) * (p + eta))
-    return max(0.0, a), b
+def _closed_form_at(p: float) -> Callable[[float], tuple[float, float]]:
+    """The coefficients (a, b) at a fixed p, as a function of eta on plain
+    floats, unchecked: the caller refuses (p, eta) outside 0 <= eta <= 1-p,
+    p = 1 and p + eta = 0. ``a`` is clipped at 0, for the eta up to 1e-12
+    above 1 - p that ``check_p_eta`` lets through."""
+    q = 1.0 - p
+
+    def closed_form(eta: float) -> tuple[float, float]:
+        a = (q - eta) / q
+        return a if a > 0.0 else 0.0, eta**2 / (q * (p + eta))
+
+    return closed_form
 
 
 def _coefficients(params: ProtocolParams) -> tuple[float, float]:
-    """``_closed_form`` at checked params."""
+    """``_closed_form_at`` at checked params."""
     _checks.check_type(params, ProtocolParams, "params")
     _checks.check_p_below_one(params.p)
     _checks.check_rotation_defined(params.p, params.eta)
-    return _closed_form(params.p, params.eta)
+    return _closed_form_at(params.p)(params.eta)
 
 
 def alice_value_at_delta(params: ProtocolParams, delta: float) -> float:

@@ -32,7 +32,7 @@ six-round three-sided protocol (``optimize_three_sided``) its N = 3 instance
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -195,23 +195,47 @@ def _stage_losses(m: int, case: int, eta: float, square_cheat_term: bool = True)
     tests can document that the squared form is the consistent one. Here
     (p, eta) is checked by ``_checks.check_p_eta``, as in ``ProtocolParams``; a layout's
     p lies strictly between 0 and 1, so the closed form is defined for every
-    eta it accepts. ``_layout_losses`` computes the losses.
+    eta it accepts. The responder's loss is Alice's optimum a + b
+    (``adversary.alice_optimal_value``), the preparer's Bob's p + eta
+    (``adversary.bob_optimal_value``).
     """
     p = _layout_p(m, case)
     _checks.check_p_eta(p, eta)
-    return _layout_losses(p, case, eta, square_cheat_term)
-
-
-def _layout_losses(p: float, case: int, eta: float, square_cheat_term: bool) -> tuple[float, float]:
-    """``_stage_losses`` on plain floats at a (p, eta) already checked:
-    Alice's optimum a + b (``adversary.alice_optimal_value``) for the
-    responder's loss, Bob's p + eta (``adversary.bob_optimal_value``) for
-    the preparer's."""
-    a, b = adversary._closed_form(p, eta)
+    a, b = adversary._closed_form_at(p)(eta)
     responder, preparer = a + b, p + eta
     if case == 1:
         return responder, preparer
     return preparer, responder if square_cheat_term else math.sqrt(responder)
+
+
+def _stage_residual(p: float, case: int, survivors: float, square_cheat_term: bool) -> Callable[[float], float]:
+    """The fair-ladder residual of a stage at p, as a function of eta: the
+    entrant's ``_stage_losses`` minus ``_compose`` of the survivors' loss and
+    the incumbent's, that is ``entrant - (survivors + (1 - survivors) *
+    incumbent)``, with the same float operations and with the closed form
+    and 1 - survivors fixed once, so that each bisection step is one call
+    into the closed form. Unchecked: ``_fair_stages`` checks the bracket
+    ends as (p, eta)."""
+    closed_form, surviving = adversary._closed_form_at(p), 1.0 - survivors
+    if case == 1:  # the entrant responds, the incumbent prepares
+
+        def residual(eta: float) -> float:
+            a, b = closed_form(eta)
+            return a + b - (survivors + surviving * (p + eta))
+
+    elif square_cheat_term:  # the entrant prepares, the incumbent responds
+
+        def residual(eta: float) -> float:
+            a, b = closed_form(eta)
+            return p + eta - (survivors + surviving * (a + b))
+
+    else:
+
+        def residual(eta: float) -> float:
+            a, b = closed_form(eta)
+            return p + eta - (survivors + surviving * math.sqrt(a + b))
+
+    return residual
 
 
 #: stage 3's default brackets by case, narrower than its [0, 1-p]: bisecting
@@ -237,9 +261,11 @@ def _fair_stages(
     """Solve entrants 2..N of a fair ladder, one stage at a time.
 
     Before stage 2 no party is in, so the survivors' loss starts at 0.
-    Stage m picks eta with one ``find_root`` on the entrant's worst-case
-    loss minus the ``_compose`` of the survivors' and the incumbent's loss,
-    and the entrant's loss at the root is the next survivors' loss. Stage 2,
+    Stage m picks eta with one ``find_root`` on ``_stage_residual``, the
+    entrant's worst-case loss minus the ``_compose`` of the survivors' and
+    the incumbent's loss, built once at the stage's p so that a bisection
+    step is one flat call; the entrant's loss at the root, from the checked
+    ``_stage_losses``, is the next survivors' loss. Stage 2,
     the balanced coin, is the same flip in either layout and is played in
     layout 1, the incumbent preparing. Stages search [0, 1-p], stage 3 its
     case's narrower default; ``bracket`` replaces the last stage's interval,
@@ -268,11 +294,7 @@ def _fair_stages(
             stage_bracket = _THREE_SIDED_BRACKETS[case] if m == 3 else (0.0, 1.0 - p)
         for end in stage_bracket:
             _checks.check_p_eta(p, end)
-
-        def residual(eta: float) -> float:  # called only within this iteration, between the checked ends
-            entrant, incumbent = _layout_losses(p, layout, eta, square_cheat_term)
-            return entrant - _compose(((survivors, 1.0), (incumbent, 1.0)))[0]
-
+        residual = _stage_residual(p, layout, survivors, square_cheat_term)
         eta = find_root(residual, stage_bracket)
         entrant, incumbent = _stage_losses(m, layout, eta, square_cheat_term)
         stage = StageParams(m, ProtocolParams(p, eta), INCUMBENT if layout == 1 else ENTRANT)

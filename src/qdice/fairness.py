@@ -24,10 +24,12 @@ def find_root(
 
     Returns x with |f(x)| <= tol or with the bracket narrowed below tol,
     using at most ceil(log2(width / tol)) + 2 iterations. Raises
-    :class:`BracketError` when f does not change sign over the bracket.
+    :class:`BracketError` when f does not change sign over the bracket, and
+    refuses with ``ParameterError`` a bracket whose midpoints or iteration
+    budget would overflow a float (``_checks.check_bisection``).
     """
     _checks.check_type(f, Callable, "f", "must be callable")
-    lo, hi = _checks.check_bracket(bracket, tol)
+    lo, hi, tol = _checks.check_bisection(*_checks.check_bracket(bracket, tol), tol)
     f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= tol:
         return lo

@@ -445,11 +445,9 @@ def run_trials(
     _checks.check_integer(trials, "trial count", 1, MAX_TRIALS)
     _checks.check_seed(seed)
     evolution = _evolve(params, cheat)
-    codes = sum(
-        np.bincount(_flip_codes(evolution, draws), minlength=4)
-        for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP)
-    )
-    counts = Counter()
-    for (winner, _), count in zip(_OUTCOMES, codes.tolist()):
-        counts[winner] += count
+    codes = np.zeros(len(_OUTCOMES), np.int64)
+    for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP):
+        codes += np.bincount(_flip_codes(evolution, draws), minlength=len(_OUTCOMES))
+    alice, bob, final_state, first_qubit = codes.tolist()  # in _OUTCOMES order
+    counts = Counter({Winner.ALICE: alice, Winner.BOB: bob, Winner.ABORT: final_state + first_qubit})
     return TrialStats(trials, counts, (params, cheat, seed))

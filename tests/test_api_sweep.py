@@ -173,6 +173,9 @@ NESTED_CALLS = {
     "amplitude-beyond-float-from-terms": lambda: StateVector.from_terms({"ud": 10**400}),
     "amplitude-beyond-float-state": lambda: StateVector([[10**400], [0]]),
     "bracket-end-beyond-float-find-root": lambda: find_root(lambda x: x, (0.0, 10**400)),
+    "bracket-width-beyond-float-find-root": lambda: find_root(lambda x: x, (-1e308, 1e308)),
+    "bracket-midpoint-beyond-float-find-root": lambda: find_root(lambda x: x - 1.5e308, (1e308, 1.7e308)),
+    "width-over-tolerance-beyond-float-find-root": lambda: find_root(lambda x: x - 0.5, (0.0, 1.0), tol=1e-320),
     "p-one-element-array-params": lambda: ProtocolParams(np.array([0.5]), 0.1),
     "delta-one-element-array": lambda: alice_value_at_delta(PARAMS, np.array([0.3])),
 }

@@ -256,8 +256,8 @@ def sampled_residuals(monkeypatch, n_parties, case, square_cheat_term):
 
 @pytest.mark.parametrize("case, square_cheat_term", [(1, True), (2, True), (2, False)])
 def test_fair_residual_equals_the_checked_closed_forms_bit_for_bit(monkeypatch, case, square_cheat_term):
-    survivors = 0.0
-    for stage, samples in sampled_residuals(monkeypatch, 8, case, square_cheat_term):
+    survivors = 0.0  # N = 64: its first seven stages, and their samples, are N = 8's
+    for stage, samples in sampled_residuals(monkeypatch, 64, case, square_cheat_term):
         m, layout = stage.stage.entrant, 1 if stage.stage.entrant == 2 else case
         for eta, value in samples:
             params = ProtocolParams(dicer._layout_p(m, layout), eta)
@@ -282,6 +282,22 @@ FAIR_ETAS_N8 = {
 @pytest.mark.parametrize("case", [1, 2])
 def test_fair_etas_are_pinned_to_the_bit(case):
     assert tuple(stage.stage.params.eta.hex() for stage in _fair_stages(8, case)) == FAIR_ETAS_N8[case]
+
+
+#: sha256 of ``float.hex`` of every field of every stage of the 64-party fair
+#: ladder (eta, entrant, incumbent, residual), which holds every N <= 64
+FAIR_STAGES_N64_SHA256 = {
+    (1, True): "78a8b5ec7bdcc165efcef75fe871ef33940985412a44bab2a54c5de3e611690c",
+    (2, True): "4b18997a6b34a3e6d33569cacde3df24751a39cb055e38268b588263274306b7",
+    (2, False): "a1789fe806c4af3deb815279ebd10caa5c42e39bddf83768c49e7e6b44f8f7e6",
+}
+
+
+@pytest.mark.parametrize("case, square_cheat_term", FAIR_STAGES_N64_SHA256)
+def test_fair_stages_are_pinned_to_the_bit_up_to_n64(case, square_cheat_term):
+    stages = _fair_stages(64, case, square_cheat_term=square_cheat_term)
+    fields = " ".join(x.hex() for s in stages for x in (s.stage.params.eta, s.entrant, s.incumbent, s.residual))
+    assert hashlib.sha256(fields.encode()).hexdigest() == FAIR_STAGES_N64_SHA256[case, square_cheat_term]
 
 
 # -- three-sided stage values -------------------------------------------------------

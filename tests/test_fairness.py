@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import CASE1_ETA_STAR, ETA_FAIR, SQRT_HALF
@@ -52,6 +54,19 @@ def test_find_root_iteration_budget():
     assert abs(math.cos(root) - root) <= 1e-9
     # two endpoint evaluations plus at most ceil(log2(width/tol)) + 2 bisections
     assert calls - 2 <= math.ceil(math.log2(1.0 / tol)) + 2
+
+
+@pytest.mark.parametrize("ends", [(0, 1), (Fraction(0), Fraction(1)), (np.float64(0), np.float64(1)),
+                                  (np.float32(0), np.float32(1)), (np.float32(1e38), np.float32(3e38))])
+def test_find_root_bisects_any_real_ends_in_floats(ends):
+    """Ends of any real type bisect exactly as the same ends given as floats,
+    also float32 ends whose float32 midpoints and width over the tolerance
+    would overflow."""
+    lo, hi = float(ends[0]), float(ends[1])
+    for tol in (1e-12, np.float32(1e-39)):
+        root = find_root(lambda x: x - (0.7 * lo + 0.3 * hi), ends, tol)
+        assert type(root) is float
+        assert root == find_root(lambda x: x - (0.7 * lo + 0.3 * hi), (lo, hi), float(tol))
 
 
 def test_find_root_on_fairness_residual():
