@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _checks
 from ._lazy import lazy_import
+from ._record import Record
 from .errors import ParameterError
 from .qsim import _squared_norm
 from .wcf import (
@@ -61,12 +61,14 @@ np = lazy_import("numpy")
 MAX_ORACLE_POINTS = 10**6
 
 
-@dataclass(frozen=True)
-class CheatValue:
+class CheatValue(Record):
     """A cheating probability together with the strategy achieving it."""
 
-    value: float
-    optimizer: float | tuple | None = None
+    __slots__ = ("value", "optimizer")
+
+    def __init__(self, value: float, optimizer: float | tuple | None = None) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "optimizer", optimizer)
 
 
 def _closed_form_at(p: float) -> Callable[[float], tuple[float, float]]:

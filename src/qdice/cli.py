@@ -24,7 +24,6 @@ indent runs the pure-Python encoder, which the walk replaces.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -415,6 +414,8 @@ def _rounded(value: float) -> float:
 
 
 def _render_csv(report: dict) -> str:
+    import csv
+
     mc = report.get("monte_carlo")
     if not mc:
         raise ParameterError("csv output is only available for reports with a Monte Carlo section")

@@ -33,15 +33,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import adversary
 from . import _checks
 from ._lazy import lazy_import
+from ._record import Record
 from .errors import ParameterError
 from .fairness import find_root
 from .wcf import (
@@ -62,6 +61,9 @@ from .wcf import (
 
 np = lazy_import("numpy")
 
+if TYPE_CHECKING:  # imported where a Fraction is built; ``solve`` never loads it
+    from fractions import Fraction
+
 INCUMBENT = "incumbent"
 ENTRANT = "entrant"
 
@@ -79,6 +81,8 @@ def honest_dice_probs(n_parties: int) -> tuple[Fraction, ...]:
     Party n wins its entry stage with probability 1/n and survives each
     later entrant m with probability (m-1)/m, telescoping to 1/N.
     """
+    from fractions import Fraction
+
     _checks.check_integer(n_parties, "party count", 2, MAX_PARTIES)
     return (Fraction(1, n_parties),) * n_parties
 
@@ -106,6 +110,8 @@ def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> tuple[
     read. ``_compose`` runs on the integer pairs, and one ``Fraction`` is
     built from its result, so no gcd runs per stage.
     """
+    from fractions import Fraction
+
     _checks.check_integer(n_parties, "party count", 2, MAX_PARTIES)
     _checks.check_integer(n, "party", 1, n_parties)
     stages = range(max(n, 2), n_parties + 1)  # the entrants party n meets, its own entry onward
@@ -169,6 +175,8 @@ class BoundCheck(NamedTuple):
 
 def bias_bound_check(n: int, n_parties: int, biases: Sequence[float]) -> BoundCheck:
     """Compare party n's total bias against N times the largest stage bias."""
+    from fractions import Fraction
+
     losing, largest_bias = _losing_recursion(n, n_parties, biases)
     epsilon = losing - Fraction(n_parties - 1, n_parties)
     bound = n_parties * largest_bias
@@ -303,21 +311,32 @@ def _fair_stages(
     return tuple(stages)
 
 
-@dataclass(frozen=True)
-class FairLadder:
+class FairLadder(Record):
     """A fair ladder solved for any N: its stages from the balanced coin on
     (``_fair_stages``), with every party's worst-case losing chance and the
     bias bound check built from each party's own stage biases."""
 
-    stages: tuple[_FairStage, ...]
-    #: each party's worst-case losing chance, party 1 first
-    worst_case_losing: tuple[float, ...]
-    #: the largest of them minus the honest (N-1)/N
-    epsilon: float
-    #: N times the largest stage bias that any party plays
-    bound: float
-    #: whether every party's bias is at most N times its own largest stage bias
-    bound_holds: bool
+    __slots__ = (
+        "stages",
+        "worst_case_losing",  # each party's worst-case losing chance, party 1 first
+        "epsilon",            # the largest of them minus the honest (N-1)/N
+        "bound",              # N times the largest stage bias that any party plays
+        "bound_holds",        # whether every party's bias is at most N times its own largest stage bias
+    )
+
+    def __init__(
+        self,
+        stages: tuple[_FairStage, ...],
+        worst_case_losing: tuple[float, ...],
+        epsilon: float,
+        bound: float,
+        bound_holds: bool,
+    ) -> None:
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "worst_case_losing", worst_case_losing)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "bound_holds", bound_holds)
 
 
 def _fair_ladder(stages: tuple[_FairStage, ...]) -> FairLadder:
@@ -366,8 +385,7 @@ def optimize_three_sided(
 # -- concrete ladders and Monte Carlo ------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageParams:
+class StageParams(Record):
     """One ladder stage: who prepares, and the flip parameters.
 
     The entrant's honest winning chance must equal 1/entrant, which ties
@@ -375,9 +393,13 @@ class StageParams:
     incumbent preparing means p = 1/entrant.
     """
 
-    entrant: int
-    params: ProtocolParams
-    preparer: str = INCUMBENT
+    __slots__ = ("entrant", "params", "preparer")
+
+    def __init__(self, entrant: int, params: ProtocolParams, preparer: str = INCUMBENT) -> None:
+        object.__setattr__(self, "entrant", entrant)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "preparer", preparer)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _checks.check_type(self.params, ProtocolParams, "params")
@@ -395,13 +417,16 @@ class StageParams:
             )
 
 
-@dataclass(frozen=True)
-class LadderSpec:
+class LadderSpec(Record):
     """An N-party ladder: one ``StageParams`` per entrant 2..N, in order,
     stored as a tuple so a spec built from a list is hashable too."""
 
-    n_parties: int
-    stages: tuple[StageParams, ...]
+    __slots__ = ("n_parties", "stages")
+
+    def __init__(self, n_parties: int, stages: tuple[StageParams, ...]) -> None:
+        object.__setattr__(self, "n_parties", n_parties)
+        object.__setattr__(self, "stages", stages)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _checks.check_integer(self.n_parties, "party count", 2, MAX_PARTIES)
@@ -434,12 +459,14 @@ class LadderSpec:
         return cls.fair(3, case)
 
 
-@dataclass(frozen=True)
-class Coalition:
+class Coalition(Record):
     """All parties but one collude against ``honest_party``; at every stage
     the coalition plays its optimal cheat (see ``_stage_play``)."""
 
-    honest_party: int
+    __slots__ = ("honest_party",)
+
+    def __init__(self, honest_party: int) -> None:
+        object.__setattr__(self, "honest_party", honest_party)
 
 
 def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
@@ -510,18 +537,29 @@ class StageRun(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class DiceReport:
+class DiceReport(Record):
     """Monte Carlo tallies of one ladder run with its (spec, coalition,
     seed), and trial 0 as the sampler played it: one (cheat, outcome code,
     preparer, responder, winner) per stage."""
 
-    n_parties: int
-    trials: int
-    win_counts: tuple[int, ...]
-    stage_aborts: int
-    run: tuple[LadderSpec, Coalition | None, int]
-    trial_zero: tuple[tuple[CheatSpec, int, int, int, int], ...]
+    #: ``__dict__`` holds ``first_trial``
+    __slots__ = ("n_parties", "trials", "win_counts", "stage_aborts", "run", "trial_zero", "__dict__")
+
+    def __init__(
+        self,
+        n_parties: int,
+        trials: int,
+        win_counts: tuple[int, ...],
+        stage_aborts: int,
+        run: tuple[LadderSpec, Coalition | None, int],
+        trial_zero: tuple[tuple[CheatSpec, int, int, int, int], ...],
+    ) -> None:
+        object.__setattr__(self, "n_parties", n_parties)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "win_counts", win_counts)
+        object.__setattr__(self, "stage_aborts", stage_aborts)
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "trial_zero", trial_zero)
 
     @cached_property
     def first_trial(self) -> tuple[StageRun, ...]:

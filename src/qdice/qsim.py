@@ -30,13 +30,13 @@ hand out one shared, immutable state per (label, ancilla dimension).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import Mapping, Union
 
 from . import _checks
 from ._lazy import lazy_import
+from ._record import Record
 from .errors import ParameterError, ShapeError
 
 np = lazy_import("numpy")
@@ -59,12 +59,15 @@ _SPIN_FROM_CHAR = {"u": Spin.UP, "d": Spin.DOWN}
 _CHAR_FROM_SPIN = {Spin.UP: "u", Spin.DOWN: "d"}
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(Record):
     """One basis ket: a spin per labelled qubit plus an ancilla index."""
 
-    bits: tuple[Spin, ...]
-    ancilla: int = 0
+    __slots__ = ("bits", "ancilla")
+
+    def __init__(self, bits: tuple[Spin, ...], ancilla: int = 0) -> None:
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "ancilla", ancilla)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _checks.check_type(self.bits, tuple, "bits")
@@ -99,8 +102,7 @@ def _as_label(label: LabelLike) -> BasisLabel:
     return label
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Normalized pure state of the register.
 
     ``amps[q1, ..., qn, a]`` is the amplitude of the basis ket with spins
@@ -109,7 +111,11 @@ class StateVector:
     operation returns a new instance.
     """
 
-    amps: np.ndarray
+    __slots__ = ("amps",)
+
+    def __init__(self, amps: np.ndarray) -> None:
+        object.__setattr__(self, "amps", amps)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         try:
@@ -232,8 +238,7 @@ def _basis_ket(label: LabelLike, ancilla_dim: int) -> StateVector:
     return StateVector.basis(label, ancilla_dim=ancilla_dim)
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(Record):
     """One branch of a projective test.
 
     ``probability`` is the branch's share of both weights (``_weights``);
@@ -241,8 +246,11 @@ class TestOutcome:
     probability is below ``ZERO_BRANCH_TOL``.
     """
 
-    probability: float
-    post_state: StateVector | None
+    __slots__ = ("probability", "post_state")
+
+    def __init__(self, probability: float, post_state: StateVector | None) -> None:
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "post_state", post_state)
 
 
 def _branch(raw: np.ndarray, probability: float) -> TestOutcome:

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
 from . import _checks
 from ._lazy import lazy_import
+from ._record import Record
 from .errors import ParameterError, ShapeError
 from .qsim import (
     ZERO_BRANCH_TOL,
@@ -51,13 +51,16 @@ BOB_WIN_PATTERN = {2: Spin.UP, 3: Spin.DOWN}
 _BOB_WIN_INDEX = _pattern_index(BOB_WIN_PATTERN, 3)
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(Record):
     """One protocol instance: Bob's honest winning probability p and the
     security knob eta, constrained to 0 <= eta <= 1-p."""
 
-    p: float
-    eta: float
+    __slots__ = ("p", "eta")
+
+    def __init__(self, p: float, eta: float) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "eta", eta)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _checks.check_p_eta(self.p, self.eta)
@@ -75,27 +78,30 @@ def honest_win_prob(params: ProtocolParams) -> float:
 class CheatSpec:
     """Marker base class for strategy declarations."""
 
+    __slots__ = ()
     name = "base"
 
 
-@dataclass(frozen=True)
-class Honest(CheatSpec):
+class Honest(CheatSpec, Record):
+    __slots__ = ()
     name = "honest"
 
 
-@dataclass(frozen=True)
-class AliceDelta(CheatSpec):
+class AliceDelta(CheatSpec, Record):
     """Alice prepares sqrt(1-delta)|ud> + sqrt(delta)|du> instead."""
 
-    delta: float
+    __slots__ = ("delta",)
     name = "alice-delta"
+
+    def __init__(self, delta: float) -> None:
+        object.__setattr__(self, "delta", delta)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _checks.check_unit_interval(self.delta, "delta")
 
 
-@dataclass(frozen=True)
-class AliceGeneral(CheatSpec):
+class AliceGeneral(CheatSpec, Record):
     """Alice prepares an arbitrary two-qubit state, optionally entangled
     with a private ancilla.
 
@@ -105,9 +111,17 @@ class AliceGeneral(CheatSpec):
     from lists or arrays is hashable like any other.
     """
 
-    amplitudes: tuple[complex, complex, complex, complex]
-    ancillas: tuple[tuple[complex, ...], ...] | None = None
+    __slots__ = ("amplitudes", "ancillas")
     name = "alice-general"
+
+    def __init__(
+        self,
+        amplitudes: tuple[complex, complex, complex, complex],
+        ancillas: tuple[tuple[complex, ...], ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "ancillas", ancillas)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         try:
@@ -132,10 +146,10 @@ class AliceGeneral(CheatSpec):
                 _checks.check_normalized(phi, "each ancilla vector must be normalized")
 
 
-@dataclass(frozen=True)
-class BobClaimWin(CheatSpec):
+class BobClaimWin(CheatSpec, Record):
     """Bob skips his measurement and always announces that he won."""
 
+    __slots__ = ()
     name = "bob-claim-win"
 
 
@@ -209,16 +223,21 @@ _OUTCOMES = (
 _COMM_KINDS = frozenset({"send_qubit", "announce", "verdict"})
 
 
-@dataclass(frozen=True)
-class Event:
-    kind: str  # prepare | send_qubit | rotate | measure | announce | test | verdict | declare
-    actor: str
-    detail: str
+class Event(Record):
+    #: kind: prepare | send_qubit | rotate | measure | announce | test | verdict | declare
+    __slots__ = ("kind", "actor", "detail")
+
+    def __init__(self, kind: str, actor: str, detail: str) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "actor", actor)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class Transcript:
-    events: tuple[Event, ...]
+class Transcript(Record):
+    __slots__ = ("events",)
+
+    def __init__(self, events: tuple[Event, ...]) -> None:
+        object.__setattr__(self, "events", events)
 
     @property
     def comm_rounds(self) -> int:
@@ -228,11 +247,13 @@ class Transcript:
         return [{"kind": e.kind, "actor": e.actor, "detail": e.detail} for e in self.events]
 
 
-@dataclass(frozen=True)
-class Outcome:
-    winner: Winner
-    abort_reason: str | None
-    transcript: Transcript
+class Outcome(Record):
+    __slots__ = ("winner", "abort_reason", "transcript")
+
+    def __init__(self, winner: Winner, abort_reason: str | None, transcript: Transcript) -> None:
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "abort_reason", abort_reason)
+        object.__setattr__(self, "transcript", transcript)
 
 
 # -- the state machine --------------------------------------------------------
@@ -248,16 +269,26 @@ def _prepare(params: ProtocolParams, cheat: CheatSpec) -> StateVector:
     raise ParameterError(f"unknown cheat spec: {cheat!r}")
 
 
-@dataclass(frozen=True)
-class _Evolution:
+class _Evolution(Record):
     """Branch probabilities of one (params, cheat) configuration."""
 
-    bob_win_prob: float      # Bob's pattern measurement hits (1.0 when he skips it)
-    first_qubit_pass: float  # audit pass probability on the win branch
-    final_state_pass: float  # audit pass probability on the lose branch
-    #: <xi|miss> per ancilla index, on the unnormalized miss branch; its
-    #: squared norm is Alice's win-and-survive probability
-    miss_amplitudes: np.ndarray
+    __slots__ = (
+        "bob_win_prob",      # Bob's pattern measurement hits (1.0 when he skips it)
+        "first_qubit_pass",  # audit pass probability on the win branch
+        "final_state_pass",  # audit pass probability on the lose branch
+        # <xi|miss> per ancilla index, on the unnormalized miss branch; its
+        # squared norm is Alice's win-and-survive probability
+        "miss_amplitudes",
+    )
+
+    def __init__(
+        self, bob_win_prob: float, first_qubit_pass: float, final_state_pass: float, miss_amplitudes: np.ndarray
+    ) -> None:
+        object.__setattr__(self, "bob_win_prob", bob_win_prob)
+        object.__setattr__(self, "first_qubit_pass", first_qubit_pass)
+        object.__setattr__(self, "final_state_pass", final_state_pass)
+        object.__setattr__(self, "miss_amplitudes", miss_amplitudes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         self.miss_amplitudes.setflags(write=False)  # shared through the cache
@@ -392,14 +423,17 @@ def _flip_codes(evolution: _Evolution, draws: np.ndarray) -> np.ndarray:
     return hit + 2 * (~passed).view(np.int8)
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(Record):
     """Winner tallies for a batch of protocol runs, and the (params, cheat,
     seed) of the run, from which trial 0 is replayed when first read."""
 
-    trials: int
-    counts: Counter
-    run: tuple[ProtocolParams, CheatSpec, int]
+    #: ``__dict__`` holds ``first``
+    __slots__ = ("trials", "counts", "run", "__dict__")
+
+    def __init__(self, trials: int, counts: Counter, run: tuple[ProtocolParams, CheatSpec, int]) -> None:
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "run", run)
 
     @cached_property
     def first(self) -> Outcome:

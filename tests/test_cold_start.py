@@ -1,6 +1,8 @@
 """Fresh-interpreter runs of the CLI: the analytic commands never execute
 numpy, and the commands that need it load it on first use with reports
-byte-identical to the golden ones.
+byte-identical to the golden ones. Importing qdice loads no module it uses
+only on some paths (``fractions``, ``csv``) or not at all (``dataclasses``
+and ``inspect``), nor does a ``solve`` or ``--version`` run.
 
 The rest of the suite imports numpy before qdice, so only these subprocess
 runs take the lazy path.
@@ -46,6 +48,31 @@ ANALYTIC = [
     ["--version"],
 ]
 
+#: Modules that importing qdice and qdice.cli, and a ``solve`` or
+#: ``--version`` run, must leave unloaded.
+UNLOADED = ("dataclasses", "inspect", "fractions", "csv")
+
+#: Imports qdice and qdice.cli in a fresh interpreter, then runs ``cli.main``
+#: on argv when one is given, and fails (exit 1) naming each module of
+#: ``UNLOADED`` that either step loaded.
+RUN_LEAN = f"""
+import sys
+
+def loaded():
+    return [name for name in {UNLOADED!r} if name in sys.modules]
+
+import qdice, qdice.cli
+if loaded():
+    sys.exit(f"loaded by importing qdice: {{loaded()}}")
+if len(sys.argv) > 1:
+    try:
+        qdice.cli.main(sys.argv[1:])
+    except SystemExit:  # --version exits from argparse
+        pass
+    if loaded():
+        sys.exit(f"loaded by {{sys.argv[1:]}}: {{loaded()}}")
+"""
+
 #: Eight threads make their first numpy access through qdice at once; prints
 #: how many finished and the errors they raised.
 RACE = """
@@ -84,6 +111,12 @@ def test_analytic_commands_never_execute_numpy(argv, tmp_path):
     done = _run_fresh(RUN_CLI, ["analytic", *argv], tmp_path)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout
+
+
+@pytest.mark.parametrize("argv", [[], *ANALYTIC[:3], ["--version"]], ids=lambda argv: " ".join(argv) or "import")
+def test_import_and_solve_load_no_dataclasses_inspect_fractions_or_csv(argv, tmp_path):
+    done = _run_fresh(RUN_LEAN, argv, tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 @pytest.mark.parametrize("name", ["simulate-alice-general", "simulate-dice3-case2", "cheat-third-ancilla2"])
