@@ -36,12 +36,15 @@ def check_items(items, kind: type, what: str) -> tuple:
 
 def check_integer(value: int, what: str, low: float = -math.inf, high: float = math.inf) -> None:
     """Refuse a bool, a value that ``operator.index`` rejects (such as 2.0 or
-    2.5), and an integer outside low..high."""
+    2.5), an array (even a 0-d one, which ``operator.index`` takes) and an
+    integer outside low..high."""
     if type(value) is not int:  # an exact int needs no further test
         try:
             if isinstance(value, bool):
                 raise TypeError
             operator.index(value)
+            if not isinstance(value, int) and isinstance(value, np.ndarray):
+                raise TypeError
         except TypeError:
             raise ParameterError(f"{what} must be an integer, got {value!r}") from None
     if not low <= value <= high:
@@ -56,8 +59,8 @@ def in_range(value: float, low: float, high: float, message: str, *args) -> bool
         if isinstance(value, bool):
             raise TypeError
         inside = low <= value <= high
-        if not isinstance(inside, bool) and not isinstance(inside, np.bool_):
-            raise TypeError  # an array of one number compares to an array
+        if not isinstance(inside, bool) and (not isinstance(inside, np.bool_) or isinstance(value, np.ndarray)):
+            raise TypeError  # an array compares to an array, or to a numpy bool when it is 0-d
     except (TypeError, ValueError):  # ValueError: an array's truth value is ambiguous
         raise ParameterError(message.format(*args)) from None
     return inside

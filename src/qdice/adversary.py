@@ -54,6 +54,7 @@ from .wcf import (
 )
 
 np = lazy_import("numpy")
+_seeding = lazy_import(f"{__package__}._seeding")
 
 
 #: Upper bound on the oracle's grid points and random samples: its arrays
@@ -300,7 +301,9 @@ def sample_cheat_values(
     its ancilla's norm and each value by its amplitudes' squared norm. The
     values are linear in the evolved basis amplitudes of
     :func:`_miss_amplitudes` and are pinned against
-    :func:`general_cheat_value` by tests.
+    :func:`general_cheat_value` by tests. The generator is
+    ``_seeding.seeded_rng(seed)``: the sequence of ``default_rng(seed)``,
+    built from the seed's uint32 words.
     """
     _checks.check_type(params, ProtocolParams, "params")
     _checks.check_integer(ancilla_dim, "ancilla dimension", 1, 2)
@@ -310,7 +313,7 @@ def sample_cheat_values(
     if orthogonal_pair and ancilla_dim != 2:
         raise ParameterError("an orthogonal ancilla pair needs ancilla dimension 2")
     _checks.check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = _seeding.seeded_rng(seed)
     alphas, norms = _gaussian_rows(rng, n_samples, 4)
     if min_unused_weight > 0.0:
         # Re-mix so every sample parks at least the requested weight on uu/dd;

@@ -46,6 +46,7 @@ from .qsim import (
 )
 
 np = lazy_import("numpy")
+_seeding = lazy_import(f"{__package__}._seeding")
 
 BOB_WIN_PATTERN = {2: Spin.UP, 3: Spin.DOWN}
 _BOB_WIN_INDEX = _pattern_index(BOB_WIN_PATTERN, 3)
@@ -392,10 +393,13 @@ def trial_rng(seed: int, block: int) -> np.random.Generator:
     so results do not depend on evaluation order, blocks can run in
     parallel, and the first n trials of a longer run are the n-trial run.
     The seed follows ``_checks.check_seed``, and the block is an integer >= 0.
+    The generator is ``_seeding.seeded_rng(seed, block)``: the sequence of
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(block,)))``, built
+    from the words that ``SeedSequence`` would assemble itself.
     """
     _checks.check_seed(seed)
     _checks.check_integer(block, "block", 0)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+    return _seeding.seeded_rng(seed, block)
 
 
 def _uniform_blocks(seed: int, trials: int, draws: int):
@@ -439,7 +443,7 @@ class TrialStats(Record):
     def first(self) -> Outcome:
         """Trial 0 replayed through ``run_protocol``, with its transcript."""
         params, cheat, seed = self.run
-        return run_protocol(params, cheat, trial_rng(seed, 0))
+        return run_protocol(params, cheat, _seeding.seeded_rng(seed, 0))
 
     def frequency(self, winner: Winner) -> float:
         return self.counts[winner] / self.trials

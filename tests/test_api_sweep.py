@@ -81,7 +81,7 @@ from qdice.wcf import Event, honest_initial_state, trial_rng, verification_state
 
 BAD_VALUES = (
     None, "x", math.nan, math.inf, -math.inf, -1, 2.5, True, [], {}, object(), (0.1, 0.2, 0.3), b"ab",
-    np.float64("nan"), np.array([0.1, 0.2]), 10**30, -0.0, 1j, "1", b"1",
+    np.float64("nan"), np.array([0.1, 0.2]), np.array(0.5), np.array(5), 10**30, -0.0, 1j, "1", b"1",
 )
 
 PARAMS = ProtocolParams(0.5, 0.1)
@@ -178,6 +178,9 @@ NESTED_CALLS = {
     "width-over-tolerance-beyond-float-find-root": lambda: find_root(lambda x: x - 0.5, (0.0, 1.0), tol=1e-320),
     "p-one-element-array-params": lambda: ProtocolParams(np.array([0.5]), 0.1),
     "delta-one-element-array": lambda: alice_value_at_delta(PARAMS, np.array([0.3])),
+    "p-0d-array-params": lambda: ProtocolParams(np.array(0.5), 0.1),
+    "delta-0d-array-alice-delta": lambda: AliceDelta(np.array(0.3)),
+    "trials-0d-array-run-trials": lambda: run_trials(PARAMS, Honest(), np.array(10), 0),
 }
 
 

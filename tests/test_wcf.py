@@ -39,7 +39,7 @@ from qdice import (
     solve_balanced,
     worst_case_losing_prob,
 )
-from qdice import adversary, wcf
+from qdice import _seeding, adversary, wcf
 from qdice.adversary import (
     alice_optimal_value,
     alice_value_at_delta,
@@ -486,6 +486,36 @@ def test_seed_is_an_unsigned_64_bit_integer_everywhere(entry, seed):
 def test_trial_rng_block_is_an_integer_from_0(block):
     with pytest.raises(ParameterError):
         trial_rng(1, block)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1), np.int64(2**40 + 3)]
+EDGE_BLOCKS = [0, 1, 6103, 2**32 - 1, 2**32, 2**40]
+
+
+def _random_pairs(count):
+    """(seed, block) pairs of random bit lengths, so every word count occurs."""
+    rng = np.random.default_rng(30)
+    return [
+        (int(rng.integers(2**64, dtype=np.uint64)) >> int(rng.integers(64)),
+         int(rng.integers(2**64, dtype=np.uint64)) >> int(rng.integers(64)))
+        for _ in range(count)
+    ]
+
+
+def test_seeded_streams_are_numpys_own_bit_for_bit():
+    random_pairs = _random_pairs(2000)
+    pairs = [(seed, block) for seed in EDGE_SEEDS for block in EDGE_BLOCKS] + random_pairs
+    for seed, block in pairs:
+        numpy_own = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        assert trial_rng(seed, block).bit_generator.state == numpy_own.bit_generator.state, (seed, block)
+    for seed in EDGE_SEEDS + [seed for seed, _ in random_pairs]:
+        sampler = _seeding.seeded_rng(seed)  # sample_cheat_values' generator
+        assert sampler.bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
+    for seed, block in pairs[:100]:  # requests PCG64 does not make go to numpy's generate_state
+        words = trial_rng(seed, block).bit_generator.seed_seq
+        numpy_own = np.random.SeedSequence(seed, spawn_key=(block,))
+        for n_words, dtype in [(4, np.uint64), (8, np.uint32), (3, np.uint64), (4, np.uint32)]:
+            assert np.array_equal(words.generate_state(n_words, dtype), numpy_own.generate_state(n_words, dtype))
 
 
 # -- batched sampler against the scalar reference ----------------------------------
