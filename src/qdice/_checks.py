@@ -153,9 +153,13 @@ def check_bisection(lo: float, hi: float, tol: float) -> tuple[float, float, flo
 
 
 def check_normalized(vector, message: str) -> None:
-    """Refuse a vector holding a non-number, and one whose squared norm is
-    not 1 within 1e-9 (nan, and entries too large to square, included) with
-    ``message.format(squared_norm)``."""
+    """Refuse a vector holding a non-number or an array (even a 0-d one,
+    which would leave a cheat spec unhashable), and one whose squared norm
+    is not 1 within 1e-9 (nan, and entries too large to square, included)
+    with ``message.format(squared_norm)``."""
+    for c in vector:
+        if type(c) not in (int, float, complex) and isinstance(c, np.ndarray):
+            raise ParameterError(f"amplitudes must be numbers, got an array of shape {c.shape}")
     try:
         total = sum(abs(c) ** 2 for c in vector)
     except OverflowError:

@@ -14,8 +14,11 @@ optimal tilt delta* against an honest responder. One play table,
 ``expected_coalition_losing`` and ``simulate_dice`` both read it. The
 sampler reads it through ``_ladder_plan``, which resolves a ladder's plays
 once per (spec, coalition) and stacks them over the stages, so that one
-``wcf._flip_codes`` call decides every stage of a chunk of trials; it keeps
-trial 0's plays, from which ``DiceReport`` renders transcripts.
+``wcf._flip_codes`` call decides every stage of a chunk of trials. Each
+play also becomes a takeover row, whether the entrant goes on as incumbent
+by outcome code, so that a stage moves the incumbents of a chunk with one
+table lookup and one masked assignment. The sampler keeps trial 0's plays,
+from which ``DiceReport`` renders transcripts.
 
 Stage m is the flip that party m enters. Every stage from m = 3 on has
 two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
@@ -67,8 +70,12 @@ if TYPE_CHECKING:  # imported where a Fraction is built; ``solve`` never loads i
 INCUMBENT = "incumbent"
 ENTRANT = "entrant"
 
-#: Upper bound on a ladder's party count: a trial plays N - 1 flips on
-#: 2 (N-1) uniforms, so a run's time grows with N.
+#: Upper bound on the party count N, wherever one is taken: a ladder
+#: (``LadderSpec`` and its ``uniform`` and ``fair`` builders, so every
+#: ``simulate_dice`` run, whose trials play N - 1 flips on 2 (N-1) uniforms
+#: each), ``honest_dice_probs``, and the exact recursion behind
+#: ``worst_case_losing_prob`` and ``bias_bound_check``. ``LadderSpec.fair``
+#: solves N - 1 stages, so its time grows with N too.
 MAX_PARTIES = 256
 
 
@@ -470,8 +477,7 @@ class Coalition(Record):
 
 
 def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
-    """(preparer party, responder party) for a stage; ``incumbent`` may be
-    an array of parties, one per trial."""
+    """(preparer party, responder party) for a stage with this incumbent."""
     if stage.preparer == INCUMBENT:
         return incumbent, stage.entrant
     return stage.entrant, incumbent
@@ -595,16 +601,17 @@ _PLAN_CACHE_SIZE = 64
 class _Group(NamedTuple):
     """The plays of one group of rows, stacked over the stages it covers
     (``first`` on): each stage's cheat, its branch probabilities as
-    ``_flip_codes`` reads them, and its ``preparer_wins`` row, one row per
-    stage. The arrays are read-only, since plans are shared through the
-    cache."""
+    ``_flip_codes`` reads them, and its takeover row, one row per stage.
+    A takeover row says, by outcome code, whether the entrant goes on as
+    incumbent: the play's ``preparer_wins`` XOR "the incumbent prepares".
+    The arrays are read-only, since plans are shared through the cache."""
 
     first: int
     cheats: tuple[CheatSpec, ...]
     bob_win_prob: np.ndarray
     first_qubit_pass: np.ndarray
     final_state_pass: np.ndarray
-    preparer_wins: np.ndarray
+    takes_over: np.ndarray
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -613,8 +620,11 @@ def _ladder_plan(spec: LadderSpec, coalition: Coalition | None) -> tuple[_Group 
     group of rows whose incumbent is the honest party, from the stage after
     its entry on (None without a coalition, or for the last entrant), and
     the group of all other rows, at every stage. Each stage's play comes
-    from ``_stage_play`` and its branch probabilities from ``_evolve``; the
-    plan keeps only their floats, so it holds no ``_Evolution`` alive."""
+    from ``_stage_play`` and its branch probabilities from ``_evolve``. The
+    plan keeps only their floats and, in place of the play's
+    ``preparer_wins``, its takeover row: a (stages, 4) bool table that
+    ``simulate_dice`` reads by outcome code, for the chunk's rows and for
+    trial 0's replay alike. It holds no ``_Evolution`` alive."""
 
     def group(first: int, honest_incumbent: bool) -> _Group:
         stages = spec.stages[first:]
@@ -624,7 +634,10 @@ def _ladder_plan(spec: LadderSpec, coalition: Coalition | None) -> tuple[_Group 
             np.array([getattr(evolution, name) for evolution in evolutions], dtype=float)
             for name in ("bob_win_prob", "first_qubit_pass", "final_state_pass")
         ]
-        arrays.append(np.array([play.preparer_wins for play in plays], dtype=bool))
+        arrays.append(np.array([
+            [wins != (stage.preparer == INCUMBENT) for wins in play.preparer_wins]
+            for stage, play in zip(stages, plays)
+        ], dtype=bool))
         for array in arrays:
             array.setflags(write=False)
         return _Group(first, tuple(play.cheat for play in plays), *arrays)
@@ -650,10 +663,14 @@ def simulate_dice(
     draws (``wcf._uniform_blocks``), viewed as (rows, stages, 2), one
     ``wcf._flip_codes`` call decides every stage's flip as the rows away
     from the honest party play it, and one more as the honest incumbent's
-    rows play it. The stage loop then moves the incumbent, held as an array,
-    taking the second group's code and advance row wherever the honest
-    party is the incumbent. Trial 0's plays are read back from row 0 of the
-    first chunk, and ``DiceReport.first_trial`` renders their transcripts.
+    rows play it. The incumbents are one array, party 1 in every row at
+    first. At each stage, one lookup in the stage's takeover row gives the
+    rows whose entrant takes over; wherever the honest party is the
+    incumbent, the second group's code and takeover replace the first's
+    (``np.copyto`` on those rows). The entrant is then written in place
+    into the rows it takes. Trial 0's plays are read back from row 0 of the
+    first chunk through the same takeover rows, and
+    ``DiceReport.first_trial`` renders their transcripts.
     """
     _checks.check_integer(trials, "trial count", 1, MAX_TRIALS)
     _checks.check_seed(seed)
@@ -675,13 +692,13 @@ def simulate_dice(
         incumbent = np.ones(len(draws), dtype=np.int64)
         for k, stage in enumerate(spec.stages):
             code = codes[:, k]
-            advances = elsewhere.preparer_wins[k][code]
+            takes_over = elsewhere.takes_over[k].take(code)
             if k >= honest_from:
                 j = k - honest_from
                 rows = incumbent == coalition.honest_party
                 np.copyto(code, honest_codes[:, j], where=rows)
-                advances = np.where(rows, at_honest.preparer_wins[j][code], advances)
-            incumbent = np.where(advances, *_stage_roles(stage, incumbent))
+                np.copyto(takes_over, at_honest.takes_over[j].take(code), where=rows)
+            incumbent[takes_over] = stage.entrant
         stage_aborts += int(np.count_nonzero(codes >= FINAL_STATE_ABORT))
         wins += np.bincount(incumbent, minlength=spec.n_parties + 1)
         if first_codes is None:
@@ -693,12 +710,13 @@ def simulate_dice(
         plays = at_honest if k >= honest_from and incumbent == coalition.honest_party else elsewhere
         j = k - plays.first
         preparer, responder = _stage_roles(stage, incumbent)
-        incumbent = preparer if plays.preparer_wins[j, code] else responder
+        if plays.takes_over[j, code]:
+            incumbent = stage.entrant
         trial_zero.append((plays.cheats[j], code, preparer, responder, incumbent))
     return DiceReport(
         n_parties=spec.n_parties,
         trials=trials,
-        win_counts=tuple(int(w) for w in wins[1:]),
+        win_counts=tuple(wins[1:].tolist()),
         stage_aborts=stage_aborts,
         run=(spec, coalition, seed),
         trial_zero=tuple(trial_zero),

@@ -181,6 +181,10 @@ NESTED_CALLS = {
     "p-0d-array-params": lambda: ProtocolParams(np.array(0.5), 0.1),
     "delta-0d-array-alice-delta": lambda: AliceDelta(np.array(0.3)),
     "trials-0d-array-run-trials": lambda: run_trials(PARAMS, Honest(), np.array(10), 0),
+    "amplitudes-0d-arrays-alice-general": lambda: AliceGeneral((np.array(0.0), np.array(1.0), 0, 0)),
+    "amplitude-one-element-array-alice-general": lambda: AliceGeneral((np.array([0.0]), 1, 0, 0)),
+    "ancilla-0d-arrays-alice-general": lambda: AliceGeneral((0, 1, 0, 0), ((np.array(1.0),),) * 4),
+    "ancilla-2d-array-alice-general": lambda: AliceGeneral((0, 1, 0, 0), ((np.array([[1.0], [0.0]]), 0),) * 4),
 }
 
 

@@ -598,15 +598,22 @@ LADDERS = {
     "uniform8": LadderSpec.uniform(8, eta=0.2),
 }
 
+#: (spec, trials) by name: each ladder above, and the fair eight-party ladders
+#: at one trial and at 37, on which the honest group starts at every stage as
+#: the honest party runs over 1..8 (party 8's plan has no honest group)
+LADDER_RUNS = {
+    **{name: (spec, 300 if spec.n_parties > 3 else 1_500) for name, spec in LADDERS.items()},
+    **{f"fair8-case{case}-{trials}trials": (LadderSpec.fair(8, case), trials) for case in (1, 2) for trials in (1, 37)},
+}
+
 
 @pytest.mark.parametrize(
     "name, honest_party",
-    [(name, party) for name, spec in LADDERS.items() for party in [None, *range(1, spec.n_parties + 1)]],
+    [(name, party) for name, (spec, _) in LADDER_RUNS.items() for party in [None, *range(1, spec.n_parties + 1)]],
 )
 def test_batched_ladder_equals_scalar_loop(name, honest_party):
-    spec = LADDERS[name]
+    spec, trials = LADDER_RUNS[name]
     coalition = None if honest_party is None else Coalition(honest_party=honest_party)
-    trials = 300 if spec.n_parties > 3 else 1_500
     seed = 40 + (honest_party or 0)
     report = simulate_dice(spec, trials, seed, coalition=coalition)
     assert (report.win_counts, report.stage_aborts) == scalar_ladder(spec, trials, seed, coalition)
@@ -669,14 +676,21 @@ def test_equal_but_distinct_specs_and_coalitions_give_identical_reports():
 
 
 def test_plan_arrays_are_read_only():
-    for coalition in (None, Coalition(honest_party=1), Coalition(honest_party=3)):
-        for group in dicer._ladder_plan(LADDERS["case1"], coalition):
-            if group is None:  # no coalition, or the honest party enters last
-                continue
-            arrays = (group.bob_win_prob, group.first_qubit_pass, group.final_state_pass, group.preparer_wins)
-            assert all(not array.flags.writeable for array in arrays)
-            with pytest.raises(ValueError):
-                group.bob_win_prob[0] = 0.5
+    for spec in (LADDERS["case1"], LADDERS["case2"]):
+        for coalition in (None, Coalition(honest_party=1), Coalition(honest_party=3)):
+            for group, honest_incumbent in zip(dicer._ladder_plan(spec, coalition), (True, False)):
+                if group is None:  # no coalition, or the honest party enters last
+                    continue
+                arrays = (group.bob_win_prob, group.first_qubit_pass, group.final_state_pass, group.takes_over)
+                assert all(not array.flags.writeable for array in arrays)
+                with pytest.raises(ValueError):
+                    group.bob_win_prob[0] = 0.5
+                with pytest.raises(ValueError):
+                    group.takes_over[0, 0] = not group.takes_over[0, 0]
+                # the entrant takes over where the preparer wins against an incumbent responding, and vice versa
+                for stage, row in zip(spec.stages[group.first:], group.takes_over.tolist(), strict=True):
+                    wins = _stage_play(stage, coalition, honest_incumbent).preparer_wins
+                    assert row == [won != (stage.preparer == INCUMBENT) for won in wins]
 
 
 @pytest.mark.parametrize("spec, coalition", [
