@@ -152,19 +152,27 @@ def check_bisection(lo: float, hi: float, tol: float) -> tuple[float, float, flo
     return lo, hi, tol
 
 
+_EXACT_NUMBERS = frozenset((int, float, complex))
+
+
 def check_normalized(vector, message: str) -> None:
-    """Refuse a vector holding a non-number or an array (even a 0-d one,
-    which would leave a cheat spec unhashable), and one whose squared norm
-    is not 1 within 1e-9 (nan, and entries too large to square, included)
-    with ``message.format(squared_norm)``."""
-    for c in vector:
-        if type(c) not in (int, float, complex) and isinstance(c, np.ndarray):
-            raise ParameterError(f"amplitudes must be numbers, got an array of shape {c.shape}")
+    """Refuse a vector holding a bool (Python or numpy), an array (even a
+    0-d one, which would leave a cheat spec unhashable) or a non-number, as
+    a ``Decimal`` that does no arithmetic with floats, and one whose squared
+    norm is not 1 within 1e-9 (nan, and entries too large to square or
+    squares too large for a float, included) with ``message.format(squared_norm)``."""
+    if not _EXACT_NUMBERS.issuperset(map(type, vector)):  # exact numbers need no further test
+        for c in vector:
+            if isinstance(c, np.ndarray):
+                raise ParameterError(f"amplitudes must be numbers, got an array of shape {c.shape}")
+            if isinstance(c, (bool, np.bool_)):
+                raise ParameterError(f"amplitudes must be numbers, got {c!r}")
     try:
-        total = sum(abs(c) ** 2 for c in vector)
+        total = sum([abs(c) ** 2 for c in vector])
+        normalized = abs(total - 1.0) <= 1e-9  # also refuses nan
     except OverflowError:
-        total = math.inf
+        total, normalized = math.inf, False
     except TypeError:
         raise ParameterError(f"amplitudes must be numbers, got {vector!r}") from None
-    if not abs(total - 1.0) <= 1e-9:  # also refuses nan
+    if not normalized:
         raise ParameterError(message.format(total))

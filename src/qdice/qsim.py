@@ -22,6 +22,20 @@ chains; ``attach_down_ancilla_qubit``, ``apply_u_eta`` and
 ``projective_test`` are their checked wrappers, and ``_state`` wraps what
 they make from a checked state without checking it again.
 
+A register holds at most 8 amplitudes per ancilla index, so numpy's cost
+per call outweighs the arithmetic, and the kernels and wrappers are written
+for few and cheap numpy calls at fixed float operations: each amplitude and
+probability is the same float however the calls are arranged. Indices are
+tuples of plain ints built once (``_UD``, ``_DU``, ``_THIRD_DOWN``). A
+scale factor (a rotation coefficient, the square root a branch is divided
+by) is a 0-d complex array: numpy multiplies or divides by it in the same
+complex loop it runs for a Python float, which it converts to complex
+first, but without the costlier dispatch of a scalar operand (a
+``complex128`` scalar's included). A branch is renormalized in place,
+since ``_split`` and the pure-state test make it fresh.
+``tests/reference.py`` rebuilds the evolution from dense matrices,
+independently of these kernels, and the tests pin them to it.
+
 All public operations are pure: they validate their inputs, return fresh
 ``StateVector`` instances and never mutate their arguments, so they are safe
 to evaluate concurrently. Amplitude arrays are read-only, which lets ``ket``
@@ -58,6 +72,12 @@ class Spin(IntEnum):
 _SPIN_FROM_CHAR = {"u": Spin.UP, "d": Spin.DOWN}
 _CHAR_FROM_SPIN = {Spin.UP: "u", Spin.DOWN: "d"}
 
+#: Indices into three-qubit amplitudes (q1, q2, q3, ancilla), as plain ints:
+#: qubit 3 spin-down, and the |u2 d3> and |d2 u3> pair the rotation mixes.
+_THIRD_DOWN = (slice(None), slice(None), int(Spin.DOWN))
+_UD = (slice(None), int(Spin.UP), int(Spin.DOWN))
+_DU = (slice(None), int(Spin.DOWN), int(Spin.UP))
+
 
 class BasisLabel(Record):
     """One basis ket: a spin per labelled qubit plus an ancilla index."""
@@ -78,12 +98,18 @@ class BasisLabel(Record):
 
     @classmethod
     def parse(cls, text: str, ancilla: int = 0) -> "BasisLabel":
-        """Build a label from a string of 'u'/'d' characters, e.g. ``"udd"``."""
+        """Build a label from a string of 'u'/'d' characters, e.g. ``"udd"``.
+        The mapped bits are a tuple of ``Spin`` members, so only the ancilla
+        index is checked."""
         try:
             bits = tuple(map(_SPIN_FROM_CHAR.__getitem__, text))
         except (KeyError, TypeError):  # TypeError: not iterable, or unhashable characters
             raise ParameterError(f"basis label may only contain 'u'/'d': {text!r}") from None
-        return cls(bits, ancilla)
+        _checks.check_integer(ancilla, "ancilla index", 0)
+        label = object.__new__(cls)
+        object.__setattr__(label, "bits", bits)
+        object.__setattr__(label, "ancilla", ancilla)
+        return label
 
     def __str__(self) -> str:
         word = "".join(_CHAR_FROM_SPIN[b] for b in self.bits)
@@ -118,8 +144,11 @@ class StateVector(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        amps = self.amps
         try:
-            amps = np.array(_numbers(self.amps), dtype=complex, order="C")  # a copy, even of a complex array
+            if type(amps) is not np.ndarray or amps.dtype.kind != "c":  # a complex array holds numbers only
+                amps = _numbers(amps)
+            amps = amps.astype(complex, order="C")  # a copy, even of a complex array
         except (TypeError, ValueError, OverflowError):  # text, a ragged nest, an int beyond the floats
             raise ParameterError(f"amplitudes must be an array of numbers, got {self.amps!r}") from None
         shape = amps.shape
@@ -254,9 +283,12 @@ class TestOutcome(Record):
 
 
 def _branch(raw: np.ndarray, probability: float) -> TestOutcome:
+    """The outcome of a branch whose fresh, unnormalized amplitudes ``raw``
+    are renormalized in place."""
     if probability < ZERO_BRANCH_TOL:
         return TestOutcome(probability, None)
-    return TestOutcome(probability, _state(raw / math.sqrt(probability)))
+    raw /= np.array(math.sqrt(probability), dtype=complex)  # a 0-d scale factor
+    return TestOutcome(probability, _state(raw))
 
 
 # -- operations --------------------------------------------------------------
@@ -271,7 +303,7 @@ def overlap(a: StateVector, b: StateVector) -> complex | np.ndarray:
     _checks.check_type(b, StateVector, "state")
     if a.amps.shape == b.amps.shape:
         return complex(np.vdot(a.amps, b.amps))
-    if a.ancilla_dim != 1 or a.n_qubits != b.n_qubits:
+    if a.amps.shape[-1] != 1 or a.amps.ndim != b.amps.ndim:  # a.ancilla_dim, and the qubit counts
         raise ShapeError(f"register shapes differ: {a.shape} vs {b.shape}")
     return _contract(a.amps, b.amps)
 
@@ -286,7 +318,7 @@ def _contract(bra: np.ndarray, amps: np.ndarray) -> np.ndarray:
 def _attach(amps: np.ndarray) -> np.ndarray:
     """Two-qubit amplitudes (2, 2, D) with a third qubit spin-down: (2, 2, 2, D)."""
     out = np.zeros((2, 2, 2, amps.shape[-1]), dtype=complex)
-    out[:, :, int(Spin.DOWN), :] = amps
+    out[_THIRD_DOWN] = amps
     return out
 
 
@@ -303,13 +335,17 @@ def attach_down_ancilla_qubit(state: StateVector) -> StateVector:
 
 def _rotate(amps: np.ndarray, p: float, eta: float) -> np.ndarray:
     """``apply_u_eta``'s rotation of writable amplitudes, in place, for p + eta > 0.
-    numpy computes on the contiguous slice copies faster than on strided views."""
-    c = math.sqrt(p / (p + eta))
-    s = math.sqrt(eta / (p + eta))
-    ud = amps[:, int(Spin.UP), int(Spin.DOWN), :].copy()
-    du = amps[:, int(Spin.DOWN), int(Spin.UP), :].copy()
-    amps[:, int(Spin.UP), int(Spin.DOWN), :] = c * ud + s * du
-    amps[:, int(Spin.DOWN), int(Spin.UP), :] = s * ud - c * du
+
+    The pair is read as contiguous copies, on which numpy computes faster
+    than on the strided views, and the products are written back whole.
+    c and s are 0-d complex arrays, as every scale factor here (see the
+    module docstring)."""
+    c = np.array(math.sqrt(p / (p + eta)), dtype=complex)
+    s = np.array(math.sqrt(eta / (p + eta)), dtype=complex)
+    ud = amps[_UD].copy()
+    du = amps[_DU].copy()
+    amps[_UD] = c * ud + s * du
+    amps[_DU] = s * ud - c * du
     return amps
 
 
@@ -323,11 +359,11 @@ def apply_u_eta(state: StateVector, p: float, eta: float) -> StateVector:
     amplitudes is not checked again. ``wcf._evolve`` runs its kernel, ``_rotate``.
     """
     _checks.check_type(state, StateVector, "state")
-    if state.n_qubits != 3:
+    if state.amps.ndim != 4:  # three qubit axes and the ancilla axis
         raise ShapeError("the rotation acts on qubits 2 and 3 of a 3-qubit register")
     _checks.check_p_eta(p, eta)
     _checks.check_rotation_defined(p, eta)
-    return _state(_rotate(np.array(state.amps), p, eta))
+    return _state(_rotate(state.amps.copy(), p, eta))
 
 
 def _pattern_index(pattern: Pattern, n_qubits: int) -> tuple:
@@ -336,8 +372,10 @@ def _pattern_index(pattern: Pattern, n_qubits: int) -> tuple:
         raise ShapeError("pattern must constrain at least one qubit")
     index: list = [slice(None)] * (n_qubits + 1)
     for qubit, spin in pattern.items():
-        _checks.check_integer(qubit, "qubit label")
-        _checks.check_integer(spin, "spin", 0, 1)
+        if type(qubit) is not int:  # an exact int is an integer label already
+            _checks.check_integer(qubit, "qubit label")
+        if type(spin) is not Spin:  # a Spin member is a spin already
+            _checks.check_integer(spin, "spin", 0, 1)
         if not 1 <= qubit <= n_qubits:
             raise ShapeError(f"qubit label {qubit} outside register of {n_qubits}")
         index[qubit - 1] = int(spin)
@@ -345,10 +383,13 @@ def _pattern_index(pattern: Pattern, n_qubits: int) -> tuple:
 
 
 def _split(amps: np.ndarray, index: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The unnormalized (pass, fail) branches of a ``_pattern_index`` test."""
-    passed = np.zeros(amps.shape, dtype=complex)
-    passed[index] = amps[index]
-    return passed, amps - passed
+    """The unnormalized (pass, fail) branches of a ``_pattern_index`` test
+    on finite amplitudes: the fail branch is ``amps`` with the tested entries
+    zeroed, and the pass branch is what that leaves out, ``amps - failed``,
+    the same floats as the tested entries of ``amps`` on zeros."""
+    failed = amps.copy()
+    failed[index] = 0.0
+    return amps - failed, failed
 
 
 def _weights(passed: np.ndarray, failed: np.ndarray) -> tuple[float, float]:
@@ -375,8 +416,8 @@ def projective_test(
     if isinstance(target, StateVector):
         passed = overlap(target, state) * target.amps
         failed = state.amps - passed
-    elif isinstance(target, Mapping):
-        passed, failed = _split(state.amps, _pattern_index(target, state.n_qubits))
+    elif isinstance(target, (dict, Mapping)):  # a dict is found without the ABC's check
+        passed, failed = _split(state.amps, _pattern_index(target, state.amps.ndim - 1))
     else:
         raise ShapeError(f"unsupported test target: {type(target).__name__}")
     p_pass, p_fail = _weights(passed, failed)

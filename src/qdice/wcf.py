@@ -15,6 +15,11 @@ Bob's test splits the state into raw hit and miss branches, each audit is a
 ratio of weights on its branch, and the final audit is one contraction of
 the raw miss branch with the verification state (``qsim._contract``, the
 array math of ``qsim.overlap``), all on raw arrays through ``qsim``'s kernels.
+Each step costs as few numpy calls as its floats allow: the preparation's
+products are made in their (2, 2, D) shape from one flat conversion of the
+ancillas, the verification amplitudes are one flat array, and only a
+configuration with an empty miss branch (or a claim-win) allocates zero
+miss amplitudes.
 
 Cheating strategies are declared through :class:`CheatSpec` variants; a
 failed audit ends the run with winner ``Winner.ABORT``, which bias
@@ -50,6 +55,7 @@ _seeding = lazy_import(f"{__package__}._seeding")
 
 BOB_WIN_PATTERN = {2: Spin.UP, 3: Spin.DOWN}
 _BOB_WIN_INDEX = _pattern_index(BOB_WIN_PATTERN, 3)
+_UP, _DOWN = int(Spin.UP), int(Spin.DOWN)
 
 
 class ProtocolParams(Record):
@@ -127,7 +133,7 @@ class AliceGeneral(CheatSpec, Record):
     def __post_init__(self) -> None:
         try:
             amplitudes = tuple(self.amplitudes)
-            ancillas = None if self.ancillas is None else tuple(tuple(phi) for phi in self.ancillas)
+            ancillas = None if self.ancillas is None else tuple(map(tuple, self.ancillas))
         except TypeError:
             raise ParameterError(
                 f"amplitudes and ancillas must be sequences, got {self.amplitudes!r}, {self.ancillas!r}"
@@ -140,8 +146,7 @@ class AliceGeneral(CheatSpec, Record):
         if self.ancillas is not None:
             if len(self.ancillas) != 4:
                 raise ParameterError("need one ancilla vector per branch (4 total)")
-            dims = {len(phi) for phi in self.ancillas}
-            if len(dims) != 1:
+            if len(set(map(len, self.ancillas))) != 1:
                 raise ShapeError("ancilla vectors must share one dimension")
             for phi in self.ancillas:
                 _checks.check_normalized(phi, "each ancilla vector must be normalized")
@@ -160,8 +165,12 @@ class BobClaimWin(CheatSpec, Record):
 def _preparation(amplitudes, ancillas=None) -> StateVector:
     """Alice's two-qubit state sum_k amplitudes[k] |k>|phi_k> over k = uu, ud, du, dd;
     without ``ancillas`` (the unit vectors phi_k) it carries no ancilla."""
-    phis = np.ones((4, 1), dtype=complex) if ancillas is None else np.asarray(ancillas, dtype=complex)
-    return StateVector((np.asarray(amplitudes, dtype=complex)[:, None] * phis).reshape(2, 2, -1))
+    alphas = np.array(amplitudes, dtype=complex).reshape(2, 2, 1)
+    if ancillas is None:  # a 0-d factor 1 (see qsim): the complex multiply of ancillas of dimension 1
+        phis = np.array(1.0, dtype=complex)
+    else:  # a flat tuple converts faster than the nested one
+        phis = np.array(sum(ancillas, ()), dtype=complex).reshape(2, 2, -1)
+    return StateVector(alphas * phis)
 
 
 def honest_initial_state(params: ProtocolParams) -> StateVector:
@@ -180,11 +189,10 @@ def verification_state(params: ProtocolParams) -> StateVector:
 
 def _verification_amps(p: float, eta: float) -> np.ndarray:
     """``verification_state``'s amplitudes, for p below 1."""
-    xi = np.zeros((2, 2, 2, 1), dtype=complex)
     weight = max(0.0, 1.0 - p - eta)  # guard float dust at eta = 1-p
-    xi[int(Spin.UP), int(Spin.DOWN), int(Spin.DOWN)] = math.sqrt(weight / (1.0 - p))
-    xi[int(Spin.DOWN), int(Spin.DOWN), int(Spin.UP)] = math.sqrt(eta / (1.0 - p))
-    return xi
+    udd, ddu = math.sqrt(weight / (1.0 - p)), math.sqrt(eta / (1.0 - p))
+    # flat index 4 q1 + 2 q2 + q3, spin up = 0: udd is 3 and ddu is 6
+    return np.array((0, 0, 0, udd, 0, 0, ddu, 0), dtype=complex).reshape(2, 2, 2, 1)
 
 
 def alice_verification(state: StateVector) -> float:
@@ -195,7 +203,7 @@ def alice_verification(state: StateVector) -> float:
 
 def _first_qubit_down(amps: np.ndarray) -> float:
     """Alice's audit on amplitudes, normalized or not: qubit 1's spin-down share."""
-    return _weights(amps[int(Spin.DOWN)], amps[int(Spin.UP)])[0]
+    return _weights(amps[_DOWN], amps[_UP])[0]
 
 
 # -- transcripts and outcomes -------------------------------------------------
@@ -314,19 +322,17 @@ def _evolve(params: ProtocolParams, cheat: CheatSpec) -> _Evolution:
     prepared = _prepare(params, cheat)
     _checks.check_rotation_defined(params.p, params.eta)
     amps = _rotate(_attach(prepared.amps), params.p, params.eta)
-    amplitudes = np.zeros(amps.shape[-1], dtype=complex)
     if isinstance(cheat, BobClaimWin):
-        return _Evolution(1.0, _first_qubit_down(amps), 0.0, amplitudes)
+        return _Evolution(1.0, _first_qubit_down(amps), 0.0, np.zeros(amps.shape[-1], dtype=complex))
     hit, miss = _split(amps, _BOB_WIN_INDEX)
     p_hit, p_miss = _weights(hit, miss)
     first_qubit = _first_qubit_down(hit) if p_hit >= ZERO_BRANCH_TOL else 0.0
-    final_state = 0.0
-    if p_miss >= ZERO_BRANCH_TOL:
-        _checks.check_p_below_one(params.p)
-        xi = _verification_amps(params.p, params.eta)
-        amplitudes = _contract(xi, miss)
-        final_state = _weights(amplitudes, miss - amplitudes * xi)[0]
-    return _Evolution(p_hit, first_qubit, final_state, amplitudes)
+    if p_miss < ZERO_BRANCH_TOL:
+        return _Evolution(p_hit, first_qubit, 0.0, np.zeros(amps.shape[-1], dtype=complex))
+    _checks.check_p_below_one(params.p)
+    xi = _verification_amps(params.p, params.eta)
+    amplitudes = _contract(xi, miss)
+    return _Evolution(p_hit, first_qubit, _weights(amplitudes, miss - amplitudes * xi)[0], amplitudes)
 
 
 def _outcome(params: ProtocolParams, cheat: CheatSpec, code: int) -> Outcome:
@@ -483,9 +489,11 @@ def run_trials(
     _checks.check_integer(trials, "trial count", 1, MAX_TRIALS)
     _checks.check_seed(seed)
     evolution = _evolve(params, cheat)
-    codes = np.zeros(len(_OUTCOMES), np.int64)
-    for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP):
-        codes += np.bincount(_flip_codes(evolution, draws), minlength=len(_OUTCOMES))
+    codes = sum(
+        np.bincount(_flip_codes(evolution, draws), minlength=len(_OUTCOMES))
+        for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP)
+    )
     alice, bob, final_state, first_qubit = codes.tolist()  # in _OUTCOMES order
-    counts = Counter({Winner.ALICE: alice, Winner.BOB: bob, Winner.ABORT: final_state + first_qubit})
+    counts = Counter()  # filled by item: Counter's update from a mapping costs more than the tallies
+    counts[Winner.ALICE], counts[Winner.BOB], counts[Winner.ABORT] = alice, bob, final_state + first_qubit
     return TrialStats(trials, counts, (params, cheat, seed))

@@ -1,0 +1,98 @@
+"""A dense reference for the protocol's evolution, for tests only.
+
+Everything here is built from ``np.kron`` products of small matrices on the
+8·D space of qubits 1, 2, 3 and a D-dimensional ancilla, with the ancilla
+index last and spin up = 0. It shares no code with ``qdice.qsim``'s kernels
+or ``qdice.wcf``'s evolution, so the tests can pin both to it.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+#: branches below this probability count as empty, as ``qsim.ZERO_BRANCH_TOL`` documents
+EMPTY_BRANCH = 1e-12
+
+UP = np.array([1.0, 0.0], dtype=complex)
+DOWN = np.array([0.0, 1.0], dtype=complex)
+#: |uu>, |ud>, |du>, |dd> on two qubits
+PAIRS = [np.kron(a, b) for a in (UP, DOWN) for b in (UP, DOWN)]
+
+
+def kron(*factors: np.ndarray) -> np.ndarray:
+    out = np.ones((1,) * factors[0].ndim, dtype=complex)
+    for factor in factors:
+        out = np.kron(out, factor)
+    return out
+
+
+def rotation(p: float, eta: float, dim: int) -> np.ndarray:
+    """U on the 8·D space: [[c, s], [s, -c]] on the |u2 d3>, |d2 u3> span of
+    qubits 2 and 3, the identity on qubit 1 and the ancilla."""
+    c, s = math.sqrt(p / (p + eta)), math.sqrt(eta / (p + eta))
+    block = np.eye(4, dtype=complex)
+    ud, du = 1, 2  # |u d> and |d u> among PAIRS
+    block[ud, ud], block[ud, du], block[du, ud], block[du, du] = c, s, s, -c
+    return kron(np.eye(2), block, np.eye(dim))
+
+
+def bob_projector(dim: int) -> np.ndarray:
+    """Bob's hit: qubit 2 up and qubit 3 down."""
+    return kron(np.eye(2), np.outer(UP, UP), np.outer(DOWN, DOWN), np.eye(dim))
+
+
+def first_qubit_down(dim: int) -> np.ndarray:
+    """Alice's audit: qubit 1 down."""
+    return kron(np.outer(DOWN, DOWN), np.eye(4), np.eye(dim))
+
+
+def xi(p: float, eta: float) -> np.ndarray:
+    """The verification state on qubits 1-3, as an 8-vector."""
+    keep = max(0.0, 1.0 - p - eta) / (1.0 - p)
+    return math.sqrt(keep) * kron(UP, DOWN, DOWN) + math.sqrt(eta / (1.0 - p)) * kron(DOWN, DOWN, UP)
+
+
+def verification_projector(p: float, eta: float, dim: int) -> np.ndarray:
+    """|xi><xi| on qubits 1-3, the identity on the ancilla."""
+    v = xi(p, eta)
+    return kron(np.outer(v, v.conj()), np.eye(dim))
+
+
+def preparation(amplitudes, ancillas=None) -> np.ndarray:
+    """sum_k amplitudes[k] |k> |phi_k> on 4·D, k = uu, ud, du, dd."""
+    phis = [np.ones(1, dtype=complex)] * 4 if ancillas is None else [np.asarray(phi, dtype=complex) for phi in ancillas]
+    return sum(complex(alpha) * kron(pair, phi) for alpha, pair, phi in zip(amplitudes, PAIRS, phis))
+
+
+def attach(state: np.ndarray, dim: int) -> np.ndarray:
+    """Qubit 3, spin-down, between qubit 2 and the ancilla."""
+    return kron(np.eye(4), DOWN.reshape(2, 1), np.eye(dim)) @ state
+
+
+def weight(vector: np.ndarray) -> float:
+    return float(np.sum(np.abs(vector) ** 2))
+
+
+def pass_chance(branch: np.ndarray, projector: np.ndarray) -> float:
+    """The share of ``branch``'s weight that ``projector`` keeps."""
+    kept = projector @ branch
+    w_pass, w_fail = weight(kept), weight(branch - kept)
+    return w_pass / (w_pass + w_fail)
+
+
+def evolve(p: float, eta: float, amplitudes, ancillas=None, claim_win: bool = False) -> tuple:
+    """(bob_win_prob, first_qubit_pass, final_state_pass, miss_amplitudes) of
+    one configuration; ``claim_win`` is Bob skipping his measurement."""
+    dim = 1 if ancillas is None else len(ancillas[0])
+    state = rotation(p, eta, dim) @ attach(preparation(amplitudes, ancillas), dim)
+    if claim_win:
+        return 1.0, pass_chance(state, first_qubit_down(dim)), 0.0, np.zeros(dim, dtype=complex)
+    hit = bob_projector(dim) @ state
+    miss = state - hit
+    p_hit, p_miss = weight(hit) / (weight(hit) + weight(miss)), weight(miss) / (weight(hit) + weight(miss))
+    first = pass_chance(hit, first_qubit_down(dim)) if p_hit >= EMPTY_BRANCH else 0.0
+    if p_miss < EMPTY_BRANCH:
+        return p_hit, first, 0.0, np.zeros(dim, dtype=complex)
+    amplitudes = kron(xi(p, eta).conj().reshape(1, 8), np.eye(dim)) @ miss
+    return p_hit, first, pass_chance(miss, verification_projector(p, eta, dim)), amplitudes

@@ -16,6 +16,7 @@ import inspect
 import math
 import warnings
 from collections import Counter
+from decimal import Decimal
 from enum import EnumMeta
 
 import numpy as np
@@ -185,6 +186,11 @@ NESTED_CALLS = {
     "amplitude-one-element-array-alice-general": lambda: AliceGeneral((np.array([0.0]), 1, 0, 0)),
     "ancilla-0d-arrays-alice-general": lambda: AliceGeneral((0, 1, 0, 0), ((np.array(1.0),),) * 4),
     "ancilla-2d-array-alice-general": lambda: AliceGeneral((0, 1, 0, 0), ((np.array([[1.0], [0.0]]), 0),) * 4),
+    "amplitudes-decimal-alice-general": lambda: AliceGeneral((Decimal(0), Decimal(1), 0, 0)),
+    "amplitude-bool-alice-general": lambda: AliceGeneral((0, True, 0, 0)),
+    "ancilla-bool-alice-general": lambda: AliceGeneral((0, 1, 0, 0), ((True,), (1,), (1,), (1,))),
+    "amplitude-numpy-bool-alice-general": lambda: AliceGeneral((0, np.True_, 0, 0)),
+    "amplitude-square-beyond-float-alice-general": lambda: AliceGeneral((10**200, 0, 0, 0)),
 }
 
 

@@ -64,6 +64,78 @@ def test_state_keeps_a_private_copy_of_the_callers_array():
     assert state.amplitude("u") == 1.0 and state.amplitude("d") == 0.0
 
 
+def _layouts(amps: np.ndarray) -> dict[str, np.ndarray]:
+    """``amps`` as a Fortran-ordered, a strided, a read-only and a complex64 array."""
+    wide = np.zeros(amps.shape[:-1] + (2 * amps.shape[-1],), dtype=complex)
+    wide[..., ::2] = amps
+    frozen = amps.copy()
+    frozen.setflags(write=False)
+    return {
+        "fortran": np.asfortranarray(amps),
+        "strided": wide[..., ::2],
+        "read-only": frozen,
+        "complex64": amps.astype(np.complex64),
+    }
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "read-only", "complex64"])
+def test_a_complex_array_of_any_layout_is_checked_and_copied(layout):
+    # amplitudes of modulus 1/4 with phases of 1 and i, exact in complex64 too
+    amps = 0.25 * np.random.default_rng(7).choice([1.0, -1.0, 1j, -1j], size=(2, 2, 2, 2))
+    given = _layouts(amps)[layout]
+    before, writeable = given.copy(), given.flags.writeable
+    state = StateVector(given)
+    assert state.amps.dtype == complex and state.amps.flags.c_contiguous and not state.amps.flags.writeable
+    assert not np.shares_memory(state.amps, given)
+    assert np.array_equal(state.amps, given.astype(complex))
+    assert np.array_equal(given, before) and given.flags.writeable == writeable  # the caller's array stays its own
+    assert given.dtype == before.dtype
+    for bad, error in [(2.0 * amps, ParameterError), (amps[..., :1] * 0.0, ParameterError),
+                       (amps.reshape(2, 2, 4, 1) / 1.0, ShapeError), (amps[0, 0], ParameterError)]:
+        with pytest.raises(error):
+            StateVector(_layouts(bad)[layout])
+
+
+@pytest.mark.parametrize("pattern", [{2: 0, 3: 1}, {1: 1}, {1: 0, 2: 1, 3: 0}, {3: 0}])
+def test_spin_members_and_plain_spins_test_the_same_bytes(pattern):
+    state = random_state(np.random.default_rng(11), ancilla_dim=2)
+    as_spins = {qubit: Spin(spin) for qubit, spin in pattern.items()}
+    as_numpy = {np.int64(qubit): np.int64(spin) for qubit, spin in pattern.items()}
+    outcomes = [projective_test(state, target) for target in (pattern, as_spins, as_numpy)]
+    for branches in outcomes[1:]:
+        for branch, plain in zip(branches, outcomes[0]):
+            assert branch.probability.hex() == plain.probability.hex()
+            assert branch.post_state.amps.tobytes() == plain.post_state.amps.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "u", "d", "ud", "udd", "ddu", ["u", "d"], ("d",)])
+@pytest.mark.parametrize("ancilla", [0, 1, 63, np.int64(2)])
+def test_a_parsed_label_equals_the_label_of_its_spins(text, ancilla):
+    label = qsim.BasisLabel.parse(text, ancilla)
+    spins = tuple(Spin.UP if char == "u" else Spin.DOWN for char in text)
+    assert label == qsim.BasisLabel(spins, ancilla) and hash(label) == hash(qsim.BasisLabel(spins, ancilla))
+    assert all(type(bit) is Spin for bit in label.bits) and label.ancilla is ancilla
+
+
+@pytest.mark.parametrize("text, ancilla, message", [
+    ("ux", 0, "may only contain 'u'/'d': 'ux'"),
+    ("UD", 0, "may only contain 'u'/'d'"),
+    (None, 0, "may only contain 'u'/'d': None"),
+    (5, 0, "may only contain 'u'/'d': 5"),
+    (b"ud", 0, "may only contain 'u'/'d'"),
+    ([["u"]], 0, "may only contain 'u'/'d'"),
+    ("ud", -1, "ancilla index must lie in 0..inf, got -1"),
+    ("ud", True, "ancilla index must be an integer, got True"),
+    ("ud", 1.0, "ancilla index must be an integer, got 1.0"),
+    ("ud", "a", "ancilla index must be an integer, got 'a'"),
+    ("ud", np.array(1), "ancilla index must be an integer"),
+    ("ux", -1, "may only contain 'u'/'d'"),  # the text is refused first
+])
+def test_parse_refuses_what_the_label_refuses(text, ancilla, message):
+    with pytest.raises(ParameterError, match=message.replace(".", r"\.").replace("(", r"\(")):
+        qsim.BasisLabel.parse(text, ancilla)
+
+
 def test_mismatched_label_rejected():
     with pytest.raises(ShapeError):
         ket("ud").amplitude("udd")
