@@ -1,11 +1,10 @@
 """Deferred module loading.
 
-``solve``, ``bound-check`` and ``--version`` use only ``math`` (and
-``bound-check`` ``Fraction``); importing numpy would be most of their
-cold-start time. The modules that sample or evolve states bind numpy
-(and ``_seeding``, which imports it) through ``lazy_import``, so its code
-runs on the first attribute access (``np.zeros``, ...), not when qdice is
-imported.
+``solve``, ``bound-check`` and ``--version`` use only ``math`` and
+integer arithmetic; importing numpy would be most of their cold-start time.
+The modules that sample or evolve states bind numpy (and ``_seeding``, which
+imports it) through ``lazy_import``, so its code runs on the first attribute
+access (``np.zeros``, ...), not when qdice is imported.
 
 The module turns plain only after its code has run, and the first access
 runs it under a lock, so a thread making the first access while another

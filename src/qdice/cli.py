@@ -18,8 +18,9 @@ so argparse writes its own usage line and message (``_parse``).
 A JSON report is written in one walk over the report tree, and its bytes
 equal ``json.dumps(rounded, indent=2, sort_keys=True) + "\\n"``, where
 ``rounded`` is the report with every float at 7 significant digits
-(``_rounded``, the rule CSV reports read too). ``json.dumps`` with an
-indent runs the pure-Python encoder, which the walk replaces.
+(``_SIGNIFICANT``, the rule CSV reports read too). ``json.dumps`` with an
+indent runs the pure-Python encoder, which the walk replaces. The walk
+picks each node's branch by its exact type, and a subclass's by its base.
 """
 from __future__ import annotations
 
@@ -407,10 +408,13 @@ def _cmd_bound_check(args: argparse.Namespace) -> dict:
     return report
 
 
+#: the one rounding rule of report floats, in JSON and CSV alike: 7 significant digits
+_SIGNIFICANT = ".7g"
+
+
 def _rounded(value: float) -> float:
-    """The one rounding rule of report floats, in JSON and CSV alike: 7
-    significant digits (nan and infinities pass through unchanged)."""
-    return float(f"{value:.7g}")
+    """``value`` at ``_SIGNIFICANT`` digits (nan and infinities pass through unchanged)."""
+    return float(f"{value:{_SIGNIFICANT}}")
 
 
 def _render_csv(report: dict) -> str:
@@ -432,17 +436,27 @@ def _render_csv(report: dict) -> str:
 
 #: how ``json`` spells the non-finite floats that ``float.__repr__`` writes
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: the types ``_write_json`` writes by their own branch; any other leaf, a
+#: subclass such as ``np.float64`` or an enum, takes its base type's branch
+_JSON_TYPES = frozenset((float, str, dict, list, int, bool, type(None)))
 
 
 def _write_json(node, indent: str, out: list[str]) -> None:
     """Append ``node`` as indented JSON to ``out``, one chunk at a time;
     ``indent`` is the newline and spaces that precede its closing bracket."""
-    if isinstance(node, float):
-        text = float.__repr__(_rounded(node))
-        out.append(_NON_FINITE.get(text, text))
-    elif isinstance(node, str):
+    kind = type(node)
+    if kind not in _JSON_TYPES:
+        kind = next((base for base in (float, str, dict, list, int) if isinstance(node, base)), None)
+    if kind is float:
+        text = f"{node:{_SIGNIFICANT}}"
+        # a text with a point and no exponent is already the repr of the float it reads
+        if "." not in text or "e" in text:
+            text = float.__repr__(float(text))
+            text = _NON_FINITE.get(text, text)
+        out.append(text)
+    elif kind is str:
         out.append(_encode_str(node))
-    elif isinstance(node, dict):
+    elif kind is dict:
         if not node:
             out.append("{}")
             return
@@ -453,7 +467,7 @@ def _write_json(node, indent: str, out: list[str]) -> None:
             _write_json(node[key], inner, out)
             separator = "," + inner
         out.append(indent + "}")
-    elif isinstance(node, list):
+    elif kind is list:
         if not node:
             out.append("[]")
             return
@@ -464,14 +478,12 @@ def _write_json(node, indent: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             separator = "," + inner
         out.append(indent + "]")
+    elif kind is int:
+        out.append(int.__repr__(node))
+    elif kind is bool:
+        out.append("true" if node else "false")
     elif node is None:
         out.append("null")
-    elif node is True:
-        out.append("true")
-    elif node is False:
-        out.append("false")
-    elif isinstance(node, int):
-        out.append(int.__repr__(node))
     else:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 

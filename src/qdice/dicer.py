@@ -64,7 +64,7 @@ from .wcf import (
 
 np = lazy_import("numpy")
 
-if TYPE_CHECKING:  # imported where a Fraction is built; ``solve`` never loads it
+if TYPE_CHECKING:  # imported where a Fraction is built, which only ``honest_dice_probs`` does
     from fractions import Fraction
 
 INCUMBENT = "incumbent"
@@ -103,22 +103,23 @@ def worst_case_losing_prob(
     ordered from its entry stage onward. The recursion is exact (rational
     arithmetic), so all-zero biases give exactly (N-1)/N.
     """
-    losing, _ = _losing_recursion(n, n_parties, biases)
-    return float(losing)
+    (losing_num, losing_den), _ = _losing_recursion(n, n_parties, biases)
+    return losing_num / losing_den
 
 
-def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> tuple[Fraction, Fraction]:
-    """Party n's exact overall losing probability, and its largest stage bias.
+def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Party n's exact overall losing probability, and its largest stage bias,
+    each as a (numerator, denominator) pair of ints with a positive
+    denominator, not reduced.
 
     Each bias is read as the exact integer ratio ``as_integer_ratio()``
     gives (a numpy integer, which has none, as itself over 1), and its
     stage's losing chance, honest loss plus bias, as an integer ratio too.
     A stage whose chance exceeds 1 is refused before a later stage's bias is
-    read. ``_compose`` runs on the integer pairs, and one ``Fraction`` is
-    built from its result, so no gcd runs per stage.
+    read. ``_compose`` runs on the integer pairs, so no gcd runs at all; a
+    pair's ``int / int`` is its correctly rounded float, the value
+    ``float(Fraction(*pair))`` gives.
     """
-    from fractions import Fraction
-
     _checks.check_integer(n_parties, "party count", 2, MAX_PARTIES)
     _checks.check_integer(n, "party", 1, n_parties)
     stages = range(max(n, 2), n_parties + 1)  # the entrants party n meets, its own entry onward
@@ -150,7 +151,7 @@ def _losing_recursion(n: int, n_parties: int, biases: Sequence[float]) -> tuple[
         stage_losses.append((loss_num, loss_den))
         if bias_num * largest_den > largest_num * bias_den:
             largest_num, largest_den = bias_num, bias_den
-    return Fraction(*_compose(stage_losses)), Fraction(largest_num, largest_den)
+    return _compose(stage_losses), (largest_num, largest_den)
 
 
 def _compose(stage_losses: Iterable[tuple[float, float]]) -> tuple[float, float]:
@@ -181,13 +182,14 @@ class BoundCheck(NamedTuple):
 
 
 def bias_bound_check(n: int, n_parties: int, biases: Sequence[float]) -> BoundCheck:
-    """Compare party n's total bias against N times the largest stage bias."""
-    from fractions import Fraction
-
-    losing, largest_bias = _losing_recursion(n, n_parties, biases)
-    epsilon = losing - Fraction(n_parties - 1, n_parties)
-    bound = n_parties * largest_bias
-    return BoundCheck(float(epsilon), float(bound), epsilon <= bound, float(losing))
+    """Compare party n's total bias against N times the largest stage bias,
+    exactly: the verdict by cross-multiplying integer pairs."""
+    (losing_num, losing_den), (largest_num, largest_den) = _losing_recursion(n, n_parties, biases)
+    # epsilon = losing - (N-1)/N and bound = N * largest, both over positive denominators
+    epsilon_num, epsilon_den = n_parties * losing_num - (n_parties - 1) * losing_den, n_parties * losing_den
+    bound_num = n_parties * largest_num
+    holds = epsilon_num * largest_den <= bound_num * epsilon_den
+    return BoundCheck(epsilon_num / epsilon_den, bound_num / largest_den, holds, losing_num / losing_den)
 
 
 # -- fair ladders -------------------------------------------------------------

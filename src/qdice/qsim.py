@@ -231,12 +231,16 @@ def _squared_norm(amps: np.ndarray) -> float:
 
 
 def _numbers(values) -> np.ndarray:
-    """``values`` as an array; TypeError if it holds str or bytes, which numpy would parse."""
-    values = np.asarray(values)
-    kind = values.dtype.kind
-    if kind in "SU" or kind == "O" and any(isinstance(v, (str, bytes)) for v in values.flat):
+    """``values`` as an array; TypeError if it holds a bool, Python or numpy,
+    or str or bytes, which numpy would take as numbers or parse."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind in "bSU":
         raise TypeError
-    return values
+    if kind == "O" or type(values) is not np.ndarray:  # a nest's leaves may be coerced: True to 1.0
+        if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in np.asarray(values, dtype=object).flat):
+            raise TypeError
+    return array
 
 
 def _state(amps: np.ndarray) -> StateVector:
@@ -252,6 +256,11 @@ def ket(label: LabelLike, ancilla_dim: int = 1) -> StateVector:
     """Shorthand for a basis ket, ``ket("ud")`` etc.; the state is shared
     between calls, which its read-only amplitudes make safe."""
     try:
+        if type(label) is BasisLabel:  # keyed by its fields: a Record hashes and compares in Python
+            return _basis_ket((label.bits, label.ancilla), ancilla_dim)
+        if type(label) is tuple:  # refused uncached, so that no tuple of the caller's finds a label's key
+            hash((label, ancilla_dim))
+            return StateVector.basis(label, ancilla_dim=ancilla_dim)
         return _basis_ket(label, ancilla_dim)
     except TypeError:  # an unhashable label or dimension, which the cache cannot key
         raise ParameterError(
@@ -260,11 +269,12 @@ def ket(label: LabelLike, ancilla_dim: int = 1) -> StateVector:
 
 
 @lru_cache(maxsize=256, typed=True)
-def _basis_ket(label: LabelLike, ancilla_dim: int) -> StateVector:
-    """``ket``'s states, keyed by the label as given (string or parsed). The
-    key is typed, so ``ket(label, 2.0)`` or ``ket(label, True)`` never finds
-    the state of 2 or 1 and is refused by ``StateVector.from_terms``."""
-    return StateVector.basis(label, ancilla_dim=ancilla_dim)
+def _basis_ket(label: str | tuple, ancilla_dim: int) -> StateVector:
+    """``ket``'s states, keyed by a string as given or by a parsed label's
+    (bits, ancilla), whose Spin bits are ints. The key is typed, so
+    ``ket(label, 2.0)`` or ``ket(label, True)`` never finds the state of 2
+    or 1 and is refused by ``StateVector.from_terms``."""
+    return StateVector.basis(BasisLabel(*label) if type(label) is tuple else label, ancilla_dim=ancilla_dim)
 
 
 class TestOutcome(Record):

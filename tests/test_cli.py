@@ -8,6 +8,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from qdice.cli import (
     build_parser,
     main,
 )
+from qdice.qsim import Spin
 from test_golden import GOLDEN, _path, render
 
 SCHEMA_KEYS = {"version", "inputs", "analytic", "monte_carlo", "bounds"}
@@ -478,6 +480,11 @@ _JSON_TREES = st.recursive(
 @given(tree=_JSON_TREES)
 @example(tree={"": [], "e": {}, "nan": [math.nan, math.inf, -math.inf], "zero": -0.0, "sub": 5e-324,
                "int": 10**30, "s": '"\\\n\x00é\U0001f600', "lit": [True, False, None, [{}]]})
+# floats whose 7-digit text has no point or has an exponent, which are written as their repr, and ones whose
+# text is already the repr of the float it reads
+@example(tree=[1234567.0, 9999999.5, 1e7, 12345678.0, 1e-4, 9.9999995e-5, 1e16, -0.0, 0.1 + 0.2])
+# subclass leaves take their base type's branch
+@example(tree={"np": [np.float64(0.1 + 0.2), np.float64(1e7), np.float64(-0.0)], "bool": True, "enum": [Spin.DOWN]})
 def test_json_reports_are_the_indented_dump_of_the_rounded_tree(tree):
     assert _render_json(tree) == json.dumps(_round_floats(tree), indent=2, sort_keys=True) + "\n"
 

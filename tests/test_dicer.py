@@ -205,13 +205,56 @@ def test_integer_recursion_equals_a_fraction_recursion():
         party = int(rng.integers(1, n_parties + 1))
         stages = n_parties - max(party, 2) + 1
         biases = [kinds[int(rng.integers(len(kinds)))](n_parties) for _ in range(stages)]
-        assert _losing_recursion(party, n_parties, biases) == reference_losing(party, n_parties, biases)
+        assert as_fractions(_losing_recursion(party, n_parties, biases)) == reference_losing(party, n_parties, biases)
+
+
+def as_fractions(pairs):
+    """``_losing_recursion``'s (numerator, denominator) pairs as exact values."""
+    return tuple(Fraction(*pair) for pair in pairs)
+
+
+def reference_bound_check(party, n_parties, biases):
+    """``bias_bound_check`` in ``Fraction`` arithmetic: epsilon, bound and the
+    losing chance as ``float(Fraction)``, and the verdict compared exactly."""
+    losing, largest = reference_losing(party, n_parties, biases)
+    epsilon, bound = losing - Fraction(n_parties - 1, n_parties), n_parties * largest
+    return float(epsilon), float(bound), epsilon <= bound, float(losing)
+
+
+def seeded_bound_checks(count):
+    """(party, N, biases) inputs: float, int and Fraction biases, mostly on
+    short ladders and every 25th up to MAX_PARTIES parties."""
+    rng = np.random.default_rng(2009)
+    kinds = (
+        lambda n: float(rng.uniform(0.0, 0.5 / n)),
+        lambda n: float(rng.uniform(0.0, 0.5 / n)) * 2.0 ** -int(rng.integers(0, 1000)),
+        lambda n: Fraction(int(rng.integers(0, 10**6)), int(rng.integers(2 * 10**6 * n, 4 * 10**6 * n))),
+        lambda n: 0,
+    )
+    for i in range(count):
+        n_parties = int(rng.integers(2, MAX_PARTIES + 1 if i % 25 == 0 else 17))
+        party = int(rng.integers(1, n_parties + 1))
+        stages = n_parties - max(party, 2) + 1
+        yield party, n_parties, [kinds[int(rng.integers(len(kinds)))](n_parties) for _ in range(stages)]
+
+
+def test_bound_check_equals_a_fraction_reference_bit_for_bit():
+    # all-zero biases last: epsilon and bound are both exactly 0, so the verdict turns on "<="
+    for party, n_parties, biases in [*seeded_bound_checks(1_000), (MAX_PARTIES, MAX_PARTIES, [0.0])]:
+        epsilon, bound, holds, losing = reference_bound_check(party, n_parties, biases)
+        check = bias_bound_check(party, n_parties, biases)
+        assert check.holds is holds
+        assert [x.hex() for x in (check.epsilon, check.bound, check.worst_case_losing)] == [
+            x.hex() for x in (epsilon, bound, losing)
+        ], (party, n_parties, biases)
+        assert worst_case_losing_prob(party, n_parties, biases).hex() == losing.hex()
+    assert check == (0.0, 0.0, True, (MAX_PARTIES - 1) / MAX_PARTIES)
 
 
 def test_a_stage_loss_of_exactly_one_is_composed_and_one_just_above_is_refused():
     # party 2 enters at stage 2 with honest loss 1/2, so a bias of 1/2 loses it surely
     for bias in (0.5, Fraction(1, 2)):
-        assert _losing_recursion(2, 3, [bias, 0.1]) == reference_losing(2, 3, [bias, 0.1])
+        assert as_fractions(_losing_recursion(2, 3, [bias, 0.1])) == reference_losing(2, 3, [bias, 0.1])
         assert worst_case_losing_prob(2, 3, [bias, 0.1]) == 1.0
     with pytest.raises(ParameterError, match=r"stage losing probability 1.0 outside \[0, 1\] \(entrant 2"):
         worst_case_losing_prob(2, 3, [math.nextafter(0.5, 1.0), 0.1])

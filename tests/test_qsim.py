@@ -48,6 +48,35 @@ def test_ket_refuses_a_bad_ancilla_dimension(ancilla_dim):
         ket("ud", ancilla_dim)
 
 
+def test_equal_parsed_labels_share_one_ket():
+    first = ket(qsim.BasisLabel.parse("udd", 1), 2)
+    assert ket(qsim.BasisLabel.parse("udd", 1), 2) is first
+    assert ket(qsim.BasisLabel((Spin.UP, Spin.DOWN, Spin.DOWN), 1), 2) is first
+    assert ket(qsim.BasisLabel.parse("udd", 2), 3) is not first
+    for tuple_label in [((Spin.UP, Spin.DOWN, Spin.DOWN), 1), ((0, 1, 1), 1)]:  # no tuple stands for a label
+        with pytest.raises(ParameterError, match="a basis label is a string or a BasisLabel, got"):
+            ket(tuple_label, 2)
+
+
+@pytest.mark.parametrize("amps", [
+    np.array([[True], [False]]),
+    [[True], [False]],
+    [[True], [0.0]],
+    [[1.0], [np.False_]],
+    np.array([[True], [0j]], dtype=object),
+    True,
+])
+def test_bool_amplitudes_are_refused(amps):
+    with pytest.raises(ParameterError, match="^amplitudes must be an array of numbers, got"):
+        StateVector(amps)
+
+
+def test_a_bool_term_is_refused():
+    for amplitude in (True, np.True_):
+        with pytest.raises(ParameterError, match="^amplitude of u must be a number, got "):
+            StateVector.from_terms({"u": amplitude})
+
+
 def test_unnormalized_state_rejected():
     with pytest.raises(ParameterError):
         StateVector(np.array([[[0.5 + 0j], [0.0]], [[0.0], [0.0]]]))
