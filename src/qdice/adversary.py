@@ -26,7 +26,11 @@ The two batched kernels stay lean: the tilt grid is scored in real
 arithmetic on float arrays, its base grid and tilt amplitudes cached per
 grid size (``_base_grid``), and random preparations are scored from their
 unnormalized Gaussian draws, drawn in a documented stream order (see
-``sample_cheat_values``), by dividing each value by its squared norm. The
+``sample_cheat_values``), by dividing each value by its squared norm. Each
+block of Gaussians is one draw, and no array that the values do not need
+is built: the plain amplitudes that a forced unused weight replaces are
+drawn and dropped, and the orthogonal ancillas are written into one array
+as they are made. The
 tilt family's exact maximum is one 2x2 eigenproblem on those amplitudes
 (``_tilt_maximum``).
 ``cheater_win_prob`` maps any declared strategy to its cheater's winning
@@ -262,17 +266,58 @@ def max_delta_family(params: ProtocolParams, grid_points: int = 10_000) -> tuple
 
 def _gaussian_rows(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """n unnormalized rows of dim complex standard Gaussians, with each row's
-    squared norm. All n * dim real parts are drawn before the imaginary parts."""
-    rows = np.empty((n, dim), dtype=complex)
-    rows.real = rng.standard_normal((n, dim))
-    rows.imag = rng.standard_normal((n, dim))
+    squared norm, from one (2, n, dim) draw: all n * dim real parts, then the
+    imaginary parts."""
+    rows = _complex_rows(rng.standard_normal((2, n, dim)))
     return rows, _squared_rows(rows)
 
 
+def _complex_rows(parts: np.ndarray) -> np.ndarray:
+    """The complex array with real parts ``parts[0]`` and imaginary parts ``parts[1]``."""
+    rows = np.empty(parts.shape[1:], dtype=complex)
+    rows.real, rows.imag = parts
+    return rows
+
+
 def _squared_rows(rows: np.ndarray) -> np.ndarray:
-    """The squared norm of each row of a C-contiguous complex (n, dim) array."""
+    """The squared norm of each row of a C-contiguous complex (n, dim) array:
+    one gemv of the squared parts against a ones vector."""
     flat = rows.view(float)
-    return np.square(flat) @ np.ones(flat.shape[1])
+    return np.square(flat).dot(np.ones(flat.shape[1]))
+
+
+def _remixed_amplitudes(rng: np.random.Generator, n: int, min_unused_weight: float) -> np.ndarray:
+    """n unit amplitude rows, re-mixed so that each parks at least
+    ``min_unused_weight`` on uu/dd."""
+    rng.standard_normal(8 * n)  # the plain amplitudes these replace, dropped
+    weight = min_unused_weight + (1.0 - min_unused_weight) * rng.random(n)
+    # the uu/dd pair, then the ud/du pair, from one (2, 2, n, 2) draw
+    pairs = _complex_rows(rng.standard_normal((2, 2, n, 2)).swapaxes(0, 1))
+    squares, ones = np.square(pairs.view(float)), np.ones(4)
+    alphas = np.empty((n, 4), dtype=complex)
+    # each pair is scaled to its weight, so every row is a unit vector
+    for pair, columns, pair_weight in ((0, slice(0, None, 3), weight), (1, slice(1, 3), 1.0 - weight)):
+        alphas[:, columns] = np.sqrt(pair_weight / squares[pair].dot(ones))[:, None] * pairs[pair]
+    return alphas
+
+
+def _orthogonal_ancillas(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 4, 2) ancillas whose du row is ud's orthogonal partner, with their
+    (n, 4) squared norms, from one (3, 2, n, 2) draw of ud, uu and dd."""
+    blocks = _complex_rows(rng.standard_normal((3, 2, n, 2)).swapaxes(0, 1))
+    squares, ones = np.square(blocks.view(float)), np.ones(4)
+    phis, norms = np.empty((n, 4, 2), dtype=complex), np.empty((4, n))
+    # each ancilla moves as one 32-byte item, so each copy is one loop over n
+    items, block_items = phis.view("V32")[..., 0], blocks.view("V32")[..., 0]
+    for block, k in ((0, 1), (1, 0), (2, 3)):
+        items[:, k] = block_items[block]
+        squares[block].dot(ones, out=norms[k])
+    # An orthogonal partner of (x, y) is (-conj(y), conj(x)), of the same norm.
+    ud, du = blocks[0], phis[:, 2]
+    np.negative(np.conjugate(ud[:, 1]), out=du[:, 0])
+    np.conjugate(ud[:, 0], out=du[:, 1])
+    norms[2] = norms[1]
+    return phis, norms.T.copy()  # C order, as the scoring reads it
 
 
 def sample_cheat_values(
@@ -297,11 +342,17 @@ def sample_cheat_values(
     ud/du pair, each real parts first. With an ancilla, the (4n, 2)
     ancillas, row k of sample i at row 4i + k; with ``orthogonal_pair``,
     the ud ancillas, then uu, then dd, each (n, 2) (du is ud's orthogonal
-    partner). Draws are scored unnormalized: each coefficient is divided by
-    its ancilla's norm and each value by its amplitudes' squared norm. The
-    values are linear in the evolved basis amplitudes of
+    partner). Each block of Gaussians is one ``standard_normal`` call of
+    shape (2, n, dim), real parts first, which reads the stream in that
+    order: the plain amplitudes that ``min_unused_weight`` replaces are one
+    call of 8n normals, dropped; its two pairs are one (2, 2, n, 2) call,
+    written into the amplitudes' columns 0::3 and 1:3; the ud, uu and dd
+    ancillas are one (3, 2, n, 2) call, written with du's partner into one
+    (n, 4, 2) array. Draws are scored unnormalized: each coefficient is
+    divided by its ancilla's norm and each value by its amplitudes' squared
+    norm. The values are linear in the evolved basis amplitudes of
     :func:`_miss_amplitudes` and are pinned against
-    :func:`general_cheat_value` by tests. The generator is
+    :func:`general_cheat_value` and a dense reference by tests. The generator is
     ``_seeding.seeded_rng(seed)``: the sequence of ``default_rng(seed)``,
     built from the seed's uint32 words.
     """
@@ -314,32 +365,28 @@ def sample_cheat_values(
         raise ParameterError("an orthogonal ancilla pair needs ancilla dimension 2")
     _checks.check_seed(seed)
     rng = _seeding.seeded_rng(seed)
-    alphas, norms = _gaussian_rows(rng, n_samples, 4)
     if min_unused_weight > 0.0:
-        # Re-mix so every sample parks at least the requested weight on uu/dd;
-        # each pair is scaled to its weight, so every row is a unit vector.
-        weight = min_unused_weight + (1.0 - min_unused_weight) * rng.random(n_samples)
-        for pair, pair_weight in (((0, 3), weight), ((1, 2), 1.0 - weight)):
-            rows, pair_norms = _gaussian_rows(rng, n_samples, 2)
-            alphas[:, pair] = np.sqrt(pair_weight / pair_norms)[:, None] * rows
-        norms = 1.0
+        alphas, norms = _remixed_amplitudes(rng, n_samples, min_unused_weight), None
+    else:
+        alphas, norms = _gaussian_rows(rng, n_samples, 4)
 
     r = _miss_amplitudes(params)
     if ancilla_dim == 1:
-        return _squared_rows(alphas @ r[:, None]) / norms
-    if orthogonal_pair:
-        phi_ud, ud_norms = _gaussian_rows(rng, n_samples, 2)
-        # An orthogonal partner of (x, y) is (-conj(y), conj(x)), of the same norm.
-        phi_du = np.stack([-np.conj(phi_ud[:, 1]), np.conj(phi_ud[:, 0])], axis=1)
-        phi_uu, uu_norms = _gaussian_rows(rng, n_samples, 2)
-        phi_dd, dd_norms = _gaussian_rows(rng, n_samples, 2)
-        phis = np.stack([phi_uu, phi_ud, phi_du, phi_dd], axis=1)
-        phi_norms = np.stack([uu_norms, ud_norms, ud_norms, dd_norms], axis=1)
+        values = _squared_rows(alphas.dot(r[:, None]))
     else:
-        phis, phi_norms = _gaussian_rows(rng, 4 * n_samples, 2)
-        phis, phi_norms = phis.reshape(n_samples, 4, 2), phi_norms.reshape(n_samples, 4)
-    weighted = alphas * r / np.sqrt(phi_norms)
-    return _squared_rows(np.einsum("nk,nkd->nd", weighted, phis)) / norms
+        if orthogonal_pair:
+            phis, phi_norms = _orthogonal_ancillas(rng, n_samples)
+        else:
+            phis, phi_norms = _gaussian_rows(rng, 4 * n_samples, 2)
+            phis, phi_norms = phis.reshape(n_samples, 4, 2), phi_norms.reshape(n_samples, 4)
+        # numpy divides a complex by a real as the product with the real's
+        # reciprocal, so this is alphas * r / sqrt(phi_norms), bit for bit
+        weighted = alphas * r
+        weighted *= np.reciprocal(np.sqrt(phi_norms))
+        values = _squared_rows(np.einsum("nkd,nk->nd", phis, weighted))
+    if norms is not None:
+        values /= norms
+    return values
 
 
 def brute_force_alice(

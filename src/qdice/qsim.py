@@ -150,7 +150,7 @@ class StateVector(Record):
                 amps = _numbers(amps)
             amps = amps.astype(complex, order="C")  # a copy, even of a complex array
         except (TypeError, ValueError, OverflowError):  # text, a ragged nest, an int beyond the floats
-            raise ParameterError(f"amplitudes must be an array of numbers, got {self.amps!r}") from None
+            raise ParameterError(f"amplitudes must be an array of numbers, got {_shown(self.amps)}") from None
         shape = amps.shape
         if not 2 <= len(shape) <= MAX_QUBITS + 1:
             raise ShapeError(
@@ -191,7 +191,7 @@ class StateVector(Record):
             try:
                 amps[tuple(int(b) for b in label.bits) + (label.ancilla,)] = _numbers(amplitude)
             except (TypeError, ValueError, OverflowError):  # text, or not one complex number
-                raise ParameterError(f"amplitude of {label} must be a number, got {amplitude!r}") from None
+                raise ParameterError(f"amplitude of {label} must be a number, got {_shown(amplitude)}") from None
         return cls(amps)
 
     @classmethod
@@ -232,15 +232,25 @@ def _squared_norm(amps: np.ndarray) -> float:
 
 def _numbers(values) -> np.ndarray:
     """``values`` as an array; TypeError if it holds a bool, Python or numpy,
-    or str or bytes, which numpy would take as numbers or parse."""
+    str or bytes, which numpy would take as numbers or parse, or None, which
+    numpy would take as nan."""
     array = np.asarray(values)
     kind = array.dtype.kind
     if kind in "bSU":
         raise TypeError
     if kind == "O" or type(values) is not np.ndarray:  # a nest's leaves may be coerced: True to 1.0
-        if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in np.asarray(values, dtype=object).flat):
+        if any(v is None or isinstance(v, (bool, np.bool_, str, bytes))
+               for v in np.asarray(values, dtype=object).flat):
             raise TypeError
     return array
+
+
+def _shown(value) -> str:
+    """``value`` for a one-line refusal: an array by its shape and dtype,
+    since its repr spans a line per row."""
+    if isinstance(value, np.ndarray):
+        return f"an array of shape {value.shape} and dtype {value.dtype}"
+    return repr(value)
 
 
 def _state(amps: np.ndarray) -> StateVector:

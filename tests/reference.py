@@ -3,7 +3,10 @@
 Everything here is built from ``np.kron`` products of small matrices on the
 8·D space of qubits 1, 2, 3 and a D-dimensional ancilla, with the ancilla
 index last and spin up = 0. It shares no code with ``qdice.qsim``'s kernels
-or ``qdice.wcf``'s evolution, so the tests can pin both to it.
+or ``qdice.wcf``'s evolution, so the tests can pin both to it. The random
+preparations of ``qdice.adversary.sample_cheat_values`` are rebuilt from
+``np.random.default_rng`` in the stream order that its docstring documents,
+one normalized row at a time, and scored with the same dense evolution.
 """
 from __future__ import annotations
 
@@ -96,3 +99,41 @@ def evolve(p: float, eta: float, amplitudes, ancillas=None, claim_win: bool = Fa
         return p_hit, first, 0.0, np.zeros(dim, dtype=complex)
     amplitudes = kron(xi(p, eta).conj().reshape(1, 8), np.eye(dim)) @ miss
     return p_hit, first, pass_chance(miss, verification_projector(p, eta, dim)), amplitudes
+
+
+def sampled_preparations(seed: int, n: int, ancilla_dim: int = 1, min_unused_weight: float = 0.0,
+                         orthogonal_pair: bool = False) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The (amplitudes, ancillas) of ``sample_cheat_values``' n preparations,
+    each normalized, rebuilt from ``np.random.default_rng(seed)`` in the
+    stream order its docstring documents: every block of complex Gaussians
+    is its real parts, then its imaginary parts."""
+    rng = np.random.default_rng(seed)
+
+    def gaussians(rows: int, dim: int) -> np.ndarray:
+        real = rng.standard_normal((rows, dim))
+        return real + 1j * rng.standard_normal((rows, dim))
+
+    def unit(rows: np.ndarray) -> np.ndarray:
+        return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+    amplitudes = unit(gaussians(n, 4))
+    if min_unused_weight > 0.0:
+        weight = min_unused_weight + (1.0 - min_unused_weight) * rng.random(n)
+        uu_dd, ud_du = unit(gaussians(n, 2)), unit(gaussians(n, 2))
+        amplitudes = np.stack([uu_dd[:, 0], ud_du[:, 0], ud_du[:, 1], uu_dd[:, 1]], axis=1)
+        amplitudes *= np.sqrt(np.stack([weight, 1.0 - weight, 1.0 - weight, weight], axis=1))
+    if ancilla_dim == 1:
+        return [(alpha, None) for alpha in amplitudes]
+    if orthogonal_pair:
+        ud, uu, dd = unit(gaussians(n, 2)), unit(gaussians(n, 2)), unit(gaussians(n, 2))
+        du = np.stack([-ud[:, 1].conj(), ud[:, 0].conj()], axis=1)
+        ancillas = np.stack([uu, ud, du, dd], axis=1)
+    else:
+        ancillas = unit(gaussians(4 * n, 2)).reshape(n, 4, 2)
+    return list(zip(amplitudes, ancillas))
+
+
+def cheat_value(p: float, eta: float, amplitudes, ancillas=None) -> float:
+    """Alice's chance to win and pass the verification with this preparation:
+    the weight of the miss branch's projection on the verification state."""
+    return weight(evolve(p, eta, amplitudes, ancillas)[3])

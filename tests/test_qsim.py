@@ -71,6 +71,18 @@ def test_bool_amplitudes_are_refused(amps):
         StateVector(amps)
 
 
+@pytest.mark.parametrize("amps, shown", [
+    (np.array([[True], [False]]), "an array of shape (2, 1) and dtype bool"),
+    (np.array([["1"], ["0"]]), "an array of shape (2, 1) and dtype <U1"),
+    ([[1], [None]], "[[1], [None]]"),
+])
+def test_refusals_name_the_amplitudes_on_one_line(amps, shown):
+    # a None leaf is not a number, although numpy would read it as nan
+    with pytest.raises(ParameterError) as refusal:
+        StateVector(amps)
+    assert str(refusal.value) == f"amplitudes must be an array of numbers, got {shown}"
+
+
 def test_a_bool_term_is_refused():
     for amplitude in (True, np.True_):
         with pytest.raises(ParameterError, match="^amplitude of u must be a number, got "):

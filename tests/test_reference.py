@@ -1,8 +1,10 @@
-"""The evolution and the checked primitives against a dense reference.
+"""The evolution, the checked primitives and the sampler against a dense
+reference.
 
 ``reference`` rebuilds every step from ``np.kron`` matrices on the 8·D
-space, independently of ``qsim``'s kernels, so these pins hold whatever
-shape the kernels take.
+space, independently of ``qsim``'s kernels, and the sampler's preparations
+from its documented stream, so these pins hold whatever shape the kernels
+take.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import pytest
 
 import reference
 from qdice import ProtocolParams, Spin, StateVector, apply_u_eta, projective_test
+from qdice.adversary import sample_cheat_values
 from qdice.wcf import AliceDelta, AliceGeneral, BobClaimWin, Honest, _evolve, verification_state
 
 TOL = 1e-12
@@ -108,3 +111,29 @@ def test_the_reference_reproduces_the_honest_protocol():
         assert first == pytest.approx(1.0, abs=TOL)
         assert final == pytest.approx(1.0, abs=TOL)
         assert float(np.sum(np.abs(amplitudes) ** 2)) == pytest.approx(1.0 - p, abs=TOL)
+
+
+SAMPLER_MODES = [
+    # (ancilla_dim, min_unused_weight, orthogonal_pair): the four modes, and
+    # the forced unused weight with each kind of ancilla
+    (1, 0.0, False),
+    (2, 0.0, False),
+    (2, 0.0, True),
+    (1, 0.5, False),
+    (2, 0.3, False),
+    (2, 0.3, True),
+]
+
+
+@pytest.mark.parametrize("ancilla_dim, min_unused_weight, orthogonal_pair", SAMPLER_MODES)
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_sampled_cheat_values_match_the_dense_reference(n, ancilla_dim, min_unused_weight, orthogonal_pair):
+    options = {"ancilla_dim": ancilla_dim, "min_unused_weight": min_unused_weight,
+               "orthogonal_pair": orthogonal_pair}
+    for index, (p, eta) in enumerate(POINTS[:4] + POINTS[-1:]):
+        seed = 3400 + 10 * n + index
+        values = sample_cheat_values(ProtocolParams(p, eta), n, seed=seed, **options)
+        preparations = reference.sampled_preparations(seed, n, **options)
+        expected = [reference.cheat_value(p, eta, alpha, phis) for alpha, phis in preparations]
+        assert values.shape == (n,)
+        assert np.allclose(values, expected, rtol=0.0, atol=TOL), (p, eta, seed)
