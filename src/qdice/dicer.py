@@ -13,12 +13,14 @@ optimal tilt delta* against an honest responder. One play table,
 ``_stage_play``, gives each stage's strategy with its abort rule, and
 ``expected_coalition_losing`` and ``simulate_dice`` both read it. The
 sampler reads it through ``_ladder_plan``, which resolves a ladder's plays
-once per (spec, coalition) and stacks them over the stages, so that one
-``wcf._flip_codes`` call decides every stage of a chunk of trials. Each
-play also becomes a takeover row, whether the entrant goes on as incumbent
-by outcome code, so that a stage moves the incumbents of a chunk with one
-table lookup and one masked assignment. The sampler keeps trial 0's plays,
-from which ``DiceReport`` renders transcripts.
+once per (spec, coalition) and stacks them in one table over two groups of
+rows (the incumbent is the honest party, or not) and every stage, so that
+one ``wcf._flip_codes`` call decides every stage of a chunk of trials for
+both groups. Each play also becomes a takeover row, whether the entrant
+goes on as incumbent by outcome code, so that a stage moves the incumbents
+of a chunk with one table lookup and one masked assignment. The sampler
+keeps trial 0's outcome codes and replays its plays from the plan's
+plain-Python tables, from which ``DiceReport`` renders transcripts.
 
 Stage m is the flip that party m enters. Every stage from m = 3 on has
 two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
@@ -594,61 +596,76 @@ class DiceReport(Record):
         }
 
 
-#: Ladder plans kept by ``_ladder_plan``. A plan holds three floats, a
-#: cheat and an advance row per stage and group: about 26 KB for the widest
-#: ladder, so a full cache stays under 2 MB.
+#: Ladder plans kept by ``_ladder_plan``. A plan holds, per stage and group,
+#: three float chances and a takeover row of four bools in its arrays, and
+#: the stage's cheat and a shared takeover tuple in its plain-Python tables:
+#: about 28 KB for the widest ladder, so a full cache stays under 2 MB.
 _PLAN_CACHE_SIZE = 64
 
 
-class _Group(NamedTuple):
-    """The plays of one group of rows, stacked over the stages it covers
-    (``first`` on): each stage's cheat, its branch probabilities as
-    ``_flip_codes`` reads them, and its takeover row, one row per stage.
-    A takeover row says, by outcome code, whether the entrant goes on as
-    incumbent: the play's ``preparer_wins`` XOR "the incumbent prepares".
-    The arrays are read-only, since plans are shared through the cache."""
+class _Plan(NamedTuple):
+    """A ladder's plays, stacked over a leading group axis and every stage.
+    Group 0 holds the plays of the rows whose incumbent is not the honest
+    party. Group 1, present only when the honest party is not the last
+    entrant, holds those of the rows whose incumbent is the honest party
+    from ``honest_from``, the first stage at which it can be one, and group
+    0's plays before it, where no row reads them. Each play is kept
+    as its branch chances, (groups, 1, stages) arrays that ``_flip_codes``
+    broadcasts against a chunk's (rows, stages) draws, and as its takeover
+    row: by outcome code, whether the entrant goes on as incumbent, the
+    play's ``preparer_wins`` XOR "the incumbent prepares", a (groups,
+    stages, 4) bool array. The arrays are read-only, since plans are shared
+    through the cache. Trial 0's replay reads ``cheats`` and ``takeovers``,
+    the same plays as plain-Python tables indexed [group][stage]."""
 
-    first: int
-    cheats: tuple[CheatSpec, ...]
+    honest_from: int
     bob_win_prob: np.ndarray
     first_qubit_pass: np.ndarray
     final_state_pass: np.ndarray
     takes_over: np.ndarray
+    cheats: tuple[tuple[CheatSpec, ...], ...]
+    takeovers: tuple[tuple[tuple[bool, bool, bool, bool], ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _takeover_row(preparer_wins: tuple[bool, ...], incumbent_prepares: bool) -> tuple[bool, ...]:
+    """Whether the entrant goes on as incumbent, by outcome code: one shared
+    tuple for each of the few (play, layout) pairs."""
+    return tuple(wins != incumbent_prepares for wins in preparer_wins)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _ladder_plan(spec: LadderSpec, coalition: Coalition | None) -> tuple[_Group | None, _Group]:
-    """The play table of a ladder, resolved once per (spec, coalition): the
-    group of rows whose incumbent is the honest party, from the stage after
-    its entry on (None without a coalition, or for the last entrant), and
-    the group of all other rows, at every stage. Each stage's play comes
-    from ``_stage_play`` and its branch probabilities from ``_evolve``. The
-    plan keeps only their floats and, in place of the play's
-    ``preparer_wins``, its takeover row: a (stages, 4) bool table that
-    ``simulate_dice`` reads by outcome code, for the chunk's rows and for
-    trial 0's replay alike. It holds no ``_Evolution`` alive."""
-
-    def group(first: int, honest_incumbent: bool) -> _Group:
-        stages = spec.stages[first:]
-        plays = [_stage_play(stage, coalition, honest_incumbent) for stage in stages]
-        evolutions = [_evolve(stage.params, play.cheat) for stage, play in zip(stages, plays)]
-        arrays = [
-            np.array([getattr(evolution, name) for evolution in evolutions], dtype=float)
-            for name in ("bob_win_prob", "first_qubit_pass", "final_state_pass")
-        ]
-        arrays.append(np.array([
-            [wins != (stage.preparer == INCUMBENT) for wins in play.preparer_wins]
-            for stage, play in zip(stages, plays)
-        ], dtype=bool))
-        for array in arrays:
-            array.setflags(write=False)
-        return _Group(first, tuple(play.cheat for play in plays), *arrays)
-
+def _ladder_plan(spec: LadderSpec, coalition: Coalition | None) -> _Plan:
+    """The play table of a ladder, resolved once per (spec, coalition), as
+    one ``_Plan``: the plays of the rows away from the honest party at every
+    stage, and, with a coalition whose honest party is not the last entrant,
+    those of the rows whose incumbent is the honest party from the stage
+    after its entry on. Each stage's play comes from ``_stage_play`` and its
+    branch probabilities from ``_evolve``; the plan keeps only their floats
+    and, in place of the play's ``preparer_wins``, its takeover row. It
+    holds no ``_Evolution`` alive."""
+    stages = spec.stages
+    groups = [[_stage_play(stage, coalition, False) for stage in stages]]
     # stage k has entrant k + 2, so the honest party is an incumbent from stage honest_party - 1 on
-    at_honest = None
+    honest_from = len(stages)
     if coalition is not None and coalition.honest_party < spec.n_parties:
-        at_honest = group(coalition.honest_party - 1, True)
-    return at_honest, group(0, False)
+        honest_from = coalition.honest_party - 1
+        plays = [_stage_play(stage, coalition, True) for stage in stages[honest_from:]]
+        groups.append(groups[0][:honest_from] + plays)
+    evolutions = [[_evolve(stage.params, play.cheat) for stage, play in zip(stages, plays)] for plays in groups]
+    arrays = [
+        np.array([[getattr(evolution, name) for evolution in row] for row in evolutions], dtype=float)[:, None]
+        for name in ("bob_win_prob", "first_qubit_pass", "final_state_pass")
+    ]
+    takeovers = tuple(
+        tuple(_takeover_row(play.preparer_wins, stage.preparer == INCUMBENT) for stage, play in zip(stages, plays))
+        for plays in groups
+    )
+    arrays.append(np.array(takeovers, dtype=bool))
+    for array in arrays:
+        array.setflags(write=False)
+    cheats = tuple(tuple(play.cheat for play in plays) for plays in groups)
+    return _Plan(honest_from, *arrays, cheats, takeovers)
 
 
 def simulate_dice(
@@ -663,58 +680,57 @@ def simulate_dice(
     two uniforms per stage in play order. The plays come from
     ``_ladder_plan``, resolved once per (spec, coalition). Per chunk of
     draws (``wcf._uniform_blocks``), viewed as (rows, stages, 2), one
-    ``wcf._flip_codes`` call decides every stage's flip as the rows away
-    from the honest party play it, and one more as the honest incumbent's
-    rows play it. The incumbents are one array, party 1 in every row at
-    first. At each stage, one lookup in the stage's takeover row gives the
-    rows whose entrant takes over; wherever the honest party is the
-    incumbent, the second group's code and takeover replace the first's
-    (``np.copyto`` on those rows). The entrant is then written in place
-    into the rows it takes. Trial 0's plays are read back from row 0 of the
-    first chunk through the same takeover rows, and
-    ``DiceReport.first_trial`` renders their transcripts.
+    ``wcf._flip_codes`` call decides every stage's flip for both groups of
+    the plan at once: as the rows away from the honest party play it, and
+    as the honest incumbent's rows play it. The incumbents are one array,
+    party 1 in every row at first. At each stage, one lookup in the stage's
+    takeover row gives the rows whose entrant takes over; from the honest
+    party's entry on, wherever it is the incumbent, the honest group's code
+    and takeover replace the other's (``np.copyto`` on those rows). The
+    entrant is then written in place into the rows it takes. Trial 0's
+    codes are read back from row 0 of the first chunk, its plays replayed
+    from the plan's plain-Python tables, and ``DiceReport.first_trial``
+    renders their transcripts.
     """
     _checks.check_integer(trials, "trial count", 1, MAX_TRIALS)
     _checks.check_seed(seed)
     _checks.check_type(spec, LadderSpec, "spec")
+    honest = None
     if coalition is not None:
         _checks.check_type(coalition, Coalition, "coalition")
         _checks.check_integer(coalition.honest_party, "party", 1, spec.n_parties)
-    at_honest, elsewhere = _ladder_plan(spec, coalition)
+        honest = coalition.honest_party
+    plan = _ladder_plan(spec, coalition)
     n_stages = len(spec.stages)
-    honest_from = n_stages if at_honest is None else at_honest.first
-    wins = np.zeros(spec.n_parties + 1, dtype=np.int64)
-    stage_aborts = 0
-    first_codes = None
+    elsewhere = plan.takes_over[0]
+    first_codes, stage_aborts = None, 0
     for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP * n_stages):
-        draws = draws.reshape(len(draws), n_stages, DRAWS_PER_FLIP)
-        codes = _flip_codes(elsewhere, draws)
-        if at_honest is not None:
-            honest_codes = _flip_codes(at_honest, draws[:, honest_from:])
-        incumbent = np.ones(len(draws), dtype=np.int64)
-        for k, stage in enumerate(spec.stages):
-            code = codes[:, k]
-            takes_over = elsewhere.takes_over[k].take(code)
-            if k >= honest_from:
-                j = k - honest_from
-                rows = incumbent == coalition.honest_party
-                np.copyto(code, honest_codes[:, j], where=rows)
-                np.copyto(takes_over, at_honest.takes_over[j].take(code), where=rows)
-            incumbent[takes_over] = stage.entrant
-        stage_aborts += int(np.count_nonzero(codes >= FINAL_STATE_ABORT))
-        wins += np.bincount(incumbent, minlength=spec.n_parties + 1)
-        if first_codes is None:
-            first_codes = codes[0].tolist()
+        codes = _flip_codes(plan, draws.reshape(len(draws), n_stages, DRAWS_PER_FLIP))
         del draws  # free this chunk before the next one is drawn
+        played = codes[0]  # each row's codes as its incumbents play them, once the honest group's are in
+        incumbent = np.ones(len(played), dtype=np.int64)
+        for k, stage in enumerate(spec.stages):
+            code = played[:, k]
+            takes_over = elsewhere[k].take(code)
+            if k >= plan.honest_from:
+                rows = incumbent == honest
+                np.copyto(code, codes[1, :, k], where=rows)
+                np.copyto(takes_over, plan.takes_over[1, k].take(code), where=rows)
+            incumbent[takes_over] = stage.entrant
+        wins_here = np.bincount(incumbent, minlength=spec.n_parties + 1)
+        if first_codes is None:
+            first_codes, wins = played[0].tolist(), wins_here
+        else:
+            wins += wins_here
+        stage_aborts += int(np.count_nonzero(played >= FINAL_STATE_ABORT))
     trial_zero = []
     incumbent = 1
     for k, (stage, code) in enumerate(zip(spec.stages, first_codes)):
-        plays = at_honest if k >= honest_from and incumbent == coalition.honest_party else elsewhere
-        j = k - plays.first
+        group = incumbent == honest  # True, group 1, only where the honest party is the incumbent
         preparer, responder = _stage_roles(stage, incumbent)
-        if plays.takes_over[j, code]:
+        if plan.takeovers[group][k][code]:
             incumbent = stage.entrant
-        trial_zero.append((plays.cheats[j], code, preparer, responder, incumbent))
+        trial_zero.append((plan.cheats[group][k], code, preparer, responder, incumbent))
     return DiceReport(
         n_parties=spec.n_parties,
         trials=trials,

@@ -412,25 +412,41 @@ def _uniform_blocks(seed: int, trials: int, draws: int):
     """The uniforms of trials 0..trials-1 as (rows, draws) arrays, in trial
     order: each block in row chunks of at most ``DRAW_CHUNK`` uniforms (at
     least one row). ``Generator.random`` fills in order, so a block's chunks
-    concatenate to the block drawn at once."""
+    concatenate to the block drawn at once. A run that fits in one chunk of
+    block 0, as every short run does, is one draw, returned in a tuple
+    without a generator frame; a longer one is a generator of chunks."""
     step = max(1, DRAW_CHUNK // draws)
-    for block, start in enumerate(range(0, trials, TRIAL_BLOCK)):
-        rng, rows = trial_rng(seed, block), min(TRIAL_BLOCK, trials - start)
-        for done in range(0, rows, step):
-            yield rng.random((min(step, rows - done), draws))
+    if trials <= step and trials <= TRIAL_BLOCK:
+        return (trial_rng(seed, 0).random((trials, draws)),)
+    return (
+        rng.random((min(step, rows - done), draws))
+        for block, start in enumerate(range(0, trials, TRIAL_BLOCK))
+        for rng, rows in [(trial_rng(seed, block), min(TRIAL_BLOCK, trials - start))]  # one generator a block
+        for done in range(0, rows, step)
+    )
 
 
 def _flip_codes(evolution: _Evolution, draws: np.ndarray) -> np.ndarray:
     """Outcome code of each (announce, audit) pair on the last axis of
     ``draws``: the package's one flip decision. Bob hits below
-    ``bob_win_prob`` (1 for a claim-win), and the audit passes below the pass
-    chance of his branch. The three chances may be arrays that broadcast
-    against ``draws[..., 0]``, one per stage of a ladder (``dicer``). Codes
-    are int8, so a wide ladder's codes for a chunk of draws, which outlive
-    it, take one byte each."""
+    ``bob_win_prob`` (1 for a claim-win), and the audit fails at or above
+    the pass chance of his branch. The three chances may be arrays that
+    broadcast against ``draws[..., 0]``: a ladder plan's, one per group and
+    stage (``dicer``), decide both groups of a chunk in one call. The audit
+    is compared with both pass chances, and each pair's result is picked by
+    its hit with two xors and an and on the bool results, so no float array
+    as wide as the decision is built (nor a ``np.where``, which branches
+    per item on one-byte items). Every step makes a new array: numpy's
+    in-place operators cost more on the one-row decision of
+    ``run_protocol``. Codes are int8, so a wide ladder's codes for a chunk
+    of draws, which outlive it, take one byte each."""
+    audit = draws[..., 1]
     hit = draws[..., 0] < evolution.bob_win_prob
-    passed = draws[..., 1] < np.where(hit, evolution.first_qubit_pass, evolution.final_state_pass)
-    return hit + 2 * (~passed).view(np.int8)
+    final = audit >= evolution.final_state_pass
+    # the first-qubit audit's result where Bob hits, the final-state audit's elsewhere
+    failed = ((audit >= evolution.first_qubit_pass) ^ final) & hit ^ final
+    codes = failed.view(np.int8)
+    return codes + codes + hit.view(np.int8)
 
 
 class TrialStats(Record):
@@ -489,10 +505,10 @@ def run_trials(
     _checks.check_integer(trials, "trial count", 1, MAX_TRIALS)
     _checks.check_seed(seed)
     evolution = _evolve(params, cheat)
-    codes = sum(
-        np.bincount(_flip_codes(evolution, draws), minlength=len(_OUTCOMES))
-        for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP)
-    )
+    codes = None
+    for draws in _uniform_blocks(seed, trials, DRAWS_PER_FLIP):
+        chunk = np.bincount(_flip_codes(evolution, draws), minlength=len(_OUTCOMES))
+        codes = chunk if codes is None else codes + chunk
     alice, bob, final_state, first_qubit = codes.tolist()  # in _OUTCOMES order
     counts = Counter()  # filled by item: Counter's update from a mapping costs more than the tallies
     counts[Winner.ALICE], counts[Winner.BOB], counts[Winner.ABORT] = alice, bob, final_state + first_qubit

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CASE1_BIAS,
@@ -663,6 +665,29 @@ def test_batched_ladder_equals_scalar_loop(name, honest_party):
     assert report.first_trial == _play_trial(spec, coalition, trial_rng(seed, 0))
 
 
+@st.composite
+def _ladder_runs(draw):
+    """(spec, coalition, seed, trials): a fair ladder in either layout or a
+    uniform one with any eta, N in 2..10, no honest party or any party."""
+    n_parties = draw(st.integers(2, 10))
+    if draw(st.booleans()):
+        spec = LadderSpec.fair(n_parties, draw(st.sampled_from([1, 2])))
+    else:
+        spec = LadderSpec.uniform(n_parties, draw(st.floats(0.0, 0.5)))  # eta <= 1 - p = 1 - 1/m at every stage
+    party = draw(st.integers(0, n_parties))
+    coalition = Coalition(honest_party=party) if party else None
+    return spec, coalition, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_ladder_runs())
+def test_batched_ladder_equals_scalar_loop_on_random_ladders(run):
+    spec, coalition, seed, trials = run
+    report = simulate_dice(spec, trials, seed, coalition=coalition)
+    assert (report.win_counts, report.stage_aborts) == scalar_ladder(spec, trials, seed, coalition)
+    assert report.first_trial == _play_trial(spec, coalition, trial_rng(seed, 0))
+
+
 def test_batched_ladder_crosses_a_block_boundary():
     spec = LADDERS["case2"]
     coalition = Coalition(honest_party=3)
@@ -719,21 +744,40 @@ def test_equal_but_distinct_specs_and_coalitions_give_identical_reports():
 
 
 def test_plan_arrays_are_read_only():
-    for spec in (LADDERS["case1"], LADDERS["case2"]):
-        for coalition in (None, Coalition(honest_party=1), Coalition(honest_party=3)):
-            for group, honest_incumbent in zip(dicer._ladder_plan(spec, coalition), (True, False)):
-                if group is None:  # no coalition, or the honest party enters last
-                    continue
-                arrays = (group.bob_win_prob, group.first_qubit_pass, group.final_state_pass, group.takes_over)
-                assert all(not array.flags.writeable for array in arrays)
-                with pytest.raises(ValueError):
-                    group.bob_win_prob[0] = 0.5
-                with pytest.raises(ValueError):
-                    group.takes_over[0, 0] = not group.takes_over[0, 0]
-                # the entrant takes over where the preparer wins against an incumbent responding, and vice versa
-                for stage, row in zip(spec.stages[group.first:], group.takes_over.tolist(), strict=True):
-                    wins = _stage_play(stage, coalition, honest_incumbent).preparer_wins
-                    assert row == [won != (stage.preparer == INCUMBENT) for won in wins]
+    for spec in (LADDERS["case1"], LADDERS["case2"], LadderSpec.fair(8, 1)):
+        for coalition in (None, *map(Coalition, range(1, spec.n_parties + 1))):
+            plan = dicer._ladder_plan(spec, coalition)
+            # no coalition, or the honest party enters last: no honest group
+            has_honest_group = coalition is not None and coalition.honest_party < spec.n_parties
+            groups = 2 if has_honest_group else 1
+            honest_from = coalition.honest_party - 1 if has_honest_group else len(spec.stages)
+            assert plan.honest_from == honest_from
+            arrays = (plan.bob_win_prob, plan.first_qubit_pass, plan.final_state_pass, plan.takes_over)
+            assert [array.shape for array in arrays] == [(groups, 1, len(spec.stages))] * 3 + [
+                (groups, len(spec.stages), 4)]
+            assert all(not array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError):
+                plan.bob_win_prob[0, 0, 0] = 0.5
+            with pytest.raises(ValueError):
+                plan.takes_over[0, 0, 0] = not plan.takes_over[0, 0, 0]
+            # the replay's plain-Python tables are the arrays' plays
+            assert plan.takes_over.tolist() == [list(map(list, rows)) for rows in plan.takeovers]
+            if has_honest_group:  # padded with group 0's plays before the honest party can be an incumbent
+                assert plan.cheats[1][:honest_from] == plan.cheats[0][:honest_from]
+                assert plan.takeovers[1][:honest_from] == plan.takeovers[0][:honest_from]
+            for group, honest_incumbent in zip(range(groups), (False, True)):
+                first = honest_from if honest_incumbent else 0
+                for k, stage in enumerate(spec.stages[first:], start=first):
+                    play = _stage_play(stage, coalition, honest_incumbent)
+                    evolution = wcf._evolve(stage.params, play.cheat)
+                    assert plan.cheats[group][k] == play.cheat
+                    assert [plan.bob_win_prob[group, 0, k], plan.first_qubit_pass[group, 0, k],
+                            plan.final_state_pass[group, 0, k]] == [
+                        evolution.bob_win_prob, evolution.first_qubit_pass, evolution.final_state_pass]
+                    # the entrant takes over where the preparer wins against an incumbent responding, and vice versa
+                    row = [won != (stage.preparer == INCUMBENT) for won in play.preparer_wins]
+                    assert plan.takes_over[group, k].tolist() == row
+                    assert list(plan.takeovers[group][k]) == row
 
 
 @pytest.mark.parametrize("spec, coalition", [

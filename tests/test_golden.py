@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,8 @@ GOLDEN = {
                              "--trials", "9000", "--seed", "5"],
     "simulate-dice5-case2": ["simulate", "--dice", "5", "--honest-party", "2", "--case", "2"],
     "simulate-dice8-honest": ["simulate", "--dice", "8", "--honest"],
+    "simulate-dice8-case1-party6": ["simulate", "--dice", "8", "--honest-party", "6", "--case", "1",
+                                    "--trials", "3000", "--seed", "11"],
     "solve-balanced": ["solve", "balanced"],
     "solve-dice3-case1": ["solve", "dice3-case1"],
     "solve-dice3-case2": ["solve", "dice3-case2"],
@@ -58,6 +61,14 @@ def render(argv: list[str]) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_report_matches_golden(name):
     assert render(GOLDEN[name]).encode() == _path(name).read_bytes()
+
+
+def test_every_golden_is_checked_in_process_and_through_the_installed_script():
+    files = {path.name for path in GOLDEN_DIR.iterdir()}
+    assert files == {_path(name).name for name in GOLDEN}, "a golden file without a GOLDEN entry, or one missing"
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    compared = set(re.findall(r'\bcmp (?:-|"[^"]*") "\$golden/([^"]+)"', workflow))
+    assert files <= compared, f"goldens the installed script's cmp lines miss: {sorted(files - compared)}"
 
 
 if __name__ == "__main__":

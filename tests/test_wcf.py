@@ -39,7 +39,7 @@ from qdice import (
     solve_balanced,
     worst_case_losing_prob,
 )
-from qdice import _seeding, adversary, wcf
+from qdice import _seeding, adversary, dicer, wcf
 from qdice.adversary import (
     alice_optimal_value,
     alice_value_at_delta,
@@ -599,6 +599,83 @@ def test_wide_blocks_are_drawn_in_chunks_that_concatenate_to_one_draw():
         blocks[-1] += 1
     assert offset == trials
     assert blocks[0] > 1 and len(blocks) == 2
+
+
+@pytest.mark.parametrize("trials, draws, chunks", [
+    (1, 2, 1), (60, 2, 1), (TRIAL_BLOCK, 2, 1), (TRIAL_BLOCK + 1, 2, 2),  # a flip: one chunk per block
+    (10, 4, 1), (wcf.DRAW_CHUNK // 510, 510, 1), (wcf.DRAW_CHUNK // 510 + 1, 510, 2),  # a ladder's chunk
+])
+def test_a_run_is_one_draw_per_chunk_and_one_generator_per_block(monkeypatch, trials, draws, chunks):
+    generators = []
+
+    def counting_trial_rng(seed, block):
+        generators.append(block)
+        return trial_rng(seed, block)
+
+    monkeypatch.setattr(wcf, "trial_rng", counting_trial_rng)
+    drawn = list(wcf._uniform_blocks(5, trials, draws))
+    assert len(drawn) == chunks and generators == list(range(len(range(0, trials, TRIAL_BLOCK))))
+    whole = np.concatenate([trial_rng(5, block).random((min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK), draws))
+                            for block in generators])
+    assert np.array_equal(np.concatenate(drawn), whole)
+
+
+class _Row:
+    """Generator stand-in whose ``random`` returns one crafted (announce, audit) row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, size):
+        assert size == wcf.DRAWS_PER_FLIP
+        return np.array(self.row)
+
+
+def _threshold_rows(bob_win_prob, first_qubit_pass, final_state_pass):
+    """(announce, audit, code) rows at each threshold of one flip and, where
+    a uniform lies below it, just below it: an announcement equal to
+    ``bob_win_prob`` misses, and an audit equal to its pass chance fails."""
+    def below(chance):
+        return [np.nextafter(chance, 0.0)] if chance > 0.0 else []
+
+    rows = []
+    if bob_win_prob < 1.0:  # a claim-win's announcement is 1, which no uniform reaches
+        rows.append((bob_win_prob, final_state_pass, wcf.FINAL_STATE_ABORT))
+        rows += [(bob_win_prob, audit, wcf.ALICE_WINS) for audit in below(final_state_pass)]
+    for announce in below(bob_win_prob):
+        rows.append((announce, first_qubit_pass, wcf.FIRST_QUBIT_ABORT))
+        rows += [(announce, audit, wcf.BOB_WINS) for audit in below(first_qubit_pass)]
+    return rows
+
+
+@pytest.mark.parametrize("cheat", [
+    Honest(), BobClaimWin(), AliceDelta(0.3), AliceGeneral((0.5, 0.5j, 0.5, -0.5)),
+], ids=["honest", "claim-win", "tilt", "general"])
+def test_flip_codes_at_the_thresholds_of_a_scalar_evolution(cheat):
+    params = ProtocolParams(0.4, 0.25)
+    evolution = wcf._evolve(params, cheat)
+    rows = _threshold_rows(evolution.bob_win_prob, evolution.first_qubit_pass, evolution.final_state_pass)
+    assert len(rows) >= 2
+    codes = wcf._flip_codes(evolution, np.array([row[:2] for row in rows]))
+    assert codes.tolist() == [code for *_, code in rows]
+    assert codes.tolist() == [reference_code(params, cheat, _Row(row[:2])) for row in rows]
+
+
+@pytest.mark.parametrize("case, honest_party", [(1, 2), (2, 3)])
+def test_flip_codes_at_the_thresholds_of_a_stacked_two_group_plan(case, honest_party):
+    spec = LadderSpec.fair(5, case)
+    plan = dicer._ladder_plan(spec, Coalition(honest_party=honest_party))
+    assert plan.takes_over.shape[0] == 2
+    for group in range(2):
+        for k, stage in enumerate(spec.stages):
+            cheat = plan.cheats[group][k]
+            rows = _threshold_rows(*(float(chance[group, 0, k]) for chance in (
+                plan.bob_win_prob, plan.first_qubit_pass, plan.final_state_pass)))
+            draws = np.full((len(rows), len(spec.stages), wcf.DRAWS_PER_FLIP), 0.5)
+            draws[:, k] = [row[:2] for row in rows]
+            codes = wcf._flip_codes(plan, draws)[group, :, k].tolist()
+            assert codes == [code for *_, code in rows], (group, k)
+            assert codes == [reference_code(stage.params, cheat, _Row(row[:2])) for row in rows], (group, k)
 
 @pytest.mark.parametrize("cheat", [Honest(), BobClaimWin(), AliceDelta(0.9)])
 def test_first_trial_replay_matches_batched_trial_zero(cheat):
