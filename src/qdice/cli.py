@@ -6,7 +6,8 @@ optimizations) and ``bound-check`` (ladder bias composition). Every command
 emits one structured report with the top-level keys
 {version, inputs, analytic, monte_carlo, bounds}; sections that do not
 apply are null. Reports are deterministic for a fixed configuration and
-seed. Exit codes: 0 success, 2 validation error, 3 solver/bracketing error.
+seed. Exit codes: 0 success, 1 I/O error, 2 validation error, 3
+solver/bracketing error.
 
 Each command has its own argparse parser under the top-level ``qdice``
 parser (``build_parser``). An argv that starts with a command name is

@@ -33,6 +33,12 @@ losing chance and the bias bound check. The balanced coin (W = 1/sqrt(2) at
 eta* = (sqrt(2) - 1) / 2, ``solve_balanced``) is its N = 2 instance, the
 six-round three-sided protocol (``optimize_three_sided``) its N = 3 instance
 (biases 0.181 and 0.199).
+
+Each ladder is solved once per process: ``_fair_stages`` checks its
+arguments, then reads the stages from an ``lru_cache``
+(``_solved_fair_stages``, ``_FAIR_CACHE_SIZE`` entries) that
+``solve_balanced``, ``optimize_three_sided`` and ``LadderSpec.fair`` share.
+Each call still builds its own ``FairLadder`` or ``LadderSpec`` from them.
 """
 from __future__ import annotations
 
@@ -274,24 +280,28 @@ class _FairStage(NamedTuple):
     residual: float
 
 
+#: Fair solves kept by ``_solved_fair_stages``, one per checked (N, case,
+#: bracket, square_cheat_term). A solve holds, per stage, a ``_FairStage``
+#: of three floats and its ``StageParams``: about 80 KB for the widest
+#: ladder, so a full cache stays under 6 MB.
+_FAIR_CACHE_SIZE = 64
+
+
 def _fair_stages(
     n_parties: int, case: int, bracket: tuple[float, float] | None = None, square_cheat_term: bool = True
 ) -> tuple[_FairStage, ...]:
-    """Solve entrants 2..N of a fair ladder, one stage at a time.
+    """Solve entrants 2..N of a fair ladder, one stage at a time, once per
+    process for each checked argument tuple (``_solved_fair_stages``).
 
-    Before stage 2 no party is in, so the survivors' loss starts at 0.
-    Stage m picks eta with one ``find_root`` on ``_stage_residual``, the
-    entrant's worst-case loss minus the ``_compose`` of the survivors' and
-    the incumbent's loss, built once at the stage's p so that a bisection
-    step is one flat call; the entrant's loss at the root, from the checked
-    ``_stage_losses``, is the next survivors' loss. Stage 2,
-    the balanced coin, is the same flip in either layout and is played in
-    layout 1, the incumbent preparing. Stages search [0, 1-p], stage 3 its
-    case's narrower default; ``bracket`` replaces the last stage's interval,
-    and is refused as ``find_root`` refuses it before any stage is solved.
-    Each stage's bracket ends are checked as (p, eta) before its solve.
+    Every argument is checked before the cached solve, so a refused one is
+    never cached. ``bracket`` replaces the last stage's interval; it is
+    refused as ``find_root`` refuses it, and its ends are checked as (p,
+    eta) at that stage (the default intervals lie in [0, 1-p]).
     ``square_cheat_term`` reaches only case 2's incumbent (see
-    ``_stage_losses``), so case 1 refuses False.
+    ``_stage_losses``), so case 1 refuses False. Equal arguments of other
+    types, as ``np.int64(1)`` for 1, share one solve: the solve reads its
+    arguments only by value, in comparisons, ``range`` and ``find_root``,
+    which takes the bracket's ends as floats.
     """
     try:
         _checks.check_integer(case, "case", 1, 2)
@@ -302,6 +312,29 @@ def _fair_stages(
         raise ParameterError("the unsquared cheat term is a case-2 reading; case 1 has no term to square")
     if bracket is not None:
         bracket = _checks.check_bracket(bracket)
+        for end in bracket:
+            _checks.check_p_eta(_layout_p(n_parties, case), end)  # stage 2's p is 1/2 in either layout
+    return _solved_fair_stages(n_parties, case, bracket, square_cheat_term)
+
+
+@lru_cache(maxsize=_FAIR_CACHE_SIZE)
+def _solved_fair_stages(
+    n_parties: int, case: int, bracket: tuple[float, float] | None, square_cheat_term: bool
+) -> tuple[_FairStage, ...]:
+    """The fair ladder's stages for arguments that ``_fair_stages`` checked.
+
+    Before stage 2 no party is in, so the survivors' loss starts at 0.
+    Stage m picks eta with one ``find_root`` on ``_stage_residual``, the
+    entrant's worst-case loss minus the ``_compose`` of the survivors' and
+    the incumbent's loss, built once at the stage's p so that a bisection
+    step is one flat call; the entrant's loss at the root, from the checked
+    ``_stage_losses``, is the next survivors' loss. Stage 2,
+    the balanced coin, is the same flip in either layout and is played in
+    layout 1, the incumbent preparing. Stages search [0, 1-p], stage 3 its
+    case's narrower default, the last stage ``bracket`` when one is given.
+    The value is shared by every caller: a tuple of NamedTuples of floats
+    and immutable records.
+    """
     survivors = 0.0
     stages = []
     for m in range(2, n_parties + 1):
@@ -311,8 +344,6 @@ def _fair_stages(
             stage_bracket = bracket
         else:
             stage_bracket = _THREE_SIDED_BRACKETS[case] if m == 3 else (0.0, 1.0 - p)
-        for end in stage_bracket:
-            _checks.check_p_eta(p, end)
         residual = _stage_residual(p, layout, survivors, square_cheat_term)
         eta = find_root(residual, stage_bracket)
         entrant, incumbent = _stage_losses(m, layout, eta, square_cheat_term)
@@ -380,7 +411,8 @@ def _fair_ladder(stages: tuple[_FairStage, ...]) -> FairLadder:
 def solve_balanced(bracket: tuple[float, float] | None = None) -> FairLadder:
     """The fair two-party ladder: its one stage, the balanced coin (p = 1/2),
     has the eta that equalizes Alice's and Bob's cheat values. ``bracket``
-    replaces its default [0, 1/2]."""
+    replaces its default [0, 1/2]. The stage is solved once per bracket in
+    a process (``_fair_stages``' cache); each call builds a new ``FairLadder``."""
     return _fair_ladder(_fair_stages(2, 1, bracket))
 
 
@@ -389,7 +421,9 @@ def optimize_three_sided(
 ) -> FairLadder:
     """The fair three-party ladder, the six-round three-sided protocol:
     stage 3's eta equalizes all three parties' worst-case losing chances
-    (see ``_fair_stages``; ``bracket`` replaces stage 3's)."""
+    (see ``_fair_stages``; ``bracket`` replaces stage 3's). The stages are
+    solved once per (case, bracket, square_cheat_term) in a process
+    (``_fair_stages``' cache); each call builds a new ``FairLadder``."""
     return _fair_ladder(_fair_stages(3, case, bracket, square_cheat_term))
 
 
@@ -460,7 +494,8 @@ class LadderSpec(Record):
     def fair(cls, n_parties: int, case: int = 1) -> "LadderSpec":
         """The fair N-party ladder: every stage, the balanced coin of entrant
         2 included, as ``_fair_stages`` solves it for the layout (case 1, the
-        incumbent prepares; case 2, the entrant prepares)."""
+        incumbent prepares; case 2, the entrant prepares), once per (N, case)
+        in a process: a later call reads the cached stages."""
         _checks.check_integer(n_parties, "party count", 2, MAX_PARTIES)
         return cls(n_parties, tuple(solved.stage for solved in _fair_stages(n_parties, case)))
 

@@ -3,7 +3,9 @@
 The numeric constants below were frozen from standalone computations
 (explicit 8-dim state evolution, dense grid searches and bisection written
 independently of the package) so the tests do not trust the code under test
-for their expected values.
+for their expected values. ``reference.py`` rebuilds every one of them within
+1e-12, from its dense evolution and a plain bisection
+(``test_reference.test_the_reference_rebuilds_every_frozen_constant``).
 """
 from __future__ import annotations
 

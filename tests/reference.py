@@ -7,6 +7,9 @@ or ``qdice.wcf``'s evolution, so the tests can pin both to it. The random
 preparations of ``qdice.adversary.sample_cheat_values`` are rebuilt from
 ``np.random.default_rng`` in the stream order that its docstring documents,
 one normalized row at a time, and scored with the same dense evolution.
+The fair balanced coin and the fair three-party ladders are solved by a
+plain bisection on values read from the same evolution, so the constants in
+``conftest.py`` can be rebuilt without the package.
 """
 from __future__ import annotations
 
@@ -137,3 +140,92 @@ def cheat_value(p: float, eta: float, amplitudes, ancillas=None) -> float:
     """Alice's chance to win and pass the verification with this preparation:
     the weight of the miss branch's projection on the verification state."""
     return weight(evolve(p, eta, amplitudes, ancillas)[3])
+
+
+def honest_amplitudes(p: float, eta: float) -> tuple[float, float, float, float]:
+    """Alice's honest preparation: sqrt(1-p-eta) |ud> + sqrt(p+eta) |du>."""
+    return 0.0, math.sqrt(max(0.0, 1.0 - p - eta)), math.sqrt(p + eta), 0.0
+
+
+def alice_best(p: float, eta: float) -> tuple[float, np.ndarray]:
+    """Alice's best cheat value without an ancilla, and a preparation that
+    reaches it. The miss branch's overlap with the verification state is
+    linear in the amplitudes, sum_k alpha_k l_k with l_k that of basis
+    preparation k, so by Cauchy-Schwarz the best unit alpha is conj(l) / |l|
+    and the best value |l|^2."""
+    overlaps = np.array([evolve(p, eta, basis)[3][0] for basis in np.eye(4)])
+    best = weight(overlaps)
+    return best, overlaps.conj() / math.sqrt(best)
+
+
+def bob_claim_win(p: float, eta: float) -> float:
+    """Bob's chance to win by claiming a win against honest Alice: that her
+    audit of qubit 1 passes."""
+    return evolve(p, eta, honest_amplitudes(p, eta), claim_win=True)[1]
+
+
+def layout_p(m: int, case: int) -> float:
+    """The responder's honest winning chance at entrant m: the preparer is
+    the incumbent in case 1 (p = 1/m) and the entrant in case 2 (p = (m-1)/m)."""
+    return 1.0 / m if case == 1 else (m - 1.0) / m
+
+
+def stage_losses(m: int, case: int, eta: float, square_cheat_term: bool = True) -> tuple[float, float]:
+    """(entrant, incumbent) worst-case losing chances at entrant m of a
+    ladder in this case's layout: the responder loses Alice's best value to
+    the preparer, the preparer Bob's claim-win value to the responder.
+    ``square_cheat_term=False`` takes, in case 2, the square root of the
+    incumbent's loss."""
+    p = layout_p(m, case)
+    responder, preparer = alice_best(p, eta)[0], bob_claim_win(p, eta)
+    if case == 1:
+        return responder, preparer
+    return preparer, responder if square_cheat_term else math.sqrt(responder)
+
+
+def bisect(f, lo: float, hi: float) -> float:
+    """A root of ``f`` on [lo, hi], over which it changes sign: the interval
+    is halved until its midpoint is one of its ends."""
+    negative_at_lo = f(lo) < 0.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < 0.0) == negative_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def fair_ladder(n_parties: int, case: int, square_cheat_term: bool = True) -> list[tuple[float, float, float]]:
+    """(eta, entrant loss, incumbent loss) of each stage 2..N of a fair
+    ladder. Stage 2 is the balanced coin, with the incumbent preparing;
+    stage m's eta, on [0, 1-p], makes the entrant's loss equal to that of
+    the parties already in, who lose either an earlier stage (the last
+    entrant's loss) or this one (the incumbent's)."""
+    stages, survivors = [], 0.0
+    for m in range(2, n_parties + 1):
+        layout = 1 if m == 2 else case
+
+        def residual(eta: float) -> float:
+            entrant, incumbent = stage_losses(m, layout, eta, square_cheat_term)
+            return entrant - (survivors + (1.0 - survivors) * incumbent)
+
+        eta = bisect(residual, 0.0, 1.0 - layout_p(m, layout))
+        stages.append((eta, *stage_losses(m, layout, eta, square_cheat_term)))
+        survivors = stages[-1][1]
+    return stages
+
+
+def worst_case_losing(stages: list[tuple[float, float, float]]) -> list[float]:
+    """Each party's chance to lose some stage it plays in a ladder of these
+    (eta, entrant loss, incumbent loss) stages, party 1 first: party n loses
+    its entry stage as the entrant (party 1 the coin, as its incumbent) and
+    every later one as the incumbent."""
+    losing = []
+    for n in range(1, len(stages) + 2):
+        survive = 1.0
+        for m, (_, entrant, incumbent) in enumerate(stages, start=2):
+            if m >= n:
+                survive *= 1.0 - (entrant if m == n else incumbent)
+        losing.append(1.0 - survive)
+    return losing

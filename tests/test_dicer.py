@@ -284,8 +284,9 @@ def test_a_bad_bias_is_refused_before_a_later_stage_is_read(bias, message):
 
 
 def sampled_residuals(monkeypatch, n_parties, case, square_cheat_term):
-    """Each stage ``_fair_stages`` solves, with its residual's values at the
-    bracket's ends and 50 seeded etas inside, taken while the stage solves."""
+    """Each stage of a fair solve, with its residual's values at the
+    bracket's ends and 50 seeded etas inside, taken while the stage solves:
+    the uncached solve behind ``_fair_stages``, which a cache hit would skip."""
     samples, solve, rng = [], dicer.find_root, np.random.default_rng(91)
 
     def find_root(f, bracket):
@@ -294,9 +295,9 @@ def sampled_residuals(monkeypatch, n_parties, case, square_cheat_term):
         return solve(f, bracket)
 
     monkeypatch.setattr(dicer, "find_root", find_root)
-    solved = _fair_stages(n_parties, case, square_cheat_term=square_cheat_term)
+    solved = dicer._solved_fair_stages.__wrapped__(n_parties, case, None, square_cheat_term)  # a solve, not a cache hit
     monkeypatch.undo()
-    return zip(solved, samples)
+    return zip(solved, samples, strict=True)
 
 
 @pytest.mark.parametrize("case, square_cheat_term", [(1, True), (2, True), (2, False)])
@@ -450,6 +451,38 @@ def test_the_coin_is_stage_2_of_every_fair_ladder(case):
     for n_parties in range(2, 17):
         assert _fair_stages(n_parties, case)[0] == coin, n_parties
         assert FAIR[n_parties, case].stages[0] == balanced, n_parties
+
+
+#: each fair solver with the arguments of a good call, and arguments it refuses for the same N
+REFUSED_SOLVES = [
+    (solve_balanced, (), [((0.3, 0.4),), ((0.3, 0.6),), ((0.2, 0.2),), (5,)]),
+    (optimize_three_sided, (2,), [(1, (0.3, 0.4)), (2, (0.1, 0.5)), (3,), (np.int64(0),), (1, None, False),
+                                  (2, None, "no")]),
+    (LadderSpec.fair, (5, 2), [(5, 3), (5, True), (5, 2.0)]),
+]
+
+
+@pytest.mark.parametrize("solver, good, refusals", REFUSED_SOLVES)
+def test_a_refused_fair_solve_is_never_cached(solver, good, refusals):
+    # a bracket without a sign change raises BracketError inside the cached solve; every other refusal precedes it
+    cache = dicer._solved_fair_stages
+    cache.cache_clear()
+    first = solver(*good)
+    solved = cache.cache_info()
+    for _ in range(2):
+        for args in refusals:
+            with pytest.raises((ParameterError, BracketError)):
+                solver(*args)
+    assert cache.cache_info().currsize == solved.currsize
+    assert solver(*good) == first
+    assert cache.cache_info().hits == solved.hits + 1
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_stage_3_default_bracket_lies_in_its_eta_range(case):
+    # only a given bracket's ends are checked as (p, eta); stage 3's default is a constant
+    for end in dicer._THREE_SIDED_BRACKETS[case]:
+        ProtocolParams(dicer._layout_p(3, case), end)
 
 
 def test_solve_balanced_bracket_reaches_stage_2():

@@ -11,8 +11,10 @@ import io
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qdice import dicer
 from qdice.cli import EXIT_OK, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -61,6 +63,41 @@ def render(argv: list[str]) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_report_matches_golden(name):
     assert render(GOLDEN[name]).encode() == _path(name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["solve-balanced", "solve-dice3-case1", "solve-dice3-case2"])
+def test_a_repeated_solve_writes_its_golden_bytes(name):
+    dicer._solved_fair_stages.cache_clear()  # the first run solves, the second reads the cache
+    for _ in range(2):
+        assert render(GOLDEN[name]).encode() == _path(name).read_bytes()
+    assert dicer._solved_fair_stages.cache_info().hits == 1
+
+
+#: solve argv, and a fair solve that takes arguments equal to the argv's but of numpy types
+NUMPY_TWINS = [
+    (["solve", "balanced"], lambda: dicer.LadderSpec.fair(2, np.int64(1))),
+    (["solve", "balanced", "--bracket", "0.1,0.4"], lambda: dicer.solve_balanced((np.float64(0.1), np.float64(0.4)))),
+    (["solve", "dice3-case1"], lambda: dicer.optimize_three_sided(np.int64(1), None, np.True_)),
+    (["solve", "dice3-case2", "--bracket", "0.15,0.25"],
+     lambda: dicer.optimize_three_sided(np.int64(2), (np.float64(0.15), np.float64(0.25)), np.True_)),
+]
+
+
+@pytest.mark.parametrize("argv, twin", NUMPY_TWINS)
+def test_equal_solve_arguments_of_other_types_share_one_solve(argv, twin):
+    # either call may fill the cache; the report, and the twin's value down to its types (repr), stay the same
+    reports, twins = [], []
+    for twin_first in (True, False):
+        dicer._solved_fair_stages.cache_clear()
+        if twin_first:
+            twins.append(repr(twin()))
+        reports.append(render(argv))
+        if not twin_first:
+            twins.append(repr(twin()))
+        assert dicer._solved_fair_stages.cache_info().currsize == 1
+    assert reports[0] == reports[1]
+    assert twins[0] == twins[1]
+    assert "np." not in twins[0]
 
 
 def test_every_golden_is_checked_in_process_and_through_the_installed_script():

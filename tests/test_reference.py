@@ -14,6 +14,18 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import (
+    ALICE_VALUE_THIRD,
+    CASE1_BIAS,
+    CASE1_ETA_STAR,
+    CASE1_WORST_CASE,
+    CASE2_BIAS,
+    CASE2_BIAS_UNSQUARED,
+    DELTA_STAR_FAIR,
+    ETA_FAIR,
+    ROTATION_C_FAIR,
+    ROTATION_S_FAIR,
+)
 from qdice import ProtocolParams, Spin, StateVector, apply_u_eta, projective_test
 from qdice.adversary import sample_cheat_values
 from qdice.wcf import AliceDelta, AliceGeneral, BobClaimWin, Honest, _evolve, verification_state
@@ -41,7 +53,7 @@ def _unit(rng: np.random.Generator, dim: int) -> tuple[complex, ...]:
 
 def _configurations(p: float, eta: float, rng: np.random.Generator):
     """(cheat, reference.evolve keywords) of each kind at (p, eta)."""
-    honest = (0.0, math.sqrt(max(0.0, 1.0 - p - eta)), math.sqrt(p + eta), 0.0)
+    honest = reference.honest_amplitudes(p, eta)
     delta = float(rng.uniform())
     yield Honest(), {"amplitudes": honest}
     yield BobClaimWin(), {"amplitudes": honest, "claim_win": True}
@@ -105,8 +117,7 @@ def test_rotation_and_tests_match_the_dense_reference(p, eta, dim):
 def test_the_reference_reproduces_the_honest_protocol():
     # Bob wins with p and both audits pass, from the dense matrices alone
     for p, eta in POINTS:
-        honest = (0.0, math.sqrt(max(0.0, 1.0 - p - eta)), math.sqrt(p + eta), 0.0)
-        bob, first, final, amplitudes = reference.evolve(p, eta, honest)
+        bob, first, final, amplitudes = reference.evolve(p, eta, reference.honest_amplitudes(p, eta))
         assert bob == pytest.approx(p, abs=TOL)
         assert first == pytest.approx(1.0, abs=TOL)
         assert final == pytest.approx(1.0, abs=TOL)
@@ -137,3 +148,30 @@ def test_sampled_cheat_values_match_the_dense_reference(n, ancilla_dim, min_unus
         expected = [reference.cheat_value(p, eta, alpha, phis) for alpha, phis in preparations]
         assert values.shape == (n,)
         assert np.allclose(values, expected, rtol=0.0, atol=TOL), (p, eta, seed)
+
+
+def test_the_reference_rebuilds_every_frozen_constant():
+    # the fair points by bisection on the dense evolution's values alone: no closed form, no package solve
+    rebuilt = {}
+    for case, square_cheat_term, bias in ((1, True, "CASE1_BIAS"), (2, True, "CASE2_BIAS"),
+                                          (2, False, "CASE2_BIAS_UNSQUARED")):
+        stages = reference.fair_ladder(3, case, square_cheat_term)
+        worst = max(reference.worst_case_losing(stages))
+        rebuilt[bias] = worst - 2 / 3
+        if case == 1:
+            rebuilt.update(CASE1_ETA_STAR=stages[-1][0], CASE1_WORST_CASE=worst)
+    eta = rebuilt["ETA_FAIR"] = stages[0][0]  # stage 2, the balanced coin of every ladder
+    rotation = reference.rotation(0.5, eta, 1)  # [[c, s], [s, -c]] on |u2 d3>, |d2 u3>, rows 1 and 2
+    rebuilt.update(ROTATION_C_FAIR=rotation[1, 1].real, ROTATION_S_FAIR=rotation[1, 2].real)
+    rebuilt["DELTA_STAR_FAIR"] = abs(reference.alice_best(0.5, eta)[1][2]) ** 2  # the weight on |du>
+    rebuilt["ALICE_VALUE_THIRD"] = reference.alice_best(1 / 3, 0.1465)[0]
+    frozen = {
+        "ETA_FAIR": ETA_FAIR, "DELTA_STAR_FAIR": DELTA_STAR_FAIR, "ROTATION_C_FAIR": ROTATION_C_FAIR,
+        "ROTATION_S_FAIR": ROTATION_S_FAIR, "ALICE_VALUE_THIRD": ALICE_VALUE_THIRD,
+        "CASE1_ETA_STAR": CASE1_ETA_STAR, "CASE1_WORST_CASE": CASE1_WORST_CASE, "CASE1_BIAS": CASE1_BIAS,
+        "CASE2_BIAS": CASE2_BIAS, "CASE2_BIAS_UNSQUARED": CASE2_BIAS_UNSQUARED,
+    }
+    assert rebuilt.keys() == frozen.keys()
+    for name, value in frozen.items():
+        assert rebuilt[name] == pytest.approx(value, abs=TOL), name
+
