@@ -19,8 +19,8 @@ one ``wcf._flip_codes`` call decides every stage of a chunk of trials for
 both groups. Each play also becomes a takeover row, whether the entrant
 goes on as incumbent by outcome code, so that a stage moves the incumbents
 of a chunk with one table lookup and one masked assignment. The sampler
-keeps trial 0's outcome codes and replays its plays from the plan's
-plain-Python tables, from which ``DiceReport`` renders transcripts.
+keeps trial 0's outcome codes and replays them through the plan's plays,
+by the same takeover rule, from which ``DiceReport`` renders transcripts.
 
 Stage m is the flip that party m enters. Every stage from m = 3 on has
 two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
@@ -210,55 +210,45 @@ def _layout_p(m: int, case: int) -> float:
     return 1 / m if case == 1 else (m - 1) / m
 
 
-def _stage_losses(m: int, case: int, eta: float, square_cheat_term: bool = True) -> tuple[float, float]:
-    """Worst-case stage losing probabilities (entrant, incumbent) at entrant m.
+def _loss_pair(
+    closed_form: Callable[[float], tuple[float, float]], p: float, case: int, eta: float
+) -> tuple[float, float]:
+    """The worst-case stage losses (entrant, incumbent) at (p, eta), unchecked.
 
-    The responder loses to the preparer's optimal preparation, the preparer
-    to the responder's claim-win. ``square_cheat_term=False`` substitutes,
-    in case 2, the raw (unsquared) amplitude sum for the incumbent's loss;
-    that reading breaks the probability composition and is kept only so
-    tests can document that the squared form is the consistent one. Here
-    (p, eta) is checked by ``_checks.check_p_eta``, as in ``ProtocolParams``; a layout's
-    p lies strictly between 0 and 1, so the closed form is defined for every
-    eta it accepts. The responder's loss is Alice's optimum a + b
-    (``adversary.alice_optimal_value``), the preparer's Bob's p + eta
-    (``adversary.bob_optimal_value``).
+    The responder loses to the preparer's optimal preparation, Alice's
+    optimum a + b (``adversary.alice_optimal_value``, whose closed form at p
+    is ``closed_form``), the preparer to the responder's claim-win, Bob's
+    p + eta (``adversary.bob_optimal_value``). In case 1 the incumbent
+    prepares, in case 2 the entrant.
+    """
+    a, b = closed_form(eta)
+    responder, preparer = a + b, p + eta
+    return (responder, preparer) if case == 1 else (preparer, responder)
+
+
+def _stage_losses(m: int, case: int, eta: float) -> tuple[float, float]:
+    """Worst-case stage losing probabilities (entrant, incumbent) at entrant m:
+    ``_loss_pair`` once (p, eta) is checked by ``_checks.check_p_eta``, as in
+    ``ProtocolParams``. A layout's p lies strictly between 0 and 1, so the
+    closed form is defined for every eta it accepts.
     """
     p = _layout_p(m, case)
     _checks.check_p_eta(p, eta)
-    a, b = adversary._closed_form_at(p)(eta)
-    responder, preparer = a + b, p + eta
-    if case == 1:
-        return responder, preparer
-    return preparer, responder if square_cheat_term else math.sqrt(responder)
+    return _loss_pair(adversary._closed_form_at(p), p, case, eta)
 
 
-def _stage_residual(p: float, case: int, survivors: float, square_cheat_term: bool) -> Callable[[float], float]:
+def _stage_residual(p: float, case: int, survivors: float) -> Callable[[float], float]:
     """The fair-ladder residual of a stage at p, as a function of eta: the
-    entrant's ``_stage_losses`` minus ``_compose`` of the survivors' loss and
-    the incumbent's, that is ``entrant - (survivors + (1 - survivors) *
+    entrant's ``_loss_pair`` loss minus ``_compose`` of the survivors' loss
+    and the incumbent's, that is ``entrant - (survivors + (1 - survivors) *
     incumbent)``, with the same float operations and with the closed form
-    and 1 - survivors fixed once, so that each bisection step is one call
-    into the closed form. Unchecked: ``_fair_stages`` checks the bracket
-    ends as (p, eta)."""
+    and 1 - survivors fixed once. Unchecked: ``_fair_stages`` checks the
+    bracket ends as (p, eta)."""
     closed_form, surviving = adversary._closed_form_at(p), 1.0 - survivors
-    if case == 1:  # the entrant responds, the incumbent prepares
 
-        def residual(eta: float) -> float:
-            a, b = closed_form(eta)
-            return a + b - (survivors + surviving * (p + eta))
-
-    elif square_cheat_term:  # the entrant prepares, the incumbent responds
-
-        def residual(eta: float) -> float:
-            a, b = closed_form(eta)
-            return p + eta - (survivors + surviving * (a + b))
-
-    else:
-
-        def residual(eta: float) -> float:
-            a, b = closed_form(eta)
-            return p + eta - (survivors + surviving * math.sqrt(a + b))
+    def residual(eta: float) -> float:
+        entrant, incumbent = _loss_pair(closed_form, p, case, eta)
+        return entrant - (survivors + surviving * incumbent)
 
     return residual
 
@@ -281,57 +271,49 @@ class _FairStage(NamedTuple):
 
 
 #: Fair solves kept by ``_solved_fair_stages``, one per checked (N, case,
-#: bracket, square_cheat_term). A solve holds, per stage, a ``_FairStage``
-#: of three floats and its ``StageParams``: about 80 KB for the widest
-#: ladder, so a full cache stays under 6 MB.
+#: bracket). A solve holds, per stage, a ``_FairStage`` of three floats and
+#: its ``StageParams``: about 80 KB for the widest ladder, so a full cache
+#: stays under 6 MB.
 _FAIR_CACHE_SIZE = 64
 
 
-def _fair_stages(
-    n_parties: int, case: int, bracket: tuple[float, float] | None = None, square_cheat_term: bool = True
-) -> tuple[_FairStage, ...]:
+def _fair_stages(n_parties: int, case: int, bracket: tuple[float, float] | None = None) -> tuple[_FairStage, ...]:
     """Solve entrants 2..N of a fair ladder, one stage at a time, once per
     process for each checked argument tuple (``_solved_fair_stages``).
 
     Every argument is checked before the cached solve, so a refused one is
     never cached. ``bracket`` replaces the last stage's interval; it is
     refused as ``find_root`` refuses it, and its ends are checked as (p,
-    eta) at that stage (the default intervals lie in [0, 1-p]).
-    ``square_cheat_term`` reaches only case 2's incumbent (see
-    ``_stage_losses``), so case 1 refuses False. Equal arguments of other
-    types, as ``np.int64(1)`` for 1, share one solve: the solve reads its
-    arguments only by value, in comparisons, ``range`` and ``find_root``,
-    which takes the bracket's ends as floats.
+    eta) at that stage (the default intervals lie in [0, 1-p]). Equal
+    arguments of other types, as ``np.int64(1)`` for 1, share one solve: the
+    solve reads its arguments only by value, in comparisons, ``range`` and
+    ``find_root``, which takes the bracket's ends as floats.
     """
     try:
         _checks.check_integer(case, "case", 1, 2)
     except ParameterError:
         raise ParameterError(f"case must be 1 or 2, got {case}") from None
-    _checks.check_bool(square_cheat_term, "square_cheat_term")
-    if case == 1 and not square_cheat_term:
-        raise ParameterError("the unsquared cheat term is a case-2 reading; case 1 has no term to square")
     if bracket is not None:
         bracket = _checks.check_bracket(bracket)
         for end in bracket:
             _checks.check_p_eta(_layout_p(n_parties, case), end)  # stage 2's p is 1/2 in either layout
-    return _solved_fair_stages(n_parties, case, bracket, square_cheat_term)
+    return _solved_fair_stages(n_parties, case, bracket)
 
 
 @lru_cache(maxsize=_FAIR_CACHE_SIZE)
-def _solved_fair_stages(
-    n_parties: int, case: int, bracket: tuple[float, float] | None, square_cheat_term: bool
-) -> tuple[_FairStage, ...]:
+def _solved_fair_stages(n_parties: int, case: int, bracket: tuple[float, float] | None) -> tuple[_FairStage, ...]:
     """The fair ladder's stages for arguments that ``_fair_stages`` checked.
 
     Before stage 2 no party is in, so the survivors' loss starts at 0.
     Stage m picks eta with one ``find_root`` on ``_stage_residual``, the
     entrant's worst-case loss minus the ``_compose`` of the survivors' and
     the incumbent's loss, built once at the stage's p so that a bisection
-    step is one flat call; the entrant's loss at the root, from the checked
-    ``_stage_losses``, is the next survivors' loss. Stage 2,
-    the balanced coin, is the same flip in either layout and is played in
-    layout 1, the incumbent preparing. Stages search [0, 1-p], stage 3 its
-    case's narrower default, the last stage ``bracket`` when one is given.
+    step is one call of the ``_loss_pair`` rule; the entrant's loss at the
+    root, from the checked ``_stage_losses``, is the next survivors' loss.
+    Stage 2, the balanced coin, is the same flip in either layout and is
+    played in layout 1, the incumbent preparing. Stages search [0, 1-p],
+    stage 3 its case's narrower default, the last stage ``bracket`` when one
+    is given.
     The value is shared by every caller: a tuple of NamedTuples of floats
     and immutable records.
     """
@@ -344,9 +326,9 @@ def _solved_fair_stages(
             stage_bracket = bracket
         else:
             stage_bracket = _THREE_SIDED_BRACKETS[case] if m == 3 else (0.0, 1.0 - p)
-        residual = _stage_residual(p, layout, survivors, square_cheat_term)
+        residual = _stage_residual(p, layout, survivors)
         eta = find_root(residual, stage_bracket)
-        entrant, incumbent = _stage_losses(m, layout, eta, square_cheat_term)
+        entrant, incumbent = _stage_losses(m, layout, eta)
         stage = StageParams(m, ProtocolParams(p, eta), INCUMBENT if layout == 1 else ENTRANT)
         stages.append(_FairStage(stage, entrant, incumbent, abs(residual(eta))))
         survivors = entrant
@@ -416,15 +398,13 @@ def solve_balanced(bracket: tuple[float, float] | None = None) -> FairLadder:
     return _fair_ladder(_fair_stages(2, 1, bracket))
 
 
-def optimize_three_sided(
-    case: int, bracket: tuple[float, float] | None = None, square_cheat_term: bool = True
-) -> FairLadder:
+def optimize_three_sided(case: int, bracket: tuple[float, float] | None = None) -> FairLadder:
     """The fair three-party ladder, the six-round three-sided protocol:
     stage 3's eta equalizes all three parties' worst-case losing chances
     (see ``_fair_stages``; ``bracket`` replaces stage 3's). The stages are
-    solved once per (case, bracket, square_cheat_term) in a process
-    (``_fair_stages``' cache); each call builds a new ``FairLadder``."""
-    return _fair_ladder(_fair_stages(3, case, bracket, square_cheat_term))
+    solved once per (case, bracket) in a process (``_fair_stages``' cache);
+    each call builds a new ``FairLadder``."""
+    return _fair_ladder(_fair_stages(3, case, bracket))
 
 
 # -- concrete ladders and Monte Carlo ------------------------------------------
@@ -633,8 +613,9 @@ class DiceReport(Record):
 
 #: Ladder plans kept by ``_ladder_plan``. A plan holds, per stage and group,
 #: three float chances and a takeover row of four bools in its arrays, and
-#: the stage's cheat and a shared takeover tuple in its plain-Python tables:
-#: about 28 KB for the widest ladder, so a full cache stays under 2 MB.
+#: the stage's ``_Play`` in ``plays``: about 50 KB for the widest ladder (N =
+#: 256, case 2, honest party 1, whose tilts are a new play at every stage),
+#: so a full cache stays under 3.2 MB.
 _PLAN_CACHE_SIZE = 64
 
 
@@ -644,29 +625,21 @@ class _Plan(NamedTuple):
     party. Group 1, present only when the honest party is not the last
     entrant, holds those of the rows whose incumbent is the honest party
     from ``honest_from``, the first stage at which it can be one, and group
-    0's plays before it, where no row reads them. Each play is kept
-    as its branch chances, (groups, 1, stages) arrays that ``_flip_codes``
-    broadcasts against a chunk's (rows, stages) draws, and as its takeover
-    row: by outcome code, whether the entrant goes on as incumbent, the
-    play's ``preparer_wins`` XOR "the incumbent prepares", a (groups,
-    stages, 4) bool array. The arrays are read-only, since plans are shared
-    through the cache. Trial 0's replay reads ``cheats`` and ``takeovers``,
-    the same plays as plain-Python tables indexed [group][stage]."""
+    0's plays before it, where no row reads them. ``plays`` keeps each
+    group's ``_Play``s, one tuple per group, for trial 0's replay. The
+    sampler reads them as their branch chances, (groups, 1, stages) arrays
+    that ``_flip_codes`` broadcasts against a chunk's (rows, stages) draws,
+    and as their takeover rows: by outcome code, whether the entrant goes on
+    as incumbent, the play's ``preparer_wins`` XOR "the incumbent prepares",
+    a (groups, stages, 4) bool array. The arrays are read-only, since plans
+    are shared through the cache."""
 
     honest_from: int
     bob_win_prob: np.ndarray
     first_qubit_pass: np.ndarray
     final_state_pass: np.ndarray
     takes_over: np.ndarray
-    cheats: tuple[tuple[CheatSpec, ...], ...]
-    takeovers: tuple[tuple[tuple[bool, bool, bool, bool], ...], ...]
-
-
-@lru_cache(maxsize=None)
-def _takeover_row(preparer_wins: tuple[bool, ...], incumbent_prepares: bool) -> tuple[bool, ...]:
-    """Whether the entrant goes on as incumbent, by outcome code: one shared
-    tuple for each of the few (play, layout) pairs."""
-    return tuple(wins != incumbent_prepares for wins in preparer_wins)
+    plays: tuple[tuple[_Play, ...], ...]
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -676,31 +649,27 @@ def _ladder_plan(spec: LadderSpec, coalition: Coalition | None) -> _Plan:
     stage, and, with a coalition whose honest party is not the last entrant,
     those of the rows whose incumbent is the honest party from the stage
     after its entry on. Each stage's play comes from ``_stage_play`` and its
-    branch probabilities from ``_evolve``; the plan keeps only their floats
-    and, in place of the play's ``preparer_wins``, its takeover row. It
-    holds no ``_Evolution`` alive."""
+    branch probabilities from ``_evolve``; the plan keeps the plays, only
+    the floats of their evolutions, and their takeover rows. It holds no
+    ``_Evolution`` alive."""
     stages = spec.stages
-    groups = [[_stage_play(stage, coalition, False) for stage in stages]]
+    groups = [tuple(_stage_play(stage, coalition, False) for stage in stages)]
     # stage k has entrant k + 2, so the honest party is an incumbent from stage honest_party - 1 on
     honest_from = len(stages)
     if coalition is not None and coalition.honest_party < spec.n_parties:
         honest_from = coalition.honest_party - 1
-        plays = [_stage_play(stage, coalition, True) for stage in stages[honest_from:]]
+        plays = tuple(_stage_play(stage, coalition, True) for stage in stages[honest_from:])
         groups.append(groups[0][:honest_from] + plays)
     evolutions = [[_evolve(stage.params, play.cheat) for stage, play in zip(stages, plays)] for plays in groups]
     arrays = [
         np.array([[getattr(evolution, name) for evolution in row] for row in evolutions], dtype=float)[:, None]
         for name in ("bob_win_prob", "first_qubit_pass", "final_state_pass")
     ]
-    takeovers = tuple(
-        tuple(_takeover_row(play.preparer_wins, stage.preparer == INCUMBENT) for stage, play in zip(stages, plays))
-        for plays in groups
-    )
-    arrays.append(np.array(takeovers, dtype=bool))
+    incumbent_prepares = np.array([stage.preparer == INCUMBENT for stage in stages])
+    arrays.append(np.array([[play.preparer_wins for play in plays] for plays in groups]) ^ incumbent_prepares[:, None])
     for array in arrays:
         array.setflags(write=False)
-    cheats = tuple(tuple(play.cheat for play in plays) for plays in groups)
-    return _Plan(honest_from, *arrays, cheats, takeovers)
+    return _Plan(honest_from, *arrays, tuple(groups))
 
 
 def simulate_dice(
@@ -723,9 +692,10 @@ def simulate_dice(
     party's entry on, wherever it is the incumbent, the honest group's code
     and takeover replace the other's (``np.copyto`` on those rows). The
     entrant is then written in place into the rows it takes. Trial 0's
-    codes are read back from row 0 of the first chunk, its plays replayed
-    from the plan's plain-Python tables, and ``DiceReport.first_trial``
-    renders their transcripts.
+    codes are read back from row 0 of the first chunk and replayed through
+    the plan's plays: the entrant takes over where the play's
+    ``preparer_wins`` XOR "the incumbent prepares" holds, the rule behind
+    ``takes_over``. ``DiceReport.first_trial`` renders their transcripts.
     """
     _checks.check_integer(trials, "trial count", 1, MAX_TRIALS)
     _checks.check_seed(seed)
@@ -763,9 +733,10 @@ def simulate_dice(
     for k, (stage, code) in enumerate(zip(spec.stages, first_codes)):
         group = incumbent == honest  # True, group 1, only where the honest party is the incumbent
         preparer, responder = _stage_roles(stage, incumbent)
-        if plan.takeovers[group][k][code]:
+        play = plan.plays[group][k]
+        if play.preparer_wins[code] != (stage.preparer == INCUMBENT):
             incumbent = stage.entrant
-        trial_zero.append((plan.cheats[group][k], code, preparer, responder, incumbent))
+        trial_zero.append((play.cheat, code, preparer, responder, incumbent))
     return DiceReport(
         n_parties=spec.n_parties,
         trials=trials,

@@ -140,7 +140,7 @@ VALID_CALLS = {
     honest_dice_probs: ((3,), {}),
     worst_case_losing_prob: ((1, 3, [0.1, 0.1]), {}),
     bias_bound_check: ((1, 3, [0.1, 0.1]), {}),
-    optimize_three_sided: ((1, None, True), {}),
+    optimize_three_sided: ((1, None), {}),
     FairLadder: ((LADDER.stages, LADDER.worst_case_losing, LADDER.epsilon, LADDER.bound, LADDER.bound_holds), {}),
     BoundCheck: ((0.1, 0.3, True, 0.8), {}),
     DiceReport: ((3, 10, (4, 3, 3), 0, (SPEC, None, 0), ()), {}),

@@ -16,7 +16,6 @@ from conftest import (
     CASE1_ETA_STAR,
     CASE1_WORST_CASE,
     CASE2_BIAS,
-    CASE2_BIAS_UNSQUARED,
     ETA_FAIR,
     SQRT_HALF,
     reference_code,
@@ -283,7 +282,7 @@ def test_a_bad_bias_is_refused_before_a_later_stage_is_read(bias, message):
             check(1, 4, [0.9, bias, 0.1])
 
 
-def sampled_residuals(monkeypatch, n_parties, case, square_cheat_term):
+def sampled_residuals(monkeypatch, n_parties, case):
     """Each stage of a fair solve, with its residual's values at the
     bracket's ends and 50 seeded etas inside, taken while the stage solves:
     the uncached solve behind ``_fair_stages``, which a cache hit would skip."""
@@ -295,24 +294,21 @@ def sampled_residuals(monkeypatch, n_parties, case, square_cheat_term):
         return solve(f, bracket)
 
     monkeypatch.setattr(dicer, "find_root", find_root)
-    solved = dicer._solved_fair_stages.__wrapped__(n_parties, case, None, square_cheat_term)  # a solve, not a cache hit
+    solved = dicer._solved_fair_stages.__wrapped__(n_parties, case, None)  # a solve, not a cache hit
     monkeypatch.undo()
     return zip(solved, samples, strict=True)
 
 
-@pytest.mark.parametrize("case, square_cheat_term", [(1, True), (2, True), (2, False)])
-def test_fair_residual_equals_the_checked_closed_forms_bit_for_bit(monkeypatch, case, square_cheat_term):
+@pytest.mark.parametrize("case", [1, 2])
+def test_fair_residual_equals_the_checked_closed_forms_bit_for_bit(monkeypatch, case):
     survivors = 0.0  # N = 64: its first seven stages, and their samples, are N = 8's
-    for stage, samples in sampled_residuals(monkeypatch, 64, case, square_cheat_term):
+    for stage, samples in sampled_residuals(monkeypatch, 64, case):
         m, layout = stage.stage.entrant, 1 if stage.stage.entrant == 2 else case
         for eta, value in samples:
             params = ProtocolParams(dicer._layout_p(m, layout), eta)
             responder, preparer = alice_optimal_value(params).value, bob_optimal_value(params).value
-            if layout == 1:
-                entrant, incumbent = responder, preparer
-            else:
-                entrant, incumbent = preparer, responder if square_cheat_term else math.sqrt(responder)
-            assert _stage_losses(m, layout, eta, square_cheat_term) == (entrant, incumbent)
+            entrant, incumbent = (responder, preparer) if layout == 1 else (preparer, responder)
+            assert _stage_losses(m, layout, eta) == (entrant, incumbent)
             assert value.hex() == (entrant - (survivors + (1.0 - survivors) * incumbent)).hex()
         survivors = stage.entrant
 
@@ -333,17 +329,16 @@ def test_fair_etas_are_pinned_to_the_bit(case):
 #: sha256 of ``float.hex`` of every field of every stage of the 64-party fair
 #: ladder (eta, entrant, incumbent, residual), which holds every N <= 64
 FAIR_STAGES_N64_SHA256 = {
-    (1, True): "78a8b5ec7bdcc165efcef75fe871ef33940985412a44bab2a54c5de3e611690c",
-    (2, True): "4b18997a6b34a3e6d33569cacde3df24751a39cb055e38268b588263274306b7",
-    (2, False): "a1789fe806c4af3deb815279ebd10caa5c42e39bddf83768c49e7e6b44f8f7e6",
+    1: "78a8b5ec7bdcc165efcef75fe871ef33940985412a44bab2a54c5de3e611690c",
+    2: "4b18997a6b34a3e6d33569cacde3df24751a39cb055e38268b588263274306b7",
 }
 
 
-@pytest.mark.parametrize("case, square_cheat_term", FAIR_STAGES_N64_SHA256)
-def test_fair_stages_are_pinned_to_the_bit_up_to_n64(case, square_cheat_term):
-    stages = _fair_stages(64, case, square_cheat_term=square_cheat_term)
+@pytest.mark.parametrize("case", FAIR_STAGES_N64_SHA256)
+def test_fair_stages_are_pinned_to_the_bit_up_to_n64(case):
+    stages = _fair_stages(64, case)
     fields = " ".join(x.hex() for s in stages for x in (s.stage.params.eta, s.entrant, s.incumbent, s.residual))
-    assert hashlib.sha256(fields.encode()).hexdigest() == FAIR_STAGES_N64_SHA256[case, square_cheat_term]
+    assert hashlib.sha256(fields.encode()).hexdigest() == FAIR_STAGES_N64_SHA256[case]
 
 
 # -- three-sided stage values -------------------------------------------------------
@@ -409,12 +404,6 @@ def test_optimize_case2():
     assert ladder.worst_case_losing[-1] == pytest.approx(2 / 3 + CASE2_BIAS, abs=1e-9)
 
 
-def test_optimize_case2_unsquared_reading_differs():
-    ladder = optimize_three_sided(2, square_cheat_term=False)
-    assert ladder.epsilon == pytest.approx(CASE2_BIAS_UNSQUARED, abs=1e-9)
-    assert abs(ladder.epsilon - 0.199) > 0.01
-
-
 def test_case1_beats_case2():
     assert optimize_three_sided(1).epsilon < optimize_three_sided(2).epsilon
 
@@ -424,12 +413,14 @@ def test_optimize_rejects_unknown_case():
         optimize_three_sided(3)
 
 
-def test_unsquared_reading_is_refused_for_case1():
-    # only case 2's incumbent has a cheat term to leave unsquared
-    with pytest.raises(ParameterError):
-        optimize_three_sided(1, square_cheat_term=False)
-    with pytest.raises(ParameterError):
-        _fair_stages(5, 1, square_cheat_term=False)
+def test_the_unsquared_reading_is_not_a_dicer_option():
+    # the paper's biases need the squared reading; tests/reference.py keeps the other
+    with pytest.raises(TypeError):
+        optimize_three_sided(2, square_cheat_term=False)
+    with pytest.raises(TypeError):
+        optimize_three_sided(2, None, False)
+    with pytest.raises(TypeError):
+        _fair_stages(5, 2, square_cheat_term=False)
 
 
 # -- fair ladders for any N --------------------------------------------------------------
@@ -456,8 +447,7 @@ def test_the_coin_is_stage_2_of_every_fair_ladder(case):
 #: each fair solver with the arguments of a good call, and arguments it refuses for the same N
 REFUSED_SOLVES = [
     (solve_balanced, (), [((0.3, 0.4),), ((0.3, 0.6),), ((0.2, 0.2),), (5,)]),
-    (optimize_three_sided, (2,), [(1, (0.3, 0.4)), (2, (0.1, 0.5)), (3,), (np.int64(0),), (1, None, False),
-                                  (2, None, "no")]),
+    (optimize_three_sided, (2,), [(1, (0.3, 0.4)), (2, (0.1, 0.5)), (3,), (np.int64(0),)]),
     (LadderSpec.fair, (5, 2), [(5, 3), (5, True), (5, 2.0)]),
 ]
 
@@ -793,24 +783,22 @@ def test_plan_arrays_are_read_only():
                 plan.bob_win_prob[0, 0, 0] = 0.5
             with pytest.raises(ValueError):
                 plan.takes_over[0, 0, 0] = not plan.takes_over[0, 0, 0]
-            # the replay's plain-Python tables are the arrays' plays
-            assert plan.takes_over.tolist() == [list(map(list, rows)) for rows in plan.takeovers]
+            assert [len(plays) for plays in plan.plays] == [len(spec.stages)] * groups
             if has_honest_group:  # padded with group 0's plays before the honest party can be an incumbent
-                assert plan.cheats[1][:honest_from] == plan.cheats[0][:honest_from]
-                assert plan.takeovers[1][:honest_from] == plan.takeovers[0][:honest_from]
+                assert plan.plays[1][:honest_from] == plan.plays[0][:honest_from]
+                assert plan.takes_over[1, :honest_from].tolist() == plan.takes_over[0, :honest_from].tolist()
             for group, honest_incumbent in zip(range(groups), (False, True)):
                 first = honest_from if honest_incumbent else 0
                 for k, stage in enumerate(spec.stages[first:], start=first):
                     play = _stage_play(stage, coalition, honest_incumbent)
                     evolution = wcf._evolve(stage.params, play.cheat)
-                    assert plan.cheats[group][k] == play.cheat
+                    assert plan.plays[group][k] == play
                     assert [plan.bob_win_prob[group, 0, k], plan.first_qubit_pass[group, 0, k],
                             plan.final_state_pass[group, 0, k]] == [
                         evolution.bob_win_prob, evolution.first_qubit_pass, evolution.final_state_pass]
                     # the entrant takes over where the preparer wins against an incumbent responding, and vice versa
                     row = [won != (stage.preparer == INCUMBENT) for won in play.preparer_wins]
                     assert plan.takes_over[group, k].tolist() == row
-                    assert list(plan.takeovers[group][k]) == row
 
 
 @pytest.mark.parametrize("spec, coalition", [

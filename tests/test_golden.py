@@ -77,9 +77,9 @@ def test_a_repeated_solve_writes_its_golden_bytes(name):
 NUMPY_TWINS = [
     (["solve", "balanced"], lambda: dicer.LadderSpec.fair(2, np.int64(1))),
     (["solve", "balanced", "--bracket", "0.1,0.4"], lambda: dicer.solve_balanced((np.float64(0.1), np.float64(0.4)))),
-    (["solve", "dice3-case1"], lambda: dicer.optimize_three_sided(np.int64(1), None, np.True_)),
+    (["solve", "dice3-case1"], lambda: dicer.optimize_three_sided(np.int64(1), None)),
     (["solve", "dice3-case2", "--bracket", "0.15,0.25"],
-     lambda: dicer.optimize_three_sided(np.int64(2), (np.float64(0.15), np.float64(0.25)), np.True_)),
+     lambda: dicer.optimize_three_sided(np.int64(2), (np.float64(0.15), np.float64(0.25)))),
 ]
 
 

@@ -165,7 +165,6 @@ WRONG_TYPE_CALLS = {
     "case-array-three-sided": lambda: optimize_three_sided(np.array([1, 2])),
     "case-bool-fair-ladder": lambda: LadderSpec.fair(3, True),
     "case-array-fair-ladder": lambda: LadderSpec.fair(3, np.array([1, 2])),
-    "square-string-three-sided": lambda: optimize_three_sided(2, square_cheat_term="no"),
     "preparer-array-stage": lambda: StageParams(2, ProtocolParams(0.5, 0.1), np.array(["a", "b"])),
     "terms-none-state-from-terms": lambda: StateVector.from_terms(None),
     "params-none-verification-state": lambda: wcf.verification_state(None),
@@ -668,7 +667,7 @@ def test_flip_codes_at_the_thresholds_of_a_stacked_two_group_plan(case, honest_p
     assert plan.takes_over.shape[0] == 2
     for group in range(2):
         for k, stage in enumerate(spec.stages):
-            cheat = plan.cheats[group][k]
+            cheat = plan.plays[group][k].cheat
             rows = _threshold_rows(*(float(chance[group, 0, k]) for chance in (
                 plan.bob_win_prob, plan.first_qubit_pass, plan.final_state_pass)))
             draws = np.full((len(rows), len(spec.stages), wcf.DRAWS_PER_FLIP), 0.5)
