@@ -4,19 +4,26 @@ import, and the class building, were most of ``import qdice``).
 
 A record class lists its fields as ``__slots__``, in declaration order, and
 adds ``"__dict__"`` when it keeps a ``functools.cached_property``; a slot
-whose name starts with an underscore is a private cache, not a field. The
-class writes its own ``__init__``, which stores each field with
+whose name starts with an underscore is a private cache, not a field. A
+field's default is declared in the class statement, as in
+``class StageParams(Record, defaults={"preparer": INCUMBENT})``, and may
+only be given to the last fields. ``Record`` writes the rest, from the
+fields in order: ``__init__`` takes them as parameters, stores each with
 ``object.__setattr__`` and then calls ``self.__post_init__()`` when the
-class validates or normalizes its fields. ``Record`` gives the rest, from
-the fields in order: assignment and ``del`` raise ``AttributeError``,
-records are equal only to records of the same class with equal fields,
-hash as the tuple of their fields, print as ``Name(field=value, ...)``, and
-copy and pickle by calling the class on their fields again.
+class validates or normalizes its fields; assignment and ``del`` raise
+``AttributeError``; records are equal only to records of the same class
+with equal fields, hash as the tuple of their fields, print as
+``Name(field=value, ...)``, and copy and pickle by calling the class on
+their fields again. A subclass without fields of its own keeps its base's
+``__init__`` and defaults.
 
 ``__eq__`` and ``__hash__`` are cache-key paths (``wcf._evolve``,
-``dicer._ladder_plan``), so ``Record`` writes each class its own (a class
-writes neither), field by field as the decorator writes them: reading the
-fields through ``operator.attrgetter`` instead hashes about a third slower.
+``dicer._ladder_plan``) and ``__init__`` a hot one (every ``Event`` of a
+transcript), so all three are compiled for each class, field by field as
+the dataclass decorator writes them: reading the fields through
+``operator.attrgetter`` instead hashes about a third slower. ``__init__``
+looks ``__post_init__`` up on each call, so a wrapper set on the class
+later (a profiler's span) still runs.
 """
 from __future__ import annotations
 
@@ -26,24 +33,29 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs) -> None:
+    def __init_subclass__(cls, defaults: dict | None = None, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = tuple(name for name in vars(cls).get("__slots__", ()) if not name.startswith("_"))
         fields = getattr(cls, "__match_args__", ()) + own  # a subclass's fields follow its base's
         cls.__match_args__ = fields
         mine = "".join(f"self.{name}," for name in fields)
         theirs = "".join(f"other.{name}," for name in fields)
-        namespace: dict = {}
-        exec(
+        source = (
             "def __eq__(self, other):\n"
             "    if other.__class__ is self.__class__:\n"
             f"        return ({mine}) == ({theirs})\n"
             "    return NotImplemented\n"
             "def __hash__(self):\n"
-            f"    return hash(({mine}))\n",
-            {},
-            namespace,
+            f"    return hash(({mine}))\n"
         )
+        defaults = defaults or {}
+        if own:  # a subclass without fields of its own keeps its base's __init__ and defaults
+            params = "".join(f", {name}=_defaults[{name!r}]" if name in defaults else f", {name}" for name in fields)
+            stores = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+            post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+            source += f"def __init__(self{params}):\n{stores}{post}"
+        namespace: dict = {}
+        exec(source, {"_set": object.__setattr__, "_defaults": defaults}, namespace)
         for name, method in namespace.items():
             method.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, method)

@@ -66,14 +66,10 @@ _seeding = lazy_import(f"{__package__}._seeding")
 MAX_ORACLE_POINTS = 10**6
 
 
-class CheatValue(Record):
+class CheatValue(Record, defaults={"optimizer": None}):
     """A cheating probability together with the strategy achieving it."""
 
     __slots__ = ("value", "optimizer")
-
-    def __init__(self, value: float, optimizer: float | tuple | None = None) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "optimizer", optimizer)
 
 
 def _closed_form_at(p: float) -> Callable[[float], tuple[float, float]]:

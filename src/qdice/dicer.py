@@ -348,20 +348,6 @@ class FairLadder(Record):
         "bound_holds",        # whether every party's bias is at most N times its own largest stage bias
     )
 
-    def __init__(
-        self,
-        stages: tuple[_FairStage, ...],
-        worst_case_losing: tuple[float, ...],
-        epsilon: float,
-        bound: float,
-        bound_holds: bool,
-    ) -> None:
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "worst_case_losing", worst_case_losing)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "bound_holds", bound_holds)
-
 
 def _fair_ladder(stages: tuple[_FairStage, ...]) -> FairLadder:
     """The ``FairLadder`` of solved stages. A party loses its entry stage as
@@ -410,7 +396,7 @@ def optimize_three_sided(case: int, bracket: tuple[float, float] | None = None) 
 # -- concrete ladders and Monte Carlo ------------------------------------------
 
 
-class StageParams(Record):
+class StageParams(Record, defaults={"preparer": INCUMBENT}):
     """One ladder stage: who prepares, and the flip parameters.
 
     The entrant's honest winning chance must equal 1/entrant, which ties
@@ -419,12 +405,6 @@ class StageParams(Record):
     """
 
     __slots__ = ("entrant", "params", "preparer")
-
-    def __init__(self, entrant: int, params: ProtocolParams, preparer: str = INCUMBENT) -> None:
-        object.__setattr__(self, "entrant", entrant)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "preparer", preparer)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         _checks.check_type(self.params, ProtocolParams, "params")
@@ -447,11 +427,6 @@ class LadderSpec(Record):
     stored as a tuple so a spec built from a list is hashable too."""
 
     __slots__ = ("n_parties", "stages")
-
-    def __init__(self, n_parties: int, stages: tuple[StageParams, ...]) -> None:
-        object.__setattr__(self, "n_parties", n_parties)
-        object.__setattr__(self, "stages", stages)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         _checks.check_integer(self.n_parties, "party count", 2, MAX_PARTIES)
@@ -490,9 +465,6 @@ class Coalition(Record):
     the coalition plays its optimal cheat (see ``_stage_play``)."""
 
     __slots__ = ("honest_party",)
-
-    def __init__(self, honest_party: int) -> None:
-        object.__setattr__(self, "honest_party", honest_party)
 
 
 def _stage_roles(stage: StageParams, incumbent: int) -> tuple[int, int]:
@@ -567,24 +539,10 @@ class DiceReport(Record):
     seed), and trial 0 as the sampler played it: one (cheat, outcome code,
     preparer, responder, winner) per stage."""
 
+    #: ``run`` is a (LadderSpec, Coalition or None, int seed) tuple,
+    #: ``trial_zero`` a tuple of (CheatSpec, int, int, int, int) tuples, and
     #: ``__dict__`` holds ``first_trial``
     __slots__ = ("n_parties", "trials", "win_counts", "stage_aborts", "run", "trial_zero", "__dict__")
-
-    def __init__(
-        self,
-        n_parties: int,
-        trials: int,
-        win_counts: tuple[int, ...],
-        stage_aborts: int,
-        run: tuple[LadderSpec, Coalition | None, int],
-        trial_zero: tuple[tuple[CheatSpec, int, int, int, int], ...],
-    ) -> None:
-        object.__setattr__(self, "n_parties", n_parties)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "win_counts", win_counts)
-        object.__setattr__(self, "stage_aborts", stage_aborts)
-        object.__setattr__(self, "run", run)
-        object.__setattr__(self, "trial_zero", trial_zero)
 
     @cached_property
     def first_trial(self) -> tuple[StageRun, ...]:

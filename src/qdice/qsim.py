@@ -79,15 +79,10 @@ _UD = (slice(None), int(Spin.UP), int(Spin.DOWN))
 _DU = (slice(None), int(Spin.DOWN), int(Spin.UP))
 
 
-class BasisLabel(Record):
+class BasisLabel(Record, defaults={"ancilla": 0}):
     """One basis ket: a spin per labelled qubit plus an ancilla index."""
 
     __slots__ = ("bits", "ancilla")
-
-    def __init__(self, bits: tuple[Spin, ...], ancilla: int = 0) -> None:
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "ancilla", ancilla)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         _checks.check_type(self.bits, tuple, "bits")
@@ -138,10 +133,6 @@ class StateVector(Record):
     """
 
     __slots__ = ("amps",)
-
-    def __init__(self, amps: np.ndarray) -> None:
-        object.__setattr__(self, "amps", amps)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         amps = self.amps
@@ -296,10 +287,6 @@ class TestOutcome(Record):
     """
 
     __slots__ = ("probability", "post_state")
-
-    def __init__(self, probability: float, post_state: StateVector | None) -> None:
-        object.__setattr__(self, "probability", probability)
-        object.__setattr__(self, "post_state", post_state)
 
 
 def _branch(raw: np.ndarray, probability: float) -> TestOutcome:

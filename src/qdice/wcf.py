@@ -64,11 +64,6 @@ class ProtocolParams(Record):
 
     __slots__ = ("p", "eta")
 
-    def __init__(self, p: float, eta: float) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "eta", eta)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         _checks.check_p_eta(self.p, self.eta)
 
@@ -100,35 +95,23 @@ class AliceDelta(CheatSpec, Record):
     __slots__ = ("delta",)
     name = "alice-delta"
 
-    def __init__(self, delta: float) -> None:
-        object.__setattr__(self, "delta", delta)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         _checks.check_unit_interval(self.delta, "delta")
 
 
-class AliceGeneral(CheatSpec, Record):
+class AliceGeneral(CheatSpec, Record, defaults={"ancillas": None}):
     """Alice prepares an arbitrary two-qubit state, optionally entangled
     with a private ancilla.
 
-    ``amplitudes`` are ordered (uu, ud, du, dd) and must be normalized;
-    ``ancillas`` gives one unit vector per branch (all the same dimension)
-    or is None for no ancilla. Both are stored as tuples, so a spec built
-    from lists or arrays is hashable like any other.
+    ``amplitudes`` are four complex numbers ordered (uu, ud, du, dd) and
+    must be normalized; ``ancillas`` gives one unit vector of complex
+    numbers per branch (all the same dimension) or is None, the default,
+    for no ancilla. Both are stored as tuples, so a spec built from lists or
+    arrays is hashable like any other.
     """
 
     __slots__ = ("amplitudes", "ancillas")
     name = "alice-general"
-
-    def __init__(
-        self,
-        amplitudes: tuple[complex, complex, complex, complex],
-        ancillas: tuple[tuple[complex, ...], ...] | None = None,
-    ) -> None:
-        object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "ancillas", ancillas)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         try:
@@ -236,17 +219,9 @@ class Event(Record):
     #: kind: prepare | send_qubit | rotate | measure | announce | test | verdict | declare
     __slots__ = ("kind", "actor", "detail")
 
-    def __init__(self, kind: str, actor: str, detail: str) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "actor", actor)
-        object.__setattr__(self, "detail", detail)
-
 
 class Transcript(Record):
     __slots__ = ("events",)
-
-    def __init__(self, events: tuple[Event, ...]) -> None:
-        object.__setattr__(self, "events", events)
 
     @property
     def comm_rounds(self) -> int:
@@ -258,11 +233,6 @@ class Transcript(Record):
 
 class Outcome(Record):
     __slots__ = ("winner", "abort_reason", "transcript")
-
-    def __init__(self, winner: Winner, abort_reason: str | None, transcript: Transcript) -> None:
-        object.__setattr__(self, "winner", winner)
-        object.__setattr__(self, "abort_reason", abort_reason)
-        object.__setattr__(self, "transcript", transcript)
 
 
 # -- the state machine --------------------------------------------------------
@@ -285,19 +255,11 @@ class _Evolution(Record):
         "bob_win_prob",      # Bob's pattern measurement hits (1.0 when he skips it)
         "first_qubit_pass",  # audit pass probability on the win branch
         "final_state_pass",  # audit pass probability on the lose branch
-        # <xi|miss> per ancilla index, on the unnormalized miss branch; its
-        # squared norm is Alice's win-and-survive probability
+        # <xi|miss> per ancilla index, on the unnormalized miss branch, as a
+        # read-only complex np.ndarray; its squared norm is Alice's
+        # win-and-survive probability
         "miss_amplitudes",
     )
-
-    def __init__(
-        self, bob_win_prob: float, first_qubit_pass: float, final_state_pass: float, miss_amplitudes: np.ndarray
-    ) -> None:
-        object.__setattr__(self, "bob_win_prob", bob_win_prob)
-        object.__setattr__(self, "first_qubit_pass", first_qubit_pass)
-        object.__setattr__(self, "final_state_pass", final_state_pass)
-        object.__setattr__(self, "miss_amplitudes", miss_amplitudes)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         self.miss_amplitudes.setflags(write=False)  # shared through the cache
@@ -453,13 +415,9 @@ class TrialStats(Record):
     """Winner tallies for a batch of protocol runs, and the (params, cheat,
     seed) of the run, from which trial 0 is replayed when first read."""
 
-    #: ``__dict__`` holds ``first``
+    #: ``counts`` is a ``Counter`` of ``Winner``, ``run`` a (ProtocolParams,
+    #: CheatSpec, int seed) tuple, and ``__dict__`` holds ``first``
     __slots__ = ("trials", "counts", "run", "__dict__")
-
-    def __init__(self, trials: int, counts: Counter, run: tuple[ProtocolParams, CheatSpec, int]) -> None:
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "run", run)
 
     @cached_property
     def first(self) -> Outcome:

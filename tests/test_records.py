@@ -1,11 +1,13 @@
 """Value semantics of the package's immutable records, one table for all 19
-classes: equality within one class only, hash and repr from the fields in
-declaration order, immutability, keyword construction and defaults, copy
-and pickle. The expected reprs are the text these classes printed as
-frozen dataclasses."""
+classes: the constructor ``Record`` generates (the fields in declaration
+order, the declared defaults, refused missing, extra and unknown
+arguments), equality within one class only, hash and repr from the fields,
+immutability, copy and pickle. The expected reprs are the text these
+classes printed as frozen dataclasses."""
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 from collections import Counter
 
@@ -24,6 +26,7 @@ from qdice import (
     Honest,
     LadderSpec,
     Outcome,
+    ParameterError,
     ProtocolParams,
     Spin,
     StageParams,
@@ -96,7 +99,7 @@ def _fields(record) -> tuple:
 
 def _same(a, b) -> bool:
     """``a == b``, with array fields compared entry by entry."""
-    if type(a) in ARRAY_RECORDS:
+    if isinstance(a, ARRAY_RECORDS):
         return type(a) is type(b) and all(
             np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(_fields(a), _fields(b))
         )
@@ -114,6 +117,17 @@ def test_record_value_semantics(cls, fields, defaults, text):
     # keyword construction and defaults
     assert _same(cls(**fields), record)
     assert _same(cls(**fields, **defaults), record)
+    # the generated constructor takes the fields in order, and defaults only the declared ones
+    parameters = inspect.signature(cls).parameters
+    assert tuple(parameters) == cls.__match_args__
+    assert {name: p.default for name, p in parameters.items() if p.default is not p.empty} == defaults
+    if fields:
+        with pytest.raises(TypeError):
+            cls(*tuple(fields.values())[:-1])  # the last field without a default is missing
+    with pytest.raises(TypeError):
+        cls(*fields.values(), *defaults.values(), None)
+    with pytest.raises(TypeError):
+        cls(**fields, extra=None)
     assert repr(record) == text
     # equal fields give equal values with equal hashes, where the fields are hashable
     twin = cls(*fields.values())
@@ -126,6 +140,8 @@ def test_record_value_semantics(cls, fields, defaults, text):
     # another class with the same fields is unequal, and so is the tuple of the fields
     other = type(cls.__name__, (cls,), {"__slots__": ()})(*fields.values())
     assert record != other and other != record
+    # a subclass without fields of its own keeps its base's constructor and defaults
+    assert _same(type(other)(**fields), other)
     assert record != _fields(record) and record != ()
     # immutable
     for name in [*cls.__match_args__, "extra"]:
@@ -139,6 +155,22 @@ def test_record_value_semantics(cls, fields, defaults, text):
         assert type(clone) is cls and _same(clone, record)
         if cls not in UNHASHABLE:
             assert hash(clone) == hash(record)
+
+
+def test_the_constructor_looks_up_post_init_on_each_call(monkeypatch):
+    """A wrapper set on ``__post_init__`` after import, as a profiler's span
+    is, runs on the next construction, and the checks still run within it."""
+    calls = []
+    for cls in (ProtocolParams, StageParams):
+        def counted(self, check=cls.__post_init__):
+            calls.append(type(self))
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    StageParams(2, ProtocolParams(0.5, 0.2))
+    assert calls == [ProtocolParams, StageParams]
+    with pytest.raises(ParameterError):
+        ProtocolParams(0.5, 0.9)
+    assert calls[-1] is ProtocolParams
 
 
 def test_cheat_specs_of_different_classes_never_compare_equal():
