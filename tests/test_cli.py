@@ -262,6 +262,39 @@ def test_negative_leading_list_value_is_a_value(capsys):
     assert separate["inputs"]["alphas"] == "-0.5,0.5,0.5,0.5"
 
 
+#: argv ending in a list flag whose value starts with a minus sign, the flag, and that value
+_NEGATIVE_LIST_ARGV = [
+    (["simulate", "--p", "0.5", "--eta", "0.2", "--cheat", "alice-general", "--trials", "50"], "--alphas",
+     "-0.5,0.5,0.5,0.5"),
+    (["bound-check", "--dice", "3", "--party", "1"], "--biases", "-0.1,0.2"),
+    (["solve", "dice3-case1"], "--bracket", "-0.1,0.2"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", _NEGATIVE_LIST_ARGV, ids=[flag for _, flag, _ in _NEGATIVE_LIST_ARGV])
+def test_an_abbreviated_list_flag_takes_a_negative_value(argv, flag, value):
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return main(argv), out.getvalue(), err.getvalue()
+
+    full = outcome(argv + [flag, value])
+    assert full[0] == (EXIT_OK if flag == "--alphas" else EXIT_VALIDATION)
+    # argparse reads a unique prefix of an option as that option
+    for abbreviation in (flag[:-1], flag[:3]):
+        assert outcome(argv + [abbreviation, value]) == full
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "0.5", "--eta", "0.2", "--d", "-0.5"],  # --delta or --dice
+    ["simulate", "--p", "0.5", "--eta", "0.2", "--cheat", "alice-general", "--alphaz", "-0.5,0.5,0.5,0.5"],
+    ["cheat", "--p", "0.5", "--eta", "0.2", "--alpha", "-0.5,0.5,0.5,0.5"],
+])
+def test_an_ambiguous_or_unknown_prefix_is_refused(argv):
+    code, out, err = _exit_of(main, argv)
+    assert code == 2 and out == "" and err.startswith("usage: qdice")
+
+
 def test_solver_exit_code(capsys):
     code, _ = run_cli(capsys, "solve", "balanced", "--bracket", "0.3,0.31")
     assert code == EXIT_SOLVER
@@ -355,6 +388,102 @@ def test_dispatched_parse_matches_the_full_parser(argv):
         args, command = _parse(argv)
         assert vars(args) == expected
         assert command is _command_parsers()[expected["command"]]
+
+
+#: values that are not plain, or not valid for their flag: negative, empty, non-numeric, out of choice, flag-like
+_ODD_VALUES = ["-0.5", "-1", "", "x", "7", "0.5", "-0.1,0.2", "csv", "balanced", "-h", "--", "--p"]
+
+
+@st.composite
+def _command_argv(draw) -> list[str]:
+    """An argv of one command, made of its own actions: mostly plain tokens,
+    and at a drawn rate an odd one, an abbreviated or ``=`` form, a missing,
+    odd or stray value."""
+    name = draw(st.sampled_from(sorted(_command_parsers())))
+    actions = _command_parsers()[name]._actions
+    odd = st.sampled_from([False] * draw(st.integers(1, 12)) + [True])
+
+    def value(action) -> str:
+        if draw(odd):
+            return draw(st.sampled_from(_ODD_VALUES))
+        if action.choices:
+            return str(draw(st.sampled_from(action.choices)))
+        return {int: "3", float: "0.5"}.get(action.type, "0.1,0.2")
+
+    argv = [name]
+    for _ in range(draw(st.integers(0, 6))):
+        action = draw(st.sampled_from(actions))
+        if not action.option_strings:
+            argv.append(value(action))
+            continue
+        option = draw(st.sampled_from(action.option_strings))
+        if option.startswith("--") and draw(odd):
+            option = option[: draw(st.integers(3, len(option)))]
+        if draw(odd):
+            forms = [[option], [option, value(action)], [f"{option}={value(action)}"], [value(action)]]
+            argv += draw(st.sampled_from(forms))
+        else:
+            argv += [option] if action.nargs == 0 else [option, value(action)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_command_argv())
+@example(argv=["solve", "--bracket", "0.1,0.2", "balanced", "--format", "csv"])
+@example(argv=["simulate", "--honest", "--honest", "--dice", "3", "--dice", "4"])
+@example(argv=["solve", "balanced", "dice3-case1"])
+@example(argv=["simulate", "--case", "3"])
+@example(argv=["simulate", "--out", "-h"])
+@example(argv=["cheat", "--p", "-0.5", "--eta", "-1"])
+def test_the_table_walk_matches_the_full_parser(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = build_parser().parse_args(argv)
+    except SystemExit:
+        assert _exit_of(_parse, argv) == _exit_of(build_parser().parse_args, argv)
+    else:
+        args, command = _parse(argv)
+        assert vars(args) == vars(expected)
+        assert command is _command_parsers()[expected.command]
+
+
+def _benchmark_style_argv() -> list[list[str]]:
+    """Argv shaped like the in-process cli calls of the benchmark's
+    cli-reports workload, valid and refused, with seeded random numbers."""
+    rng = np.random.default_rng(39)
+    argv = [["solve", target] for target in SOLVE_TARGETS] + [
+        ["simulate", "--p", "0.5", "--eta", "0.2071", "--trials", "200", "--seed", "3"],
+        ["simulate", "--p", repr(1 / 3), "--eta", "0.1465", "--cheat", "bob-claim-win", "--trials", "200",
+         "--seed", "3"],
+        ["simulate", "--dice", "3", "--honest", "--trials", "100", "--seed", "3"],
+        ["simulate", "--p", "0.5", "--eta", "0.2", "--cheat", "alice-general", "--alphas", "1,0,0"],
+        ["simulate", "--p", "0.5", "--eta", "0.2", "--config", "bad-config.json"],
+        ["simulate", "--p", "1.5", "--eta", "0.1"],
+        ["bound-check", "--dice", "3", "--party", "1", "--biases", "0.1,nan"],
+        ["solve", "balanced", "--bracket", "0.3,0.4"],
+    ]
+    for _ in range(20):
+        n = int(rng.integers(2, 17))
+        party = int(rng.integers(1, n + 1))
+        biases = rng.uniform(0.0, 0.5 / n, n - max(party, 2) + 1)
+        argv.append(["bound-check", "--dice", str(n), "--party", str(party),
+                     "--biases", ",".join(repr(float(b)) for b in biases)])
+        p, eta = (float(x) for x in rng.uniform(0.0, 0.5, 2))
+        argv.append(["cheat", "--p", repr(p), "--eta", repr(eta), "--grid", "1000", "--samples", "100",
+                     "--ancilla-dim", "2", "--seed", str(int(rng.integers(1000)))])
+    return argv
+
+
+def test_plain_argv_take_the_table_walk(monkeypatch):
+    """A walk that declined every argv would still pass the parity tests, so
+    plain argv must never reach argparse."""
+    def refuse(argv=None, namespace=None):
+        raise AssertionError(f"argparse parsed {argv}")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    for argv in [*GOLDEN.values(), *_benchmark_style_argv()]:
+        args, command = _parse(_attach_list_values(argv))
+        assert command is _command_parsers()[argv[0]] and args.command == argv[0]
 
 
 def test_config_values_do_not_outlive_their_run(tmp_path, capsys):
