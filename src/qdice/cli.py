@@ -258,7 +258,10 @@ def _check_config_value(key: str, action: argparse.Action, value) -> None:
 def _apply_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
     """Fill ``args`` from its ``--config`` file, where a flag left a value
     unset, then from ``_DEFAULTS``; ``command`` is the parser of
-    ``args.command``, whose actions type-check the file's values."""
+    ``args.command``, whose actions type-check the file's values. A key that
+    could not take effect is refused: one naming a positional, which argv
+    always sets, or a flag that another key already named in its other
+    spelling (``honest-party`` and ``honest_party``)."""
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as handle:
             try:
@@ -268,12 +271,18 @@ def _apply_config(args: argparse.Namespace, command: argparse.ArgumentParser) ->
         if not isinstance(overrides, dict):
             raise ParameterError("config file must hold a JSON object")
         actions = _action_table(command)[1]
+        keys = {}  # attr -> the key that named it
         for key, value in overrides.items():
             attr = key.replace("-", "_")
             if attr == "config":
                 raise ParameterError("a config file cannot name another config file")
             if attr not in actions:
                 raise ParameterError(f"unknown config key {key!r}")
+            if not actions[attr].option_strings:
+                raise ParameterError(f"config key {key!r} names a positional argument, which only the command line sets")
+            if attr in keys:
+                raise ParameterError(f"config keys {keys[attr]!r} and {key!r} name the same flag")
+            keys[attr] = key
             _check_config_value(key, actions[attr], value)
             if getattr(args, attr) is None or getattr(args, attr) is False:
                 setattr(args, attr, value)

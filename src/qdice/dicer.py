@@ -19,8 +19,10 @@ one ``wcf._flip_codes`` call decides every stage of a chunk of trials for
 both groups. Each play also becomes a takeover row, whether the entrant
 goes on as incumbent by outcome code, so that a stage moves the incumbents
 of a chunk with one table lookup and one masked assignment. The sampler
-keeps trial 0's outcome codes and replays them through the plan's plays,
-by the same takeover rule, from which ``DiceReport`` renders transcripts.
+keeps only trial 0's outcome codes, one per stage; ``DiceReport`` replays
+them through the plan's plays, by the same takeover rule, and renders their
+transcripts only when ``first_trial`` is first read, as ``wcf.TrialStats``
+replays its trial 0.
 
 Stage m is the flip that party m enters. Every stage from m = 3 on has
 two layouts: case 1, the incumbent prepares; case 2, the entrant prepares.
@@ -536,21 +538,34 @@ class StageRun(NamedTuple):
 
 class DiceReport(Record):
     """Monte Carlo tallies of one ladder run with its (spec, coalition,
-    seed), and trial 0 as the sampler played it: one (cheat, outcome code,
-    preparer, responder, winner) per stage."""
+    seed), and trial 0's outcome codes as the sampler drew them, one per
+    stage, from which ``first_trial`` is replayed when first read."""
 
     #: ``run`` is a (LadderSpec, Coalition or None, int seed) tuple,
-    #: ``trial_zero`` a tuple of (CheatSpec, int, int, int, int) tuples, and
+    #: ``trial_zero`` a tuple of int outcome codes, one per stage, and
     #: ``__dict__`` holds ``first_trial``
     __slots__ = ("n_parties", "trials", "win_counts", "stage_aborts", "run", "trial_zero", "__dict__")
 
     @cached_property
     def first_trial(self) -> tuple[StageRun, ...]:
-        """Trial 0, one ``StageRun`` per stage, rendered when first read."""
-        return tuple(
-            StageRun(stage.entrant, preparer, responder, winner, _outcome(stage.params, cheat, code))
-            for stage, (cheat, code, preparer, responder, winner) in zip(self.run[0].stages, self.trial_zero)
-        )
+        """Trial 0, one ``StageRun`` per stage, replayed from its outcome
+        codes when first read: at each stage the play of the row's group
+        in ``_ladder_plan``, the honest party's where it is the incumbent,
+        and the entrant takes over where the play's ``preparer_wins`` XOR
+        "the incumbent prepares" holds, the rule behind ``takes_over``."""
+        spec, coalition, _ = self.run
+        plan = _ladder_plan(spec, coalition)  # cached; rebuilt identically if evicted
+        honest = None if coalition is None else coalition.honest_party
+        runs = []
+        incumbent = 1
+        for k, (stage, code) in enumerate(zip(spec.stages, self.trial_zero)):
+            group = incumbent == honest  # True, group 1, only where the honest party is the incumbent
+            preparer, responder = _stage_roles(stage, incumbent)
+            play = plan.plays[group][k]
+            if play.preparer_wins[code] != (stage.preparer == INCUMBENT):
+                incumbent = stage.entrant
+            runs.append(StageRun(stage.entrant, preparer, responder, incumbent, _outcome(stage.params, play.cheat, code)))
+        return tuple(runs)
 
     def frequencies(self) -> tuple[float, ...]:
         return tuple(c / self.trials for c in self.win_counts)
@@ -650,10 +665,9 @@ def simulate_dice(
     party's entry on, wherever it is the incumbent, the honest group's code
     and takeover replace the other's (``np.copyto`` on those rows). The
     entrant is then written in place into the rows it takes. Trial 0's
-    codes are read back from row 0 of the first chunk and replayed through
-    the plan's plays: the entrant takes over where the play's
-    ``preparer_wins`` XOR "the incumbent prepares" holds, the rule behind
-    ``takes_over``. ``DiceReport.first_trial`` renders their transcripts.
+    codes are read back from row 0 of the first chunk and kept as they are;
+    ``DiceReport.first_trial`` replays them through the plan's plays, and
+    renders their transcripts, only when it is first read.
     """
     _checks.check_integer(trials, "trial count", 1, MAX_TRIALS)
     _checks.check_seed(seed)
@@ -682,24 +696,15 @@ def simulate_dice(
             incumbent[takes_over] = stage.entrant
         wins_here = np.bincount(incumbent, minlength=spec.n_parties + 1)
         if first_codes is None:
-            first_codes, wins = played[0].tolist(), wins_here
+            first_codes, wins = tuple(played[0].tolist()), wins_here
         else:
             wins += wins_here
         stage_aborts += int(np.count_nonzero(played >= FINAL_STATE_ABORT))
-    trial_zero = []
-    incumbent = 1
-    for k, (stage, code) in enumerate(zip(spec.stages, first_codes)):
-        group = incumbent == honest  # True, group 1, only where the honest party is the incumbent
-        preparer, responder = _stage_roles(stage, incumbent)
-        play = plan.plays[group][k]
-        if play.preparer_wins[code] != (stage.preparer == INCUMBENT):
-            incumbent = stage.entrant
-        trial_zero.append((play.cheat, code, preparer, responder, incumbent))
     return DiceReport(
         n_parties=spec.n_parties,
         trials=trials,
         win_counts=tuple(wins[1:].tolist()),
         stage_aborts=stage_aborts,
         run=(spec, coalition, seed),
-        trial_zero=tuple(trial_zero),
+        trial_zero=first_codes,
     )

@@ -238,6 +238,10 @@ def test_validation_exit_code(capsys):
         (["simulate", "--p", "0.5", "--eta", "0.2"], {"trials": 100_000_001}),
         (["simulate", "--dice", "3"], {"trials": 100_000_001}),
         (["simulate", "--p", "0.5", "--eta", "0.1", "--cheat", "alice-general", "--alphas", "1e200,0,0,0"], None),
+        # config keys that could not take effect: a positional, which argv always sets, and one flag twice
+        pytest.param(["solve", "dice3-case1"], {"target": "balanced"}, id="config-names-a-positional"),
+        pytest.param(["simulate", "--dice", "3"], {"honest-party": 2, "honest_party": 3},
+                     id="config-names-a-flag-in-both-spellings"),
     ],
 )
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, config):

@@ -869,6 +869,24 @@ def test_first_trial_is_built_without_run_protocol_and_cached(monkeypatch):
     assert flips == []
 
 
+def test_ladder_trial_zero_is_replayed_only_when_first_read(monkeypatch):
+    roles, outcomes = [], []
+    monkeypatch.setattr(dicer, "_stage_roles", _counting(roles, dicer._stage_roles))
+    monkeypatch.setattr(dicer, "_outcome", _counting(outcomes, dicer._outcome))
+    spec, coalition = LadderSpec.fair(8, case=2), Coalition(honest_party=3)
+    report = simulate_dice(spec, 100, seed=8, coalition=coalition)
+    assert roles == [] and outcomes == []
+    assert len(report.trial_zero) == len(spec.stages) and all(type(code) is int for code in report.trial_zero)
+    first = report.first_trial
+    assert len(roles) == len(outcomes) == len(spec.stages)  # one replay: one call of each per stage
+    assert report.first_trial is first
+    assert report.to_dict()["first_transcript"] == [run.to_dict() for run in first]
+    assert len(roles) == len(outcomes) == len(spec.stages)
+    unread = simulate_dice(spec, 100, seed=8, coalition=coalition)
+    dicer._ladder_plan.cache_clear()  # the replay rebuilds the evicted plan
+    assert unread.first_trial == first
+
+
 # -- the abort rule ----------------------------------------------------------------------
 
 
